@@ -6,7 +6,6 @@ from .channel import (
     build_realization,
     evaluate_ctf,
     los_delay,
-    ray_delay,
     tap_list,
 )
 from .geometry import (
@@ -14,8 +13,8 @@ from .geometry import (
     ClusterGeometry,
     GeometryError,
     GeometryState,
-    MicroRay,
     PathIndex,
+    RayDraws,
     enumerate_paths,
     evolve,
     los_distance,

@@ -32,7 +32,6 @@ __all__ = [
     "evaluate_ctf",
     "tap_list",
     "los_delay",
-    "ray_delay",
 ]
 
 
@@ -41,7 +40,6 @@ class SubPath:
     """One reflected sub-path: its rays' frozen draws, stacked for evaluation."""
 
     path: geo.PathIndex
-    rays: tuple[geo.MicroRay, ...]
     phases: np.ndarray  # (R,) initial ray phases in [0, 2*pi)
     aods: np.ndarray  # (R,) frozen departure angles; NaN for single bounce
     aoas: np.ndarray  # (R,) frozen arrival angles
@@ -66,12 +64,6 @@ class ChannelRealization:
     def seed_lineage(self) -> tuple[int, int]:
         return (self.cfg.master_seed, self.index)
 
-    def subpath_for(self, path: geo.PathIndex) -> SubPath:
-        for sp in self.subpaths:
-            if sp.path == path:
-                return sp
-        raise KeyError(f"no sub-path {path.label} in this realization")
-
 
 @dataclass(eq=False)
 class CtfFrame:
@@ -91,8 +83,8 @@ class Tap:
     label: str
 
 
-def _worst_case_slack(ray: geo.MicroRay, cfg: ScenarioConfig, span: float) -> float:
-    """Largest possible shortening of a ray by surface/drift terms, meters.
+def _worst_case_slack(path: geo.PathIndex, rays: geo.RayDraws, cfg: ScenarioConfig, span: float) -> np.ndarray:
+    """Largest possible shortening of each ray by surface/drift terms, meters.
 
     Used when enforcing the floor "no ray shorter than the direct path": the
     surface oscillation can subtract at most its amplitude times the ray's
@@ -101,16 +93,17 @@ def _worst_case_slack(ray: geo.MicroRay, cfg: ScenarioConfig, span: float) -> fl
     largest displacement reachable within the horizon.
     """
     amp = cfg.surface.amplitude
-    slack = 4.0 * cfg.drift.v_max * span
+    slack = np.full(rays.aoa.shape, 4.0 * cfg.drift.v_max * span)
     if amp > 0.0:
-        proj_tx = math.cos(ray.aod - cfg.surface.travel_angle) if ray.theta_first is not None else 0.0
-        proj_rx = math.cos(ray.aoa - cfg.surface.travel_angle) if ray.theta_last is not None else 0.0
-        if ray.path.is_single_bounce:
+        surface = geo.Boundary.SURFACE
+        proj_rx = np.abs(np.cos(rays.aoa - cfg.surface.travel_angle)) if path.last_boundary is surface else 0.0
+        if path.is_single_bounce:
             # note: single-bounce departure angle varies with time; at build we
             # only need a bound, and the shared phase couples the projections
-            slack += amp * abs(proj_rx) * 2.0
+            slack += amp * proj_rx * 2.0
         else:
-            slack += amp * (abs(proj_tx) + abs(proj_rx))
+            proj_tx = np.abs(np.cos(rays.aod - cfg.surface.travel_angle)) if path.first_boundary is surface else 0.0
+            slack += amp * (proj_tx + proj_rx)
     return slack
 
 
@@ -121,6 +114,8 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     (statistics evaluate the channel at anchor+lag instants). Rays whose
     frozen draws would make them shorter than the direct path anywhere on
     the horizon are rejected and redrawn, like any other out-of-branch draw.
+    Each sub-path draws its rays as one batch on its own stream and, round
+    by round, redraws only the rejected ones; its initial phases come last.
     """
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
@@ -132,43 +127,43 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     depth = cfg.geometry.water_depth
     los0 = geo.los_distance(state0)
     still = SurfaceMotionConfig(amplitude=0.0, freq=0.0)
+    n_rays = cfg.clusters.rays_per_path
     subpaths = []
     resamples = 0
     max_tries = 1000
     for path in geo.enumerate_paths(cfg.clusters):
         cluster0 = geo.macro_ray(state0, depth, path)
         rng = stream_for(cfg.master_seed, index, f"path/{path.label}")
-        rays = []
-        phases = np.empty(cfg.clusters.rays_per_path)
-        for n in range(cfg.clusters.rays_per_path):
-            for _ in range(max_tries):
-                if path.is_single_bounce:
-                    ray, extra = geo.sample_micro_ray_sb(cluster0, state0, depth, cfg.clusters, rng)
-                else:
-                    ray, extra = geo.sample_micro_ray_mb(cluster0, cfg.clusters, rng)
-                resamples += extra
-                legs = geo.micro_ray_distances(
-                    ray, cluster0, state0, depth, (0.0, 0.0), (0.0, 0.0), still, 0.0
-                )
-                if sum(legs) - _worst_case_slack(ray, cfg, span) >= los0 - 1e-9:
-                    break
-                resamples += 1
+        rays = geo.RayDraws(*(np.empty(n_rays) for _ in geo.RayDraws._fields))
+        pending = np.arange(n_rays)  # slots still waiting for an accepted ray
+        for _ in range(max_tries):
+            if path.is_single_bounce:
+                batch, extra = geo.sample_micro_ray_sb(cluster0, state0, depth, cfg.clusters, rng, pending.size)
             else:
-                raise geo.GeometryError(
-                    f"could not draw a ray of {path.label} at least as long as the direct path"
-                )
-            phases[n] = rng.uniform(0.0, TAU)
-            rays.append(ray)
+                batch, extra = geo.sample_micro_ray_mb(cluster0, cfg.clusters, rng, pending.size)
+            leg_tx, mid, leg_rx = geo.micro_ray_distances(
+                batch, cluster0, state0, depth, (0.0, 0.0), (0.0, 0.0), still, 0.0
+            )
+            ok = leg_tx + mid + leg_rx - _worst_case_slack(path, batch, cfg, span) >= los0 - 1e-9
+            for slots, drawn in zip(rays, batch):
+                slots[pending[ok]] = drawn[ok]
+            pending = pending[~ok]
+            resamples += extra + pending.size
+            if not pending.size:
+                break
+        else:
+            raise geo.GeometryError(
+                f"could not draw a ray of {path.label} at least as long as the direct path"
+            )
         subpaths.append(
             SubPath(
                 path=path,
-                rays=tuple(rays),
-                phases=phases,
-                aods=np.array([r.aod for r in rays]),
-                aoas=np.array([r.aoa for r in rays]),
-                theta_first=np.array([0.0 if r.theta_first is None else r.theta_first for r in rays]),
-                theta_last=np.array([0.0 if r.theta_last is None else r.theta_last for r in rays]),
-                delta_mid=np.array([r.delta_mid for r in rays]),
+                phases=rng.uniform(0.0, TAU, n_rays),
+                aods=rays.aod,
+                aoas=rays.aoa,
+                theta_first=rays.theta_first,
+                theta_last=rays.theta_last,
+                delta_mid=rays.delta_mid,
             )
         )
     return ChannelRealization(
@@ -353,18 +348,3 @@ def los_delay(real: ChannelRealization, t) -> float | np.ndarray:
     """Direct-path delay at time(s) t, drift projections included."""
     table = component_table(real, t)
     return float(table.los_delay[0]) if np.ndim(t) == 0 else table.los_delay
-
-
-def ray_delay(real: ChannelRealization, ray: geo.MicroRay, t) -> float | np.ndarray:
-    """Propagation delay of one ray at time(s) t."""
-    cfg = real.cfg
-    tt = np.asarray(t, dtype=float)
-    state = geo.evolve(cfg.geometry, cfg.intentional, tt)
-    cluster = geo.macro_ray(state, cfg.geometry.water_depth, ray.path)
-    drift_tx = real.drift_tx.displacement(tt)
-    drift_rx = real.drift_rx.displacement(tt)
-    leg_tx, mid, leg_rx = geo.micro_ray_distances(
-        ray, cluster, state, cfg.geometry.water_depth, drift_tx, drift_rx, cfg.surface, tt
-    )
-    total = (np.asarray(leg_tx) + np.asarray(mid) + np.asarray(leg_rx)) / cfg.geometry.sound_speed
-    return float(total) if np.ndim(t) == 0 else total

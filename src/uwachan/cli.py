@@ -43,22 +43,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> int:
+def _write_atomic(path: str, write) -> None:
+    """Write a text file through a temp file in its directory and ``os.replace``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     except OSError as exc:
         raise CliError(f"cannot write to {path!r}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: str, header: list[str], rows: list[tuple]) -> int:
+    def write(fh):
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+    _write_atomic(path, write)
     return len(rows)
 
 
@@ -68,9 +76,7 @@ def _write_meta(out_path: str, cfg: ScenarioConfig, command: str, extra: dict) -
         "scenario": scenario_to_dict(cfg),
         **extra,
     }
-    with open(out_path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(out_path + ".meta.json", lambda fh: fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
 
 
 def _write_plot_script(path: str, out_csv: str, description: list[str]) -> None:
@@ -80,8 +86,7 @@ def _write_plot_script(path: str, out_csv: str, description: list[str]) -> None:
         *description,
         "",
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines)))
 
 
 def _resolve_scenario(args) -> ScenarioConfig:
@@ -398,8 +403,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise CliError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (CliError, ScenarioError, ValueError, OSError) as exc:
+    except (CliError, ScenarioError, ValueError, OSError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

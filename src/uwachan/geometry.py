@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +32,9 @@ __all__ = [
     "los_distance",
     "ClusterGeometry",
     "macro_ray",
-    "MicroRay",
+    "RayDraws",
     "sample_micro_ray_mb",
     "sample_micro_ray_sb",
-    "ray_angles",
     "micro_ray_distances",
     "segment_lengths",
 ]
@@ -232,25 +232,23 @@ def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> Clus
     )
 
 
-@dataclass(frozen=True)
-class MicroRay:
-    """Frozen random draws of one diffuse ray.
+class RayDraws(NamedTuple):
+    """Frozen random draws of a batch of diffuse rays, one entry per ray.
 
     Angles are drawn once, at ray birth, and reused across the whole time
     grid; only the deterministic geometry terms evolve afterwards.
     ``theta_first``/``theta_last`` are the surface-oscillation phases of the
-    first/last reflection cluster and are None when that cluster sits on the
+    first/last reflection cluster and are 0 when that cluster sits on the
     (static) bottom. Single-bounce rays couple their departure angle to the
     arrival angle through the reflection geometry, so ``aod`` is NaN there
     and is re-derived from ``aoa`` at evaluation time.
     """
 
-    path: PathIndex
-    aod: float  # departure angle, rad; NaN for single-bounce rays
-    aoa: float  # arrival angle, rad
-    theta_first: float | None
-    theta_last: float | None
-    delta_mid: float  # log-perturbation of the inter-cluster leg; 0 for SB
+    aod: np.ndarray  # (n,) departure angles, rad; NaN for single-bounce rays
+    aoa: np.ndarray  # (n,) arrival angles, rad
+    theta_first: np.ndarray  # (n,)
+    theta_last: np.ndarray  # (n,)
+    delta_mid: np.ndarray  # (n,) log-perturbation of the inter-cluster leg; 0 for SB
 
 
 def _spread_for(boundary: Boundary, spreads: ClusterConfig) -> float:
@@ -262,59 +260,76 @@ def _angle_domain(boundary: Boundary) -> tuple[float, float]:
     return (0.0, math.pi) if boundary is Boundary.SURFACE else (math.pi, TAU)
 
 
+def _draw_in_branch(
+    rng: np.random.Generator, mean: float, sigma: float, n: int, valid, max_tries: int, failure: str
+) -> tuple[np.ndarray, int]:
+    """``n`` normal draws, redrawing only the entries ``valid`` rejects.
+
+    Returns (values, resamples), one resample per rejected draw; raises
+    GeometryError(``failure``) when an entry is still rejected after
+    ``max_tries`` draws.
+    """
+    values = rng.normal(mean, sigma, n)
+    pending = np.flatnonzero(~valid(values))
+    resamples = 0
+    for _ in range(max_tries - 1):
+        if not pending.size:
+            break
+        resamples += pending.size
+        values[pending] = rng.normal(mean, sigma, pending.size)
+        pending = pending[~valid(values[pending])]
+    if pending.size:
+        raise GeometryError(failure)
+    return values, resamples
+
+
+def _surface_phases(rng: np.random.Generator, boundary: Boundary, n: int) -> np.ndarray:
+    return rng.uniform(0.0, TAU, n) if boundary is Boundary.SURFACE else np.zeros(n)
+
+
 def sample_micro_ray_mb(
     cluster: ClusterGeometry,
     spreads: ClusterConfig,
     rng: np.random.Generator,
+    n: int,
     max_tries: int = 1000,
-) -> tuple[MicroRay, int]:
-    """Draw one multi-bounce ray around a cluster; returns (ray, resamples)."""
+) -> tuple[RayDraws, int]:
+    """Draw ``n`` multi-bounce rays around a cluster; returns (rays, resamples).
+
+    Draw order: departure angles, then arrival angles (each with its
+    redraws of out-of-branch entries), mid-leg perturbations, and the
+    surface phases of whichever clusters sit on the surface.
+    """
     path = cluster.path
     if path.is_single_bounce:
         raise GeometryError(f"multi-bounce sampler called on single-bounce path {path.label}")
+    failure = f"could not draw an in-branch angle for {path.label} after {max_tries} tries"
+    angles = []
     resamples = 0
-
-    def draw_angle(mean: float, sigma: float, domain: tuple[float, float]) -> float:
-        nonlocal resamples
-        for _ in range(max_tries):
-            angle = rng.normal(mean, sigma)
-            if domain[0] < angle < domain[1]:
-                return angle
-            resamples += 1
-        raise GeometryError(f"could not draw an in-branch angle for {path.label} after {max_tries} tries")
-
-    aod = draw_angle(
-        float(cluster.mean_aod), _spread_for(path.first_boundary, spreads), _angle_domain(path.first_boundary)
-    )
-    aoa = draw_angle(
-        float(cluster.mean_aoa), _spread_for(path.last_boundary, spreads), _angle_domain(path.last_boundary)
-    )
-    delta_mid = rng.normal(0.0, spreads.mid_distance_spread)
-    theta_first = rng.uniform(0.0, TAU) if path.first_boundary is Boundary.SURFACE else None
-    theta_last = rng.uniform(0.0, TAU) if path.last_boundary is Boundary.SURFACE else None
-    ray = MicroRay(
-        path=path,
-        aod=aod,
-        aoa=aoa,
-        theta_first=theta_first,
-        theta_last=theta_last,
-        delta_mid=delta_mid,
-    )
-    return ray, resamples
+    for mean, boundary in ((cluster.mean_aod, path.first_boundary), (cluster.mean_aoa, path.last_boundary)):
+        lo, hi = _angle_domain(boundary)
+        angle, extra = _draw_in_branch(
+            rng, float(mean), _spread_for(boundary, spreads), n, lambda a: (lo < a) & (a < hi), max_tries, failure
+        )
+        angles.append(angle)
+        resamples += extra
+    delta_mid = rng.normal(0.0, spreads.mid_distance_spread, n)
+    theta_first = _surface_phases(rng, path.first_boundary, n)
+    theta_last = _surface_phases(rng, path.last_boundary, n)
+    return RayDraws(angles[0], angles[1], theta_first, theta_last, delta_mid), resamples
 
 
-def _sb_arrival_valid(path: PathIndex, aoa, state: GeometryState, water_depth: float) -> bool:
+def _sb_arrival_valid(path: PathIndex, aoa: np.ndarray, state: GeometryState, water_depth: float) -> np.ndarray:
     # The single scatterer must sit on its boundary strictly between the
     # platforms; otherwise the coupled departure angle leaves its branch.
-    if path.kind is PathKind.DA:
-        if not math.pi / 2 < aoa < math.pi:
-            return False
-        run = (water_depth - state.rx_depth) / math.tan(math.pi - aoa)
-    else:
-        if not math.pi < aoa < 3 * math.pi / 2:
-            return False
-        run = state.rx_depth / math.tan(aoa - math.pi)
-    return 0.0 < run < state.distance
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if path.kind is PathKind.DA:
+            branch = (math.pi / 2 < aoa) & (aoa < math.pi)
+            run = (water_depth - state.rx_depth) / np.tan(math.pi - aoa)
+        else:
+            branch = (math.pi < aoa) & (aoa < 3 * math.pi / 2)
+            run = state.rx_depth / np.tan(aoa - math.pi)
+    return branch & (0.0 < run) & (run < state.distance)
 
 
 def sample_micro_ray_sb(
@@ -323,35 +338,28 @@ def sample_micro_ray_sb(
     water_depth: float,
     spreads: ClusterConfig,
     rng: np.random.Generator,
+    n: int,
     max_tries: int = 1000,
-) -> tuple[MicroRay, int]:
-    """Draw one single-bounce ray; the departure angle is geometry-coupled."""
+) -> tuple[RayDraws, int]:
+    """Draw ``n`` single-bounce rays; departure angles are geometry-coupled.
+
+    Draw order: arrival angles with their redraws, then one surface phase
+    per ray on surface-reflected paths, shared by both legs.
+    """
     path = cluster.path
     if not path.is_single_bounce:
         raise GeometryError(f"single-bounce sampler called on multi-bounce path {path.label}")
-    sigma = _spread_for(path.last_boundary, spreads)
-    resamples = 0
-    for _ in range(max_tries):
-        aoa = rng.normal(float(cluster.mean_aoa), sigma)
-        if _sb_arrival_valid(path, aoa, state, water_depth):
-            break
-        resamples += 1
-    else:
-        raise GeometryError(f"could not draw an in-branch arrival angle for {path.label} after {max_tries} tries")
-    if path.kind is PathKind.DA:
-        theta = rng.uniform(0.0, TAU)  # one scatterer serves both legs
-        theta_first, theta_last = theta, theta
-    else:
-        theta_first, theta_last = None, None
-    ray = MicroRay(
-        path=path,
-        aod=math.nan,
-        aoa=aoa,
-        theta_first=theta_first,
-        theta_last=theta_last,
-        delta_mid=0.0,
+    aoa, resamples = _draw_in_branch(
+        rng,
+        float(cluster.mean_aoa),
+        _spread_for(path.last_boundary, spreads),
+        n,
+        lambda a: _sb_arrival_valid(path, a, state, water_depth),
+        max_tries,
+        f"could not draw an in-branch arrival angle for {path.label} after {max_tries} tries",
     )
-    return ray, resamples
+    theta = _surface_phases(rng, path.last_boundary, n)  # one scatterer serves both legs
+    return RayDraws(np.full(n, math.nan), aoa, theta, theta, np.zeros(n)), resamples
 
 
 def sb_departure_angle(kind: PathKind, aoa, state: GeometryState, water_depth: float):
@@ -361,20 +369,6 @@ def sb_departure_angle(kind: PathKind, aoa, state: GeometryState, water_depth: f
         return np.arctan2(water_depth - state.tx_depth, state.distance - run)
     run = state.rx_depth / np.tan(np.asarray(aoa, dtype=float) - math.pi)
     return TAU - np.arctan2(state.tx_depth, state.distance - run)
-
-
-def ray_angles(ray: MicroRay, state: GeometryState, water_depth: float):
-    """Departure and arrival angles of a ray under the geometry at time(s) t.
-
-    The frozen draws are returned as-is; only single-bounce departure angles
-    vary, re-derived from the coupled arrival angle and the current geometry.
-    """
-    if ray.path.is_single_bounce:
-        aod = sb_departure_angle(ray.path.kind, ray.aoa, state, water_depth)
-        if np.ndim(state.distance) == 0:
-            aod = float(aod)
-        return aod, ray.aoa
-    return ray.aod, ray.aoa
 
 
 def segment_lengths(
@@ -394,9 +388,9 @@ def segment_lengths(
 ):
     """Evaluate the three leg lengths of rays; broadcasts over all inputs.
 
-    ``theta_first``/``theta_last`` may be None (cluster on the bottom: no
-    surface-oscillation term). ``drift_tx``/``drift_rx`` are (magnitude,
-    bearing) pairs of the platform drift displacement at ``t``.
+    ``theta_first``/``theta_last`` are ignored where that cluster is on the
+    bottom (no surface-oscillation term). ``drift_tx``/``drift_rx`` are
+    (magnitude, bearing) pairs of the platform drift displacement at ``t``.
     """
     tt = np.asarray(t, dtype=float)
     dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
@@ -439,7 +433,7 @@ def _guard_sin(sin_values, path: PathIndex) -> None:
 
 
 def micro_ray_distances(
-    ray: MicroRay,
+    rays: RayDraws,
     cluster: ClusterGeometry,
     state: GeometryState,
     water_depth: float,
@@ -448,25 +442,28 @@ def micro_ray_distances(
     surface: SurfaceMotionConfig,
     t,
 ):
-    """Leg lengths (tx->first, first->last, last->rx) of one ray at time(s) t."""
-    aod, aoa = ray_angles(ray, state, water_depth)
-    theta_first = 0.0 if ray.theta_first is None else ray.theta_first
-    theta_last = 0.0 if ray.theta_last is None else ray.theta_last
-    leg_tx, mid, leg_rx = segment_lengths(
-        ray.path,
+    """Leg lengths (tx->first, first->last, last->rx) of a batch of rays at time t.
+
+    Each returned array has one entry per ray. Single-bounce departure
+    angles are re-derived from the arrival angles under ``state``.
+    """
+    path = cluster.path
+    if path.is_single_bounce:
+        aod = sb_departure_angle(path.kind, rays.aoa, state, water_depth)
+    else:
+        aod = rays.aod
+    return segment_lengths(
+        path,
         state,
         water_depth,
         cluster.leg_mid,
         aod,
-        aoa,
-        theta_first,
-        theta_last,
-        ray.delta_mid,
+        rays.aoa,
+        rays.theta_first,
+        rays.theta_last,
+        rays.delta_mid,
         drift_tx,
         drift_rx,
         surface,
         t,
     )
-    if np.ndim(leg_tx) == 0 and np.ndim(leg_rx) == 0 and np.ndim(mid) == 0:
-        return float(leg_tx), float(mid), float(leg_rx)
-    return leg_tx, mid, leg_rx

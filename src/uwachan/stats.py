@@ -117,10 +117,13 @@ def _corr_realization(args):
 
 
 def _collect_rows(worker, arglist, jobs):
-    if jobs <= 1:
+    # A fork-started pool launches all of its workers at the first submit,
+    # so never ask for more workers than there are tasks.
+    workers = min(jobs, len(arglist))
+    if workers <= 1:
         return [worker(args) for args in arglist]
-    chunk = max(1, len(arglist) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(arglist) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arglist, chunksize=chunk))
 
 

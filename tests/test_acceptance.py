@@ -199,12 +199,15 @@ def test_criterion_9_geometry_oracles():
     sb_ok = True
     for path in (uc.PathIndex(uc.PathKind.DA, 1, 0), uc.PathIndex(uc.PathKind.UA, 0, 1)):
         cluster = uc.macro_ray(state, 100.0, path)
-        ray, _ = uc.sample_micro_ray_sb(cluster, state, 100.0, clusters, uc.stream_for(1, 0, "acc9"))
+        rays, _ = uc.sample_micro_ray_sb(
+            cluster, state, 100.0, clusters, uc.stream_for(1, 0, "acc9"), clusters.rays_per_path
+        )
         leg_tx, mid, leg_rx = uc.micro_ray_distances(
-            ray, cluster, state, 100.0, (0.0, 0.0), (0.0, 0.0),
+            rays, cluster, state, 100.0, (0.0, 0.0), (0.0, 0.0),
             uc.SurfaceMotionConfig(amplitude=0.0, freq=0.0), 0.0,
         )
-        sb_ok = sb_ok and mid == 0.0 and abs(leg_tx + leg_rx - cluster.distance) <= 1e-9
+        closes = np.abs(leg_tx + leg_rx - cluster.distance) <= 1e-9
+        sb_ok = sb_ok and bool(np.all(mid == 0.0) and np.all(closes))
     report(
         "criterion 9 (image-method geometry oracles)",
         da_ok and ua_ok and sb_ok,

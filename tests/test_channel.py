@@ -10,7 +10,6 @@ from uwachan.channel import (
     ctf_values,
     evaluate_ctf,
     los_delay,
-    ray_delay,
     tap_list,
 )
 from uwachan.presets import preset_scenario
@@ -52,7 +51,10 @@ def test_subpath_and_ray_counts():
     )
     real = build_realization(cfg, 0)
     assert len(real.subpaths) == 8
-    assert sum(len(sp.rays) for sp in real.subpaths) == 400
+    assert sum(sp.aoas.size for sp in real.subpaths) == 400
+    for sp in real.subpaths:
+        fields = (sp.phases, sp.aods, sp.aoas, sp.theta_first, sp.theta_last, sp.delta_mid)
+        assert all(values.shape == (50,) for values in fields)
 
 
 def test_build_is_deterministic():
@@ -79,9 +81,8 @@ def test_specular_single_bounce_delay_is_macro_delay():
         )
     )
     real = build_realization(cfg, 0)
-    sb = real.subpath_for(real.subpaths[0].path)
-    assert sb.path.is_single_bounce
-    tau = ray_delay(real, sb.rays[0], 0.0)
+    assert real.subpaths[0].path.is_single_bounce
+    tau = component_table(real, [0.0]).delays[0][0, 0]
     expected = math.hypot(2000.0, 70.0) / 1500.0
     assert tau == pytest.approx(expected, abs=1e-12)
 
@@ -98,13 +99,15 @@ def test_los_delay_measurement_geometry():
 
 
 def test_rays_never_beat_the_direct_path():
-    cfg = preset_scenario("table1")  # includes surface motion of 2 m amplitude
-    real = build_realization(cfg, 0, horizon=1.0)
-    for t in (0.0, 0.5, 1.0):
-        tau_los = los_delay(real, t)
-        table = component_table(real, [t])
-        for delays in table.delays:
-            assert np.all(delays[0] >= tau_los - 1e-9)
+    # table1: surface motion of 2 m amplitude, no drift; fig3: 1 m amplitude
+    # plus drift up to 0.12 m/s, which exercises the floor's drift slack
+    for name, horizon in (("table1", 1.0), ("fig3", 0.1)):
+        real = build_realization(preset_scenario(name), 0, horizon=horizon)
+        for t in np.linspace(0.0, horizon, 3):
+            tau_los = los_delay(real, t)
+            table = component_table(real, [t])
+            for delays in table.delays:
+                assert np.all(delays[0] >= tau_los - 1e-9)
 
 
 def test_ctf_los_only_limit():

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -158,6 +160,26 @@ def test_bad_scenario_key_fails(tmp_path, capsys):
     assert "wrong" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_vanishing_correlation_is_machine_readable_error(tmp_path, capsys):
+    # at 10 MHz absorption drives every gain to zero, so R(0) cannot normalize
+    cfg = preset_scenario("fig3")
+    path = tmp_path / "hf.json"
+    dump_scenario(dataclasses.replace(cfg, signal=dataclasses.replace(cfg.signal, carrier_freq=1e7)), str(path))
+    out = tmp_path / "x.csv"
+    code = run(["acf", "--scenario", str(path), "--realizations", "1", "--lag-count", "2", "--out", str(out)])
+    assert code == 2
+    assert "zero-lag" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    out = tmp_path / "x.csv"
+    assert run(["preset", "fig3", "--jobs", jobs, "--out", str(out)]) == 2
+    assert "--jobs" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 def test_missing_scenario_and_preset_fails(tmp_path, capsys):
     assert run(["acf", "--out", str(tmp_path / "x.csv")]) == 2
     assert "provide" in json.loads(capsys.readouterr().err)["error"]
@@ -184,6 +206,22 @@ def test_meta_sidecar_and_plot_script(scenario_file, tmp_path):
     assert meta["command"] == "acf"
     assert meta["scenario"]["master_seed"] == 3
     assert str(out) in script.read_text()
+
+
+def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, monkeypatch):
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", recording_replace)
+    out = tmp_path / "pdp.csv"
+    assert run(["pdp", "--scenario", scenario_file, "--out", str(out), "--meta",
+                "--plot-script", str(tmp_path / "plot.txt")]) == 0
+    assert sorted(replaced) == ["pdp.csv", "pdp.csv.meta.json", "plot.txt"]
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_pdp_ray_mode(scenario_file, tmp_path):

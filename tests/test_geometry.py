@@ -6,16 +6,16 @@ import pytest
 from uwachan.geometry import (
     Boundary,
     GeometryError,
-    MicroRay,
     PathIndex,
+    RayDraws,
     enumerate_paths,
     evolve,
     los_distance,
     macro_ray,
     micro_ray_distances,
-    ray_angles,
     sample_micro_ray_mb,
     sample_micro_ray_sb,
+    sb_departure_angle,
 )
 from uwachan.propagation import PathKind
 from uwachan.scenario import (
@@ -195,13 +195,18 @@ def spreads(**overrides):
     return ClusterConfig(**base)
 
 
+def one_ray(aod, aoa, theta_first, theta_last, delta_mid):
+    """A batch holding a single ray with the given draws."""
+    return RayDraws(*(np.array([v], dtype=float) for v in (aod, aoa, theta_first, theta_last, delta_mid)))
+
+
 def test_mb_sampler_zero_spread_hits_means():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 1))
     cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0, mid_distance_spread=0.0)
-    ray, resamples = sample_micro_ray_mb(cluster, cfg, stream_for(1, 0, "t"))
-    assert ray.aod == cluster.mean_aod
-    assert ray.aoa == cluster.mean_aoa
-    assert ray.delta_mid == 0.0
+    rays, resamples = sample_micro_ray_mb(cluster, cfg, stream_for(1, 0, "t"), 5)
+    assert np.all(rays.aod == cluster.mean_aod)
+    assert np.all(rays.aoa == cluster.mean_aoa)
+    assert np.all(rays.delta_mid == 0.0)
     assert resamples == 0
 
 
@@ -209,16 +214,17 @@ def test_mb_sampler_zero_mid_spread_keeps_leg():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
     cfg = spreads(mid_distance_spread=0.0)
-    ray, _ = sample_micro_ray_mb(cluster, cfg, stream_for(1, 0, "t"))
-    _, mid, _ = micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    assert mid == pytest.approx(cluster.leg_mid, rel=1e-15)
+    rays, _ = sample_micro_ray_mb(cluster, cfg, stream_for(1, 0, "t"), 5)
+    _, mid, _ = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
+    assert mid == pytest.approx(np.full(5, cluster.leg_mid), rel=1e-15)
 
 
 def test_mb_sampler_statistics():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 2, 1))
     rng = stream_for(3, 0, "stats")
     cfg = spreads()
-    draws = np.array([sample_micro_ray_mb(cluster, cfg, rng)[0].aod for _ in range(100_000)])
+    draws = sample_micro_ray_mb(cluster, cfg, rng, 100_000)[0].aod
+    assert draws.shape == (100_000,)
     assert np.std(draws) == pytest.approx(0.015, rel=0.02)
     assert np.mean(draws) == pytest.approx(cluster.mean_aod, abs=3 * 0.015 / math.sqrt(100_000))
 
@@ -226,7 +232,7 @@ def test_mb_sampler_statistics():
 def test_mb_sampler_rejects_single_bounce_path():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 0))
     with pytest.raises(GeometryError, match="single-bounce"):
-        sample_micro_ray_mb(cluster, spreads(), stream_for(1, 0, "t"))
+        sample_micro_ray_mb(cluster, spreads(), stream_for(1, 0, "t"), 1)
 
 
 def test_sb_sampler_zero_spread_matches_specular():
@@ -234,36 +240,37 @@ def test_sb_sampler_zero_spread_matches_specular():
     for path in (PathIndex(PathKind.DA, 1, 0), PathIndex(PathKind.UA, 0, 1)):
         cluster = macro_ray(st, 100.0, path)
         cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
-        ray, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"))
-        aod, aoa = ray_angles(ray, st, 100.0)
-        assert aoa == cluster.mean_aoa
-        assert aod == pytest.approx(cluster.mean_aod, abs=1e-9)
+        rays, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 3)
+        aod = sb_departure_angle(path.kind, rays.aoa, st, 100.0)
+        assert np.all(rays.aoa == cluster.mean_aoa)
+        assert aod == pytest.approx(np.full(3, cluster.mean_aod), abs=1e-9)
 
 
 def test_sb_da_shares_surface_phase():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 0))
-    ray, _ = sample_micro_ray_sb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"))
-    assert ray.theta_first is not None
-    assert ray.theta_first == ray.theta_last
+    rays, _ = sample_micro_ray_sb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"), 50)
+    assert np.all((rays.theta_first >= 0.0) & (rays.theta_first < 2 * math.pi))
+    assert np.unique(rays.theta_first).size == 50  # one phase per ray ...
+    assert np.array_equal(rays.theta_first, rays.theta_last)  # ... shared by both legs
 
 
 def test_sb_ua_has_no_surface_phase_and_static_delay():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.UA, 0, 1))
-    ray, _ = sample_micro_ray_sb(cluster, st, 100.0, spreads(), stream_for(1, 0, "t"))
-    assert ray.theta_first is None and ray.theta_last is None
+    rays, _ = sample_micro_ray_sb(cluster, st, 100.0, spreads(), stream_for(1, 0, "t"), 5)
+    assert np.all(rays.theta_first == 0.0) and np.all(rays.theta_last == 0.0)
     surface = SurfaceMotionConfig(amplitude=2.0, freq=0.5)  # moving surface must not matter
-    lengths = [
-        sum(micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, surface, t))
+    lengths = np.array([
+        sum(micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, surface, t))
         for t in (0.0, 0.7, 2.3)
-    ]
-    assert max(lengths) - min(lengths) == pytest.approx(0.0, abs=1e-12)
+    ])
+    assert np.ptp(lengths, axis=0) == pytest.approx(np.zeros(5), abs=1e-12)
 
 
 def test_sb_sampler_rejects_multi_bounce_path():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 1))
     with pytest.raises(GeometryError, match="multi-bounce"):
-        sample_micro_ray_sb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"))
+        sample_micro_ray_sb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +280,11 @@ def test_sb_sampler_rejects_multi_bounce_path():
 def test_specular_ray_reproduces_cluster_legs():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    ray = MicroRay(cluster.path, cluster.mean_aod, cluster.mean_aoa, None, 0.3, 0.0)
-    leg_tx, mid, leg_rx = micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    assert leg_tx == pytest.approx(cluster.leg_tx, rel=1e-12)
-    assert leg_rx == pytest.approx(cluster.leg_rx, rel=1e-12)
-    assert mid == pytest.approx(cluster.leg_mid, rel=1e-12)
+    rays = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, 0.3, 0.0)
+    leg_tx, mid, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
+    assert leg_tx[0] == pytest.approx(cluster.leg_tx, rel=1e-12)
+    assert leg_rx[0] == pytest.approx(cluster.leg_rx, rel=1e-12)
+    assert mid[0] == pytest.approx(cluster.leg_mid, rel=1e-12)
 
 
 def test_sb_rays_satisfy_image_identity():
@@ -285,10 +292,10 @@ def test_sb_rays_satisfy_image_identity():
     for path in (PathIndex(PathKind.DA, 1, 0), PathIndex(PathKind.UA, 0, 1)):
         cluster = macro_ray(st, 100.0, path)
         cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
-        ray, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"))
-        leg_tx, mid, leg_rx = micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-        assert mid == 0.0
-        assert leg_tx + leg_rx == pytest.approx(cluster.distance, abs=1e-9)
+        rays, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 3)
+        leg_tx, mid, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
+        assert np.all(mid == 0.0)
+        assert leg_tx + leg_rx == pytest.approx(np.full(3, cluster.distance), abs=1e-9)
 
 
 def test_surface_oscillation_peak_projection():
@@ -298,26 +305,26 @@ def test_surface_oscillation_peak_projection():
     path = PathIndex(PathKind.DA, 1, 1)
     cluster = macro_ray(st, 100.0, path)
     surface = SurfaceMotionConfig(amplitude=2.0, freq=0.25, travel_angle=cluster.mean_aoa)
-    ray = MicroRay(path, cluster.mean_aod, cluster.mean_aoa, None, math.pi / 2, 0.0)
-    _, _, leg_rx = micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, surface, 0.0)
-    base = MicroRay(path, cluster.mean_aod, cluster.mean_aoa, None, 0.0, 0.0)
+    rays = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, math.pi / 2, 0.0)
+    _, _, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, surface, 0.0)
+    base = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, 0.0, 0.0)
     _, _, leg_rx0 = micro_ray_distances(base, cluster, st, 100.0, NO_DRIFT, NO_DRIFT,
                                         SurfaceMotionConfig(amplitude=0.0, freq=0.25), 0.0)
-    assert leg_rx - leg_rx0 == pytest.approx(2.0, rel=1e-12)
+    assert leg_rx[0] - leg_rx0[0] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_drift_projection_shortens_first_leg():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    ray = MicroRay(cluster.path, cluster.mean_aod, cluster.mean_aoa, None, 0.0, 0.0)
-    base, _, _ = micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    moved, _, _ = micro_ray_distances(ray, cluster, st, 100.0, (1.0, cluster.mean_aod), NO_DRIFT, NO_SURFACE, 0.0)
-    assert moved == pytest.approx(base - 1.0, rel=1e-12)
+    rays = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, 0.0, 0.0)
+    base, _, _ = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
+    moved, _, _ = micro_ray_distances(rays, cluster, st, 100.0, (1.0, cluster.mean_aod), NO_DRIFT, NO_SURFACE, 0.0)
+    assert moved[0] == pytest.approx(base[0] - 1.0, rel=1e-12)
 
 
 def test_degenerate_grazing_angle_reported():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    ray = MicroRay(cluster.path, 1e-14, cluster.mean_aoa, None, 0.0, 0.0)  # aod -> sin 0
+    rays = one_ray(1e-14, cluster.mean_aoa, 0.0, 0.0, 0.0)  # aod -> sin 0
     with pytest.raises(GeometryError, match="grazing"):
-        micro_ray_distances(ray, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
+        micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)

@@ -23,6 +23,7 @@ from uwachan.stats import (
     pdp,
     tfcf,
 )
+from uwachan import stats
 from uwachan.channel import build_realization
 
 
@@ -158,6 +159,35 @@ def test_jobs_do_not_change_results():
     parallel = acf(cfg, 0.0, 0.0, lags, jobs=2)
     assert np.array_equal(serial.expectation, parallel.expectation)
     assert np.array_equal(serial.empirical, parallel.empirical)
+
+
+def test_pool_is_no_larger_than_the_task_list(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records the requested pool size and runs the tasks in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", RecordingPool)
+    cfg = moving_scenario(realizations=3)
+    lags = [0.0, 0.01]
+    pooled = acf(cfg, 0.0, 0.0, lags, jobs=64)
+    assert sizes == [3]
+    assert np.array_equal(pooled.expectation, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation)
+    acf(cfg, 0.0, 0.0, lags, realizations=1, jobs=64)  # one task runs in-process
+    ensemble_delay_stats(cfg, mode="ray", realizations=2, jobs=8)
+    assert sizes == [3, 2]
 
 
 # ---------------------------------------------------------------------------
