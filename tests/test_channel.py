@@ -17,6 +17,7 @@ from uwachan.propagation import PathKind
 from uwachan.scenario import (
     ClusterConfig,
     GeometryConfig,
+    IntentionalMotion,
     PowerConfig,
     ScenarioConfig,
     SignalConfig,
@@ -100,7 +101,7 @@ def test_los_delay_measurement_geometry():
 
 def test_rays_never_beat_the_direct_path():
     # table1: surface motion of 2 m amplitude, no drift; fig3: 1 m amplitude
-    # plus drift up to 0.12 m/s, which exercises the floor's drift slack
+    # plus drift up to 0.12 m/s
     for name, horizon in (("table1", 1.0), ("fig3", 0.1)):
         real = build_realization(preset_scenario(name), 0, horizon=horizon)
         for t in np.linspace(0.0, horizon, 3):
@@ -108,6 +109,24 @@ def test_rays_never_beat_the_direct_path():
             table = component_table(real, [t])
             for delays in table.delays:
                 assert np.all(delays[0] >= tau_los - 1e-9)
+
+
+def test_floor_reserves_the_worst_case_drift():
+    # Within the horizon each platform drifts at most v_max * horizon, which
+    # can shorten a ray's leg and lengthen the direct path by as much, so at
+    # t=0 (still surface, no drift yet) every ray must be longer than the
+    # direct path by 4 * v_max * horizon. Drawn drifts stay well inside that
+    # bound, so the check above cannot see this margin.
+    base = preset_scenario("fig3")
+    cfg = dataclasses.replace(
+        base, surface=dataclasses.replace(base.surface, amplitude=0.0), intentional=IntentionalMotion()
+    )
+    horizon = 1.0
+    real = build_realization(cfg, 0, horizon=horizon)
+    table = component_table(real, [0.0])
+    margin = 4.0 * cfg.drift.v_max * horizon / cfg.geometry.sound_speed
+    for delays in table.delays:
+        assert np.all(delays[0] - table.los_delay[0] >= margin - 1e-12)
 
 
 def test_ctf_los_only_limit():
