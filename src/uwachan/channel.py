@@ -8,6 +8,7 @@ per (ray, time) and reused across frequencies.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ __all__ = [
     "build_realization",
     "component_table",
     "subpath_gains",
+    "class_weight",
     "ctf_weights",
     "ctf_values",
     "evaluate_ctf",
@@ -188,6 +190,24 @@ class ComponentTable:
     clusters: list[geo.ClusterGeometry]  # array-valued, (T,), one per sub-path
     delays: list[np.ndarray]  # (T, R) per sub-path
 
+    def take(self, rows) -> ComponentTable:
+        """The table at time indices ``rows`` (repeats allowed)."""
+
+        def pick(obj):
+            values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+            return dataclasses.replace(
+                obj, **{name: v[rows] for name, v in values.items() if isinstance(v, np.ndarray)}
+            )
+
+        return ComponentTable(
+            times=self.times[rows],
+            state=pick(self.state),
+            los_length=self.los_length[rows],
+            los_delay=self.los_delay[rows],
+            clusters=[pick(cluster) for cluster in self.clusters],
+            delays=[d[rows] for d in self.delays],
+        )
+
 
 def component_table(real: ChannelRealization, times) -> ComponentTable:
     """Evaluate every component's geometry and ray delays on a time axis."""
@@ -274,15 +294,25 @@ def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz, unit
     return a_los, a_subs
 
 
-def ctf_weights(cfg: ScenarioConfig) -> tuple[float, float, float]:
+def class_weight(cfg: ScenarioConfig, kind: PathKind) -> float:
+    """Power weight of one sub-path of a diffuse class (DA or UA).
+
+    The class's share of the diffuse power, ``fraction / (K + 1)``, split
+    evenly over its ``2 * max_hops`` sub-paths.
+    """
     k = cfg.power.rice_k
+    if kind is PathKind.DA:
+        return cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * (k + 1.0))
+    return cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0))
+
+
+def ctf_weights(cfg: ScenarioConfig) -> tuple[float, float, float]:
+    """Amplitude weights (direct, per DA ray, per UA ray) of the CTF sum."""
+    k = cfg.power.rice_k
+    n_rays = cfg.clusters.rays_per_path
     w_los = math.sqrt(k / (k + 1.0))
-    w_da = math.sqrt(cfg.power.da_fraction / (k + 1.0)) / math.sqrt(
-        2.0 * cfg.clusters.max_surface_hops * cfg.clusters.rays_per_path
-    )
-    w_ua = math.sqrt(cfg.power.ua_fraction / (k + 1.0)) / math.sqrt(
-        2.0 * cfg.clusters.max_bottom_hops * cfg.clusters.rays_per_path
-    )
+    w_da = math.sqrt(class_weight(cfg, PathKind.DA) / n_rays)
+    w_ua = math.sqrt(class_weight(cfg, PathKind.UA) / n_rays)
     return w_los, w_da, w_ua
 
 

@@ -48,16 +48,16 @@ def _write_atomic(path: str, write) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:
-        raise CliError(f"cannot write to {path!r}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # Name the target, not the temp file: its random name changes per run.
+        raise CliError(f"cannot write to {path!r}: {exc.strerror}") from exc
 
 
 def _write_csv(path: str, header: list[str], rows: list[tuple]) -> int:
@@ -170,14 +170,14 @@ def _cmd_acf(args) -> int:
     lags = _acf_lags(args)
     result = stats.acf(cfg, args.t, args.f, lags, jobs=args.jobs)
     if args.estimator == "empirical":
-        norm, values = result.empirical_norm, result.empirical
+        norm, values, se = result.empirical_norm, result.empirical, result.empirical_stderr
     else:
-        norm, values = result.expectation_norm, result.expectation
+        norm, values, se = result.expectation_norm, result.expectation, result.expectation_stderr
     rows = [
-        (float(lag), float(a), v.real, v.imag)
-        for lag, a, v in zip(result.lags_t, norm, values)
+        (float(lag), float(a), v.real, v.imag, float(e))
+        for lag, a, v, e in zip(result.lags_t, norm, values, se)
     ]
-    written = _write_csv(args.out, ["lag_s", "abs", "re", "im"], rows)
+    written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], rows)
     if args.meta:
         _write_meta(args.out, cfg, "acf", {"t": args.t, "f": args.f, "estimator": args.estimator})
     if args.plot_script:

@@ -22,7 +22,14 @@ import numpy as np
 
 from . import geometry as geo
 from . import propagation as prop
-from .channel import ChannelRealization, build_realization, component_table, ctf_weights, subpath_gains
+from .channel import (
+    ChannelRealization,
+    build_realization,
+    class_weight,
+    component_table,
+    ctf_weights,
+    subpath_gains,
+)
 from .propagation import PathKind
 from .scenario import TAU, ScenarioConfig, stream_for
 
@@ -61,48 +68,47 @@ class CorrelationResult:
 def _corr_realization(args):
     (cfg, index, hi_t, lo_t, hi_f, lo_f, horizon, phase_draws, unit_gains) = args
     real = build_realization(cfg, index, horizon)
-    fabs_hi = cfg.signal.carrier_freq + hi_f
-    fabs_lo = cfg.signal.carrier_freq + lo_f
-    tab_hi = component_table(real, hi_t)
-    tab_lo = component_table(real, lo_t)
-    a_los_hi, a_subs_hi = subpath_gains(real, tab_hi, fabs_hi, unit_gains)
-    a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo, unit_gains)
+    n = hi_t.size
+    # Evaluate each distinct (t, f) pair of either side once: the anchor side
+    # of an acf repeats one instant for every lag, and a tfcf may pair one
+    # instant with several frequencies, so pairs, not instants, are the unit.
+    # (Complex keys t + i*f sort by t, then f, far cheaper than unique rows.)
+    pair_t = np.concatenate([hi_t, lo_t])
+    pair_f = cfg.signal.carrier_freq + np.concatenate([np.broadcast_to(hi_f, hi_t.shape), lo_f])
+    pairs, pair_of = np.unique(pair_t + 1j * pair_f, return_inverse=True)
+    hi, lo = pair_of[:n], pair_of[n:]
+    times, time_of = np.unique(pairs.real, return_inverse=True)
+    table = component_table(real, times).take(time_of)
+    fabs = pairs.imag
+    a_los, a_subs = subpath_gains(real, table, fabs, unit_gains)
     k = cfg.power.rice_k
     w_los, w_da, w_ua = ctf_weights(cfg)
-    hi_col = np.broadcast_to(fabs_hi, tab_hi.times.shape)[:, np.newaxis]
-    lo_col = np.broadcast_to(fabs_lo, tab_lo.times.shape)[:, np.newaxis]
+    f_col = fabs[:, np.newaxis]
 
-    los_hi = w_los * a_los_hi * np.exp(-1j * TAU * fabs_hi * tab_hi.los_delay)
-    los_lo = w_los * a_los_lo * np.exp(-1j * TAU * fabs_lo * tab_lo.los_delay)
-    exp_row = (k / (k + 1.0)) * a_los_hi * a_los_lo * np.exp(
-        -1j * TAU * (fabs_hi * tab_hi.los_delay - fabs_lo * tab_lo.los_delay)
+    # One exp of the phase difference keeps the direct term's precision where
+    # the phases themselves reach ~1e5 rad.
+    los_phase = fabs * table.los_delay
+    los = w_los * a_los * np.exp(-1j * TAU * fabs * table.los_delay)
+    exp_row = (k / (k + 1.0)) * a_los[hi] * a_los[lo] * np.exp(
+        -1j * TAU * (los_phase[hi] - los_phase[lo])
     )
-    phasors_hi = []  # per sub-path, (L, R): delay phasors without initial phases
-    phasors_lo = []
-    for sp, a_hi, a_lo, d_hi, d_lo in zip(
-        real.subpaths, a_subs_hi, a_subs_lo, tab_hi.delays, tab_lo.delays
-    ):
-        if sp.path.kind is PathKind.DA:
-            weight = cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * (k + 1.0))
-        else:
-            weight = cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0))
-        p_hi = np.exp(-1j * TAU * hi_col * d_hi)
-        p_lo = np.exp(-1j * TAU * lo_col * d_lo)
-        exp_row = exp_row + weight * a_hi * a_lo * (p_hi * np.conj(p_lo)).mean(axis=1)
-        phasors_hi.append(p_hi)
-        phasors_lo.append(p_lo)
+    phasors = []  # per sub-path, (pairs, R): delay phasors without initial phases
+    for sp, a, d in zip(real.subpaths, a_subs, table.delays):
+        phasor = np.exp(-1j * TAU * f_col * d)
+        # Elementwise products and sums, never BLAS (@, dot, matmul): these
+        # blocks are small, and a threaded BLAS burns more CPU than it saves.
+        lagged = (phasor[hi] * np.conj(phasor)[lo]).mean(axis=1)
+        exp_row = exp_row + class_weight(cfg, sp.path.kind) * a[hi] * a[lo] * lagged
+        phasors.append(phasor)
 
     # Empirical estimator: fully realized lag products. Extra phase draws
     # stratify the initial-phase dimension, shrinking the cross-ray product
     # noise without touching the geometry ensemble; draw 0 reuses the
     # realization's own phases so phase_draws=1 is the bare product.
-    emp = np.zeros(hi_t.size, dtype=complex)
+    emp = np.zeros(n, dtype=complex)
     for p in range(phase_draws):
-        h_hi = los_hi.astype(complex)
-        h_lo = los_lo.astype(complex)
-        for sp, a_hi, a_lo, p_hi, p_lo in zip(
-            real.subpaths, a_subs_hi, a_subs_lo, phasors_hi, phasors_lo
-        ):
+        h = los.astype(complex)
+        for sp, a, phasor in zip(real.subpaths, a_subs, phasors):
             if p == 0:
                 phases = sp.phases
             else:
@@ -110,9 +116,8 @@ def _corr_realization(args):
                 phases = rng.uniform(0.0, TAU, sp.phases.size)
             w = w_da if sp.path.kind is PathKind.DA else w_ua
             rot = np.exp(1j * phases)[np.newaxis, :]
-            h_hi = h_hi + w * a_hi * (rot * p_hi).sum(axis=1)
-            h_lo = h_lo + w * a_lo * (rot * p_lo).sum(axis=1)
-        emp += h_hi * np.conj(h_lo)
+            h = h + w * a * (rot * phasor).sum(axis=1)
+        emp += h[hi] * np.conj(h[lo])
     return exp_row, emp / phase_draws
 
 
@@ -326,12 +331,8 @@ def pdp(
                     bottom=cfg.bottom,
                     water_sound_speed=cfg.geometry.sound_speed,
                 ).total
-            if path.kind is PathKind.DA:
-                weight = cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * (k + 1.0))
-            else:
-                weight = cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0))
             delays.append(cluster.distance / c)
-            powers.append(weight * a * a)
+            powers.append(class_weight(cfg, path.kind) * a * a)
             labels.append(path.label)
     else:
         if real is None:
@@ -344,10 +345,7 @@ def pdp(
             labels.append("los")
         n_rays = cfg.clusters.rays_per_path
         for sp, a, d in zip(real.subpaths, a_subs, table.delays):
-            if sp.path.kind is PathKind.DA:
-                weight = cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * n_rays * (k + 1.0))
-            else:
-                weight = cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * n_rays * (k + 1.0))
+            weight = class_weight(cfg, sp.path.kind) / n_rays
             for ray_i in range(n_rays):
                 delays.append(float(d[0, ray_i]))
                 powers.append(weight * float(a[0]) ** 2)

@@ -80,7 +80,19 @@ def test_acf_jobs_do_not_change_bytes(scenario_file, tmp_path):
     assert run(base + [str(out1), "--jobs", "1"]) == 0
     assert run(base + [str(out2), "--jobs", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert out1.read_text().splitlines()[0] == "lag_s,abs,re,im"
+    assert out1.read_text().splitlines()[0] == "lag_s,abs,re,im,se"
+
+
+@pytest.mark.parametrize("estimator", ["expectation", "empirical"])
+def test_acf_reports_standard_error(scenario_file, tmp_path, estimator):
+    out = tmp_path / "acf.csv"
+    assert run(["acf", "--scenario", scenario_file, "--lag-max", "0.05", "--lag-count", "4",
+                "--estimator", estimator, "--out", str(out)]) == 0
+    header, *lines = out.read_text().splitlines()
+    assert header.split(",") == ["lag_s", "abs", "re", "im", "se"]
+    se = [float(line.split(",")[4]) for line in lines]
+    assert len(se) == 4
+    assert all(math.isfinite(e) and e >= 0.0 for e in se)
 
 
 def test_acf_estimator_choice(scenario_file, tmp_path):
@@ -187,9 +199,24 @@ def test_missing_scenario_and_preset_fails(tmp_path, capsys):
 
 def test_unwritable_output_fails_cleanly(scenario_file, tmp_path, capsys):
     out = tmp_path / "missing_dir" / "x.csv"
-    code = run(["pdp", "--scenario", scenario_file, "--out", str(out)])
-    assert code == 2
-    assert not out.exists()
+    errors = []
+    for _ in range(2):
+        code = run(["pdp", "--scenario", scenario_file, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        errors.append(json.loads(capsys.readouterr().err)["error"])
+    assert "x.csv" in errors[0]
+    assert ".tmp" not in errors[0]
+    assert errors[0] == errors[1]
+
+
+def test_output_onto_a_directory_fails_cleanly(scenario_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run(["pdp", "--scenario", scenario_file, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "taken" in error and ".tmp" not in error
+    assert out.is_dir() and not list(tmp_path.glob("*.tmp"))
 
 
 def test_meta_sidecar_and_plot_script(scenario_file, tmp_path):
@@ -247,10 +274,16 @@ def test_preset_runners_smoke(tmp_path, name, label_col):
 def test_console_entry_point(tmp_path):
     import subprocess, sys
 
+    import uwachan
+
+    # the child must import the package under test even when it is not installed
+    src = os.path.dirname(os.path.dirname(uwachan.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "uwachan.cli", "validate", "--realizations", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 2

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwachan.scenario import (
     ClusterConfig,
@@ -24,7 +25,9 @@ from uwachan.stats import (
     tfcf,
 )
 from uwachan import stats
-from uwachan.channel import build_realization
+from uwachan.channel import build_realization, component_table, ctf_weights, subpath_gains
+from uwachan.propagation import PathKind
+from uwachan.scenario import TAU, stream_for
 
 
 def scenario(**overrides) -> ScenarioConfig:
@@ -188,6 +191,117 @@ def test_pool_is_no_larger_than_the_task_list(monkeypatch):
     acf(cfg, 0.0, 0.0, lags, realizations=1, jobs=64)  # one task runs in-process
     ensemble_delay_stats(cfg, mode="ray", realizations=2, jobs=8)
     assert sizes == [3, 2]
+
+
+def reference_corr_realization(args):
+    """The correlation kernel as it was before pair deduplication.
+
+    It evaluates both sides of every lag pair in full: two component
+    tables, two sets of gains and two phasor blocks per sub-path, even where
+    one instant repeats for every lag. Kept as the oracle for the kernel.
+    """
+    (cfg, index, hi_t, lo_t, hi_f, lo_f, horizon, phase_draws, unit_gains) = args
+    real = build_realization(cfg, index, horizon)
+    fabs_hi = cfg.signal.carrier_freq + hi_f
+    fabs_lo = cfg.signal.carrier_freq + lo_f
+    tab_hi = component_table(real, hi_t)
+    tab_lo = component_table(real, lo_t)
+    a_los_hi, a_subs_hi = subpath_gains(real, tab_hi, fabs_hi, unit_gains)
+    a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo, unit_gains)
+    k = cfg.power.rice_k
+    w_los, w_da, w_ua = ctf_weights(cfg)
+    hi_col = np.broadcast_to(fabs_hi, tab_hi.times.shape)[:, np.newaxis]
+    lo_col = np.broadcast_to(fabs_lo, tab_lo.times.shape)[:, np.newaxis]
+
+    los_hi = w_los * a_los_hi * np.exp(-1j * TAU * fabs_hi * tab_hi.los_delay)
+    los_lo = w_los * a_los_lo * np.exp(-1j * TAU * fabs_lo * tab_lo.los_delay)
+    exp_row = (k / (k + 1.0)) * a_los_hi * a_los_lo * np.exp(
+        -1j * TAU * (fabs_hi * tab_hi.los_delay - fabs_lo * tab_lo.los_delay)
+    )
+    phasors_hi = []
+    phasors_lo = []
+    for sp, a_hi, a_lo, d_hi, d_lo in zip(
+        real.subpaths, a_subs_hi, a_subs_lo, tab_hi.delays, tab_lo.delays
+    ):
+        if sp.path.kind is PathKind.DA:
+            weight = cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * (k + 1.0))
+        else:
+            weight = cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0))
+        p_hi = np.exp(-1j * TAU * hi_col * d_hi)
+        p_lo = np.exp(-1j * TAU * lo_col * d_lo)
+        exp_row = exp_row + weight * a_hi * a_lo * (p_hi * np.conj(p_lo)).mean(axis=1)
+        phasors_hi.append(p_hi)
+        phasors_lo.append(p_lo)
+
+    emp = np.zeros(hi_t.size, dtype=complex)
+    for p in range(phase_draws):
+        h_hi = los_hi.astype(complex)
+        h_lo = los_lo.astype(complex)
+        for sp, a_hi, a_lo, p_hi, p_lo in zip(
+            real.subpaths, a_subs_hi, a_subs_lo, phasors_hi, phasors_lo
+        ):
+            if p == 0:
+                phases = sp.phases
+            else:
+                rng = stream_for(cfg.master_seed, index, f"phase-redraw/{p}/{sp.path.label}")
+                phases = rng.uniform(0.0, TAU, sp.phases.size)
+            w = w_da if sp.path.kind is PathKind.DA else w_ua
+            rot = np.exp(1j * phases)[np.newaxis, :]
+            h_hi = h_hi + w * a_hi * (rot * p_hi).sum(axis=1)
+            h_lo = h_lo + w * a_lo * (rot * p_lo).sum(axis=1)
+        emp += h_hi * np.conj(h_lo)
+    return exp_row, emp / phase_draws
+
+
+INSTANTS = st.sampled_from([0.0, 0.02, 0.05, 0.1])
+OFFSETS = st.sampled_from([0.0, 250.0, -400.0])
+
+
+@st.composite
+def lag_pairs(draw):
+    """(hi_t, lo_t, hi_f, lo_f) with the zero-lag pair first, repeats likely."""
+    size = draw(st.integers(1, 6))
+    anchor = draw(INSTANTS)
+    hi_f = draw(OFFSETS)
+    hi_t = [anchor] + draw(st.lists(INSTANTS, min_size=size, max_size=size))
+    lo_t = [anchor] + draw(st.lists(INSTANTS, min_size=size, max_size=size))
+    lo_f = [hi_f] + draw(st.lists(OFFSETS, min_size=size, max_size=size))
+    return np.array(hi_t), np.array(lo_t), hi_f, np.array(lo_f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rice_k=st.sampled_from([0.0, 0.5, 5.0]),
+    amplitude=st.floats(0.0, 2.0),
+    rays=st.integers(1, 8),
+    hops=st.integers(1, 2),
+    seed=st.integers(0, 10_000),
+    realizations=st.integers(1, 2),
+    lags=lag_pairs(),
+    phase_draws=st.sampled_from([1, 3]),
+    unit_gains=st.booleans(),
+)
+def test_kernel_matches_reference(
+    rice_k, amplitude, rays, hops, seed, realizations, lags, phase_draws, unit_gains
+):
+    cfg = moving_scenario(
+        power=PowerConfig(rice_k=rice_k),
+        surface=SurfaceMotionConfig(amplitude=amplitude, freq=0.5, travel_angle=math.pi / 2),
+        clusters=ClusterConfig(max_surface_hops=hops, max_bottom_hops=hops, rays_per_path=rays),
+        master_seed=seed,
+    )
+    hi_t, lo_t, hi_f, lo_f = lags
+    horizon = float(max(hi_t.max(), lo_t.max()))
+    got, want = [], []
+    for index in range(realizations):
+        args = (cfg, index, hi_t, lo_t, hi_f, lo_f, horizon, phase_draws, unit_gains)
+        got.append(stats._corr_realization(args))
+        want.append(reference_corr_realization(args))
+    for estimator in (0, 1):
+        rows = np.array([r[estimator] for r in got])
+        ref = np.array([r[estimator] for r in want])
+        scale = abs(ref[:, 0].mean())
+        assert np.abs(rows - ref).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
