@@ -62,10 +62,6 @@ class ChannelRealization:
     horizon: float
     resample_count: int
 
-    @property
-    def seed_lineage(self) -> tuple[int, int]:
-        return (self.cfg.master_seed, self.index)
-
 
 @dataclass(eq=False)
 class CtfFrame:

@@ -9,7 +9,6 @@ regardless of ``--jobs``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -18,16 +17,16 @@ import time
 
 import numpy as np
 
-from . import stats
+from . import presets, stats
 from .channel import build_realization, evaluate_ctf, tap_list
-from .presets import FIG3_LAGS, FIG4_LAGS, PRESET_NAMES, TABLE1_TARGETS, preset_scenario
+from .presets import PRESET_NAMES, preset_scenario
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
     load_scenario,
-    scenario_from_dict,
+    overlay,
+    read_document,
     scenario_to_dict,
-    validate,
 )
 
 __all__ = ["main"]
@@ -95,29 +94,14 @@ def _resolve_scenario(args) -> ScenarioConfig:
     scenario_path = getattr(args, "scenario", None)
     if preset is None and scenario_path is None:
         raise CliError("provide --scenario FILE and/or --preset NAME")
-    if preset is not None and preset not in PRESET_NAMES:
-        raise CliError(f"unknown preset {preset!r}; known presets: {', '.join(PRESET_NAMES)}")
-    if preset is not None and scenario_path is not None:
-        base = scenario_to_dict(preset_scenario(preset))
-        with open(scenario_path, "r", encoding="utf-8") as fh:
-            overlay = json.load(fh)
-        if not isinstance(overlay, dict):
-            raise ScenarioError("scenario document must be a JSON object")
-        for key, value in overlay.items():
-            if isinstance(value, dict) and isinstance(base.get(key), dict):
-                base[key].update(value)
-            else:
-                base[key] = value
-        cfg = scenario_from_dict(base)
-    elif preset is not None:
+    if preset is None:
+        cfg = load_scenario(scenario_path)
+    elif scenario_path is None:
         cfg = preset_scenario(preset)
     else:
-        cfg = load_scenario(scenario_path)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if getattr(args, "realizations", None) is not None:
-        cfg = dataclasses.replace(cfg, realizations=args.realizations)
-    return validate(cfg)
+        cfg = overlay(preset_scenario(preset), read_document(scenario_path))
+    flags = {"master_seed": getattr(args, "seed", None), "realizations": getattr(args, "realizations", None)}
+    return overlay(cfg, {key: value for key, value in flags.items() if value is not None})
 
 
 def _summary(out: str, rows: int, started: float, seed: int) -> None:
@@ -186,6 +170,10 @@ def _cmd_acf(args) -> int:
     return 0
 
 
+def _pdp_rows(profile: stats.PdpResult) -> list[tuple]:
+    return [(float(d), float(p), label) for d, p, label in zip(profile.delays, profile.powers, profile.labels)]
+
+
 def _cmd_pdp(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
@@ -194,11 +182,7 @@ def _cmd_pdp(args) -> int:
     else:
         source = cfg
     profile = stats.pdp(source, args.t, args.f, args.mode)
-    rows = [
-        (float(d), float(p), label)
-        for d, p, label in zip(profile.delays, profile.powers, profile.labels)
-    ]
-    written = _write_csv(args.out, ["delay_s", "power", "label"], rows)
+    written = _write_csv(args.out, ["delay_s", "power", "label"], _pdp_rows(profile))
     if args.meta:
         _write_meta(args.out, cfg, "pdp", {"t": args.t, "f": args.f, "mode": args.mode})
     if args.plot_script:
@@ -207,8 +191,7 @@ def _cmd_pdp(args) -> int:
     return 0
 
 
-def _delay_stat_rows(cfg: ScenarioConfig, t: float, f: float, mode: str, jobs: int) -> list[tuple]:
-    ens = stats.ensemble_delay_stats(cfg, t, f, mode, jobs=jobs)
+def _delay_stat_rows(ens: stats.EnsembleDelayStats) -> list[tuple]:
     return [
         ("average_delay", ens.average_mean, ens.average_std, ens.n),
         ("rms_delay_spread", ens.rms_spread_mean, ens.rms_spread_std, ens.n),
@@ -218,7 +201,7 @@ def _delay_stat_rows(cfg: ScenarioConfig, t: float, f: float, mode: str, jobs: i
 def _cmd_delay_stats(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
-    rows = _delay_stat_rows(cfg, args.t, args.f, args.mode, args.jobs)
+    rows = _delay_stat_rows(stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs))
     written = _write_csv(args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], rows)
     if args.meta:
         _write_meta(args.out, cfg, "delay-stats", {"t": args.t, "f": args.f, "mode": args.mode})
@@ -227,99 +210,49 @@ def _cmd_delay_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = preset_scenario("table1")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.realizations is not None:
-        cfg = dataclasses.replace(cfg, realizations=args.realizations)
-    ens = stats.ensemble_delay_stats(cfg, 0.0, 0.0, "cluster", jobs=args.jobs)
-    tol = TABLE1_TARGETS["tolerance"]
-    ok = True
-    for metric, value in (
-        ("average_delay", ens.average_mean),
-        ("rms_delay_spread", ens.rms_spread_mean),
-    ):
-        target = TABLE1_TARGETS[metric]
-        passed = abs(value - target) <= tol * target
-        ok = ok and passed
+    tol = presets.TABLE1_TARGETS["tolerance"]
+    checks = presets.table1_check(presets.evaluate("table1", "table1"))
+    for metric, value, target, passed in checks:
         print(
             f"{metric}: {value * 1e3:.4f} ms vs reference {target * 1e3:.3f} ms "
             f"(tolerance {tol:.0%}): {'PASS' if passed else 'FAIL'}"
         )
-    return 0 if ok else 1
+    return 0 if all(check[3] for check in checks) else 1
+
+
+_PRESET_HEADERS = {
+    "acf": ["curve", "lag_s", "abs", "re", "im"],
+    "pdp": ["curve", "delay_s", "power", "label"],
+    "delay-stats": ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"],
+}
 
 
 def _preset_rows(name: str, cfg: ScenarioConfig, jobs: int):
-    if name == "fig3":
-        header = ["curve", "lag_s", "abs", "re", "im"]
-        rows: list[tuple] = []
-        for label, rice_k, amplitude in (
-            ("k5_a1", 5.0, 1.0),
-            ("k0_a1", 0.0, 1.0),
-            ("k5_a2", 5.0, 2.0),
-            ("k0_a2", 0.0, 2.0),
-        ):
-            variant = dataclasses.replace(
-                cfg,
-                power=dataclasses.replace(cfg.power, rice_k=rice_k),
-                surface=dataclasses.replace(cfg.surface, amplitude=amplitude),
-            )
-            result = stats.acf(variant, 0.0, 0.0, FIG3_LAGS, jobs=jobs)
-            for lag, a, v in zip(result.lags_t, result.expectation_norm, result.expectation):
-                rows.append((label, float(lag), float(a), v.real, v.imag))
-        return header, rows
-    if name == "fig4-time":
-        header = ["curve", "lag_s", "abs", "re", "im"]
-        rows = []
-        for anchor in (0.0, 5.0, 10.0):
-            result = stats.acf(cfg, anchor, 0.0, FIG4_LAGS, jobs=jobs)
-            for lag, a, v in zip(result.lags_t, result.expectation_norm, result.expectation):
-                rows.append((f"t{anchor:g}", float(lag), float(a), v.real, v.imag))
-        return header, rows
-    if name == "fig4-freq":
-        header = ["curve", "lag_s", "abs", "re", "im"]
-        rows = []
-        for carrier in (15000.0, 100000.0):
-            variant = dataclasses.replace(
-                cfg, signal=dataclasses.replace(cfg.signal, carrier_freq=carrier)
-            )
-            result = stats.acf(variant, 0.0, 0.0, FIG4_LAGS, jobs=jobs)
-            for lag, a, v in zip(result.lags_t, result.expectation_norm, result.expectation):
-                rows.append((f"fc{carrier:g}", float(lag), float(a), v.real, v.imag))
-        return header, rows
-    if name == "fig5":
-        header = ["curve", "delay_s", "power", "label"]
-        rows = []
-        for carrier in (15000.0, 100000.0):
-            variant = dataclasses.replace(
-                cfg, signal=dataclasses.replace(cfg.signal, carrier_freq=carrier)
-            )
-            for anchor in (0.0, 5.0):
-                profile = stats.pdp(variant, anchor, 0.0, "cluster")
-                for d, p, label in zip(profile.delays, profile.powers, profile.labels):
-                    rows.append((f"t{anchor:g}_fc{carrier:g}", float(d), float(p), label))
-        return header, rows
-    if name == "table1":
-        header = ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"]
-        return header, _delay_stat_rows(cfg, 0.0, 0.0, "cluster", jobs)
-    raise CliError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    statistic, _, curves = presets.EXPERIMENTS[name]
+    rows: list[tuple] = []
+    for label in curves:
+        result = presets.evaluate(name, label, cfg, jobs=jobs)
+        if statistic == "acf":
+            rows += [
+                (label, float(lag), float(a), v.real, v.imag)
+                for lag, a, v in zip(result.lags_t, result.expectation_norm, result.expectation)
+            ]
+        elif statistic == "pdp":
+            rows += [(label, *row) for row in _pdp_rows(result)]
+        else:
+            rows += _delay_stat_rows(result)
+    return _PRESET_HEADERS[statistic], rows
 
 
 def _cmd_preset(args) -> int:
     started = time.perf_counter()
-    if args.name not in PRESET_NAMES:
-        raise CliError(f"unknown preset {args.name!r}; known presets: {', '.join(PRESET_NAMES)}")
-    cfg = preset_scenario(args.name)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    if args.realizations is not None:
-        cfg = dataclasses.replace(cfg, realizations=args.realizations)
-    header, rows = _preset_rows(args.name, cfg, args.jobs)
+    cfg = _resolve_scenario(args)
+    header, rows = _preset_rows(args.preset, cfg, args.jobs)
     written = _write_csv(args.out, header, rows)
     if args.meta:
-        _write_meta(args.out, cfg, f"preset {args.name}", {})
+        _write_meta(args.out, cfg, f"preset {args.preset}", {})
     if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, [f"# preset {args.name}; group rows by 'curve'"])
+        _write_plot_script(args.plot_script, args.out, [f"# preset {args.preset}; group rows by 'curve'"])
     _summary(args.out, written, started, cfg.master_seed)
     return 0
 
@@ -382,13 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_delay_stats)
 
     p = sub.add_parser("validate", help="check the measurement-comparison delay moments")
-    p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--realizations", type=int, help="override the ensemble size")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("preset", help="run a named experiment end to end")
-    p.add_argument("name", help=f"one of: {', '.join(PRESET_NAMES)}")
+    p.add_argument("preset", metavar="name", help=f"one of: {', '.join(PRESET_NAMES)}")
     p.add_argument("--seed", type=int)
     p.add_argument("--realizations", type=int)
     p.add_argument("--jobs", type=int, default=1)
@@ -403,7 +333,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise CliError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except (CliError, ScenarioError, ValueError, OSError, ArithmeticError) as exc:

@@ -1,10 +1,11 @@
-"""Named experiment scenarios and their reference evaluation grids."""
+"""Named experiment scenarios and the table of curves each experiment evaluates."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
+from . import stats
 from .scenario import (
     BottomConfig,
     ClusterConfig,
@@ -15,18 +16,20 @@ from .scenario import (
     ScenarioConfig,
     SignalConfig,
     SurfaceMotionConfig,
+    overlay,
     validate,
 )
 
 __all__ = [
+    "EXPERIMENTS",
     "PRESET_NAMES",
     "preset_scenario",
+    "evaluate",
+    "table1_check",
     "FIG3_LAGS",
     "FIG4_LAGS",
     "TABLE1_TARGETS",
 ]
-
-PRESET_NAMES = ("fig3", "fig4-time", "fig4-freq", "fig5", "table1")
 
 # Lag axes used by the canned correlation experiments, seconds. The second
 # axis is dense up to 20 ms to resolve coherence-time crossings at high
@@ -35,6 +38,32 @@ FIG3_LAGS = np.linspace(0.0, 0.1, 21)
 FIG4_LAGS = np.concatenate(
     [np.arange(0.0, 0.02, 0.0005), np.arange(0.02, 0.1, 0.0025), np.arange(0.1, 0.5001, 0.005)]
 )
+
+_FC15K = {"signal": {"carrier_freq": 15000.0}}
+_FC100K = {"signal": {"carrier_freq": 100000.0}}
+
+# preset -> (statistic, lag axis, {curve label: (anchor t in s, partial scenario
+# document overlaid on the preset scenario)}). Curves are written and checked
+# in this order; a new experiment is one more row.
+EXPERIMENTS = {
+    "fig3": ("acf", FIG3_LAGS, {
+        "k5_a1": (0.0, {"power": {"rice_k": 5.0}, "surface": {"amplitude": 1.0}}),
+        "k0_a1": (0.0, {"power": {"rice_k": 0.0}, "surface": {"amplitude": 1.0}}),
+        "k5_a2": (0.0, {"power": {"rice_k": 5.0}, "surface": {"amplitude": 2.0}}),
+        "k0_a2": (0.0, {"power": {"rice_k": 0.0}, "surface": {"amplitude": 2.0}}),
+    }),
+    "fig4-time": ("acf", FIG4_LAGS, {"t0": (0.0, {}), "t5": (5.0, {}), "t10": (10.0, {})}),
+    "fig4-freq": ("acf", FIG4_LAGS, {"fc15000": (0.0, _FC15K), "fc100000": (0.0, _FC100K)}),
+    "fig5": ("pdp", None, {
+        "t0_fc15000": (0.0, _FC15K),
+        "t5_fc15000": (5.0, _FC15K),
+        "t0_fc100000": (0.0, _FC100K),
+        "t5_fc100000": (5.0, _FC100K),
+    }),
+    "table1": ("delay-stats", None, {"table1": (0.0, {})}),
+}
+
+PRESET_NAMES = tuple(EXPERIMENTS)
 
 # Reference delay moments (s) for the measurement-comparison scenario and
 # the relative tolerance the `validate` command enforces.
@@ -116,3 +145,30 @@ def preset_scenario(name: str) -> ScenarioConfig:
             )
         )
     raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+
+
+def evaluate(name: str, label: str, cfg: ScenarioConfig | None = None, **options):
+    """One curve of an experiment, with its changes overlaid on ``cfg`` (default: the preset's).
+
+    ``options`` (``realizations``, ``jobs``, ``phase_draws``, ...) go to the statistic;
+    the cluster PDP is one deterministic profile and ignores ``jobs``.
+    """
+    statistic, lags, curves = EXPERIMENTS[name]
+    t, changes = curves[label]
+    cfg = overlay(preset_scenario(name) if cfg is None else cfg, changes)
+    if statistic == "acf":
+        return stats.acf(cfg, t, 0.0, lags, **options)
+    if statistic == "pdp":
+        options.pop("jobs", None)
+        return stats.pdp(cfg, t, 0.0, "cluster", **options)
+    return stats.ensemble_delay_stats(cfg, t, 0.0, "cluster", **options)
+
+
+def table1_check(ens: stats.EnsembleDelayStats) -> list[tuple[str, float, float, bool]]:
+    """``(metric, value, target, passed)`` for each delay moment against ``TABLE1_TARGETS``."""
+    tol = TABLE1_TARGETS["tolerance"]
+    rows = []
+    for metric, value in (("average_delay", ens.average_mean), ("rms_delay_spread", ens.rms_spread_mean)):
+        target = TABLE1_TARGETS[metric]
+        rows.append((metric, value, target, abs(value - target) <= tol * target))
+    return rows

@@ -41,6 +41,8 @@ __all__ = [
     "stream_for",
     "scenario_to_dict",
     "scenario_from_dict",
+    "overlay",
+    "read_document",
     "load_scenario",
     "dump_scenario",
 ]
@@ -389,13 +391,30 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     return validate(ScenarioConfig(**kwargs))
 
 
-def load_scenario(path: str) -> ScenarioConfig:
+def overlay(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
+    """``cfg`` with a partial scenario document merged over it, section by section."""
+    if not isinstance(changes, dict):
+        raise ScenarioError("scenario document must be a JSON object")
+    base = scenario_to_dict(cfg)
+    for key, value in changes.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            base[key].update(value)
+        else:
+            base[key] = value
+    return scenario_from_dict(base)
+
+
+def read_document(path: str):
+    """The parsed JSON of a scenario file; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(data)
+
+
+def load_scenario(path: str) -> ScenarioConfig:
+    return scenario_from_dict(read_document(path))
 
 
 def dump_scenario(cfg: ScenarioConfig, path: str) -> None:

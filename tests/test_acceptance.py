@@ -13,7 +13,7 @@ import pytest
 import uwachan as uc
 from uwachan import cli
 from uwachan.channel import build_realization, evaluate_ctf
-from uwachan.presets import FIG3_LAGS, FIG4_LAGS, TABLE1_TARGETS, preset_scenario
+from uwachan.presets import EXPERIMENTS, evaluate, preset_scenario, table1_check
 from uwachan.propagation import bottom_reflection, thorp_attenuation
 from uwachan.scenario import BottomConfig
 
@@ -27,43 +27,26 @@ def report(criterion: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def fig3_curves():
-    cfg = preset_scenario("fig3")
-
-    def variant(rice_k, amplitude):
-        return dataclasses.replace(
-            cfg,
-            power=dataclasses.replace(cfg.power, rice_k=rice_k),
-            surface=dataclasses.replace(cfg.surface, amplitude=amplitude),
-        )
-
-    return {
-        "k5_a1": uc.acf(variant(5.0, 1.0), 0.0, 0.0, FIG3_LAGS, realizations=REALIZATIONS),
-        "k0_a1": uc.acf(variant(0.0, 1.0), 0.0, 0.0, FIG3_LAGS, realizations=REALIZATIONS),
-        "k5_a2": uc.acf(variant(5.0, 2.0), 0.0, 0.0, FIG3_LAGS, realizations=REALIZATIONS),
-    }
+    return {label: evaluate("fig3", label, realizations=REALIZATIONS) for label in ("k5_a1", "k0_a1", "k5_a2")}
 
 
 @pytest.fixture(scope="module")
 def fig4_curves():
-    cfg = preset_scenario("fig4-time")
-    high = dataclasses.replace(cfg, signal=dataclasses.replace(cfg.signal, carrier_freq=100000.0))
     return {
-        "t0": uc.acf(cfg, 0.0, 0.0, FIG4_LAGS, realizations=REALIZATIONS, phase_draws=8),
-        "t5": uc.acf(cfg, 5.0, 0.0, FIG4_LAGS, realizations=REALIZATIONS),
-        "fc100k": uc.acf(high, 0.0, 0.0, FIG4_LAGS, realizations=REALIZATIONS),
+        "t0": evaluate("fig4-time", "t0", realizations=REALIZATIONS, phase_draws=8),
+        "t5": evaluate("fig4-time", "t5", realizations=REALIZATIONS),
+        "fc100000": evaluate("fig4-freq", "fc100000", realizations=REALIZATIONS),
     }
 
 
 def test_criterion_1_measurement_delay_moments():
-    cfg = preset_scenario("table1")
-    ens = uc.ensemble_delay_stats(cfg, 0.0, 0.0, "cluster", realizations=REALIZATIONS)
-    tol = TABLE1_TARGETS["tolerance"]
-    mu_ok = abs(ens.average_mean - TABLE1_TARGETS["average_delay"]) <= tol * TABLE1_TARGETS["average_delay"]
-    rms_ok = abs(ens.rms_spread_mean - TABLE1_TARGETS["rms_delay_spread"]) <= tol * TABLE1_TARGETS["rms_delay_spread"]
+    ens = evaluate("table1", "table1", realizations=REALIZATIONS)
+    checks = table1_check(ens)
     report(
         "criterion 1 (measurement delay moments within 5%)",
-        mu_ok and rms_ok,
-        f"avg {ens.average_mean * 1e3:.4f} ms vs 1.505 ms, rms {ens.rms_spread_mean * 1e3:.4f} ms vs 2.399 ms, n={ens.n}",
+        all(passed for *_, passed in checks),
+        ", ".join(f"{metric} {value * 1e3:.4f} ms vs {target * 1e3:.3f} ms" for metric, value, target, _ in checks)
+        + f", n={ens.n}",
     )
 
 
@@ -92,7 +75,7 @@ def test_criterion_3_anchor_and_carrier_nonstationarity(fig4_curves):
     gap = float(np.abs(fig4_curves["t0"].expectation_norm - fig4_curves["t5"].expectation_norm).max())
     gap_emp = float(np.abs(fig4_curves["t0"].empirical_norm - fig4_curves["t5"].empirical_norm).max())
     c15 = first_crossing(fig4_curves["t0"])
-    c100 = first_crossing(fig4_curves["fc100k"])
+    c100 = first_crossing(fig4_curves["fc100000"])
     report(
         "criterion 3 (non-stationarity across anchors and carriers)",
         gap > 0.05 and gap_emp > 0.05 and c100 < c15,
@@ -102,16 +85,13 @@ def test_criterion_3_anchor_and_carrier_nonstationarity(fig4_curves):
 
 
 def test_criterion_4_first_arrival_dominates_profiles():
-    cfg = preset_scenario("fig5")
     ok = True
     details = []
-    for carrier in (15000.0, 100000.0):
-        variant = dataclasses.replace(cfg, signal=dataclasses.replace(cfg.signal, carrier_freq=carrier))
-        for anchor in (0.0, 5.0):
-            profile = uc.pdp(variant, anchor, 0.0, "cluster")
-            strongest = int(np.argmax(profile.powers))
-            ok = ok and strongest == 0 and profile.delays[0] == 0.0
-            details.append(f"t={anchor:g}s fc={carrier:g}Hz -> impulse {strongest}")
+    for label in EXPERIMENTS["fig5"][2]:
+        profile = evaluate("fig5", label)
+        strongest = int(np.argmax(profile.powers))
+        ok = ok and strongest == 0 and profile.delays[0] == 0.0
+        details.append(f"{label} -> impulse {strongest}")
     report("criterion 4 (first arrival carries the peak power)", ok, "; ".join(details))
 
 

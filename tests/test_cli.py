@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from uwachan import cli
-from uwachan.presets import PRESET_NAMES, preset_scenario
+from uwachan import cli, presets
+from uwachan.presets import EXPERIMENTS, PRESET_NAMES, preset_scenario
 from uwachan.scenario import (
     ClusterConfig,
     GeometryConfig,
@@ -142,16 +142,16 @@ def test_preset_table1_writes_ensemble_moments(tmp_path):
 
 
 def test_validate_gate_passes(capsys):
-    assert run(["validate", "--realizations", "10"]) == 0
+    assert run(["validate"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 2
 
 
 def test_validate_gate_fails_when_targets_move(monkeypatch, capsys):
-    tightened = dict(cli.TABLE1_TARGETS)
+    tightened = dict(presets.TABLE1_TARGETS)
     tightened["average_delay"] = 9.9e-3
-    monkeypatch.setattr(cli, "TABLE1_TARGETS", tightened)
-    assert run(["validate", "--realizations", "5"]) == 1
+    monkeypatch.setattr(presets, "TABLE1_TARGETS", tightened)
+    assert run(["validate"]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -160,6 +160,20 @@ def test_unknown_preset_is_machine_readable_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert json.loads(err)["error"].startswith("unknown preset")
+
+
+def test_preset_with_no_realizations_is_machine_readable_error(tmp_path, capsys):
+    assert run(["preset", "fig3", "--realizations", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "realizations must be an int >= 1, got 0"
+
+
+@pytest.mark.parametrize("preset", [[], ["--preset", "fig3"]], ids=["file", "overlay"])
+def test_invalid_json_names_the_file(tmp_path, capsys, preset):
+    path = tmp_path / "bad.json"
+    path.write_text('{"power": ')
+    assert run(["acf", *preset, "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{path}: not valid JSON")
 
 
 def test_bad_scenario_key_fails(tmp_path, capsys):
@@ -269,6 +283,8 @@ def test_preset_runners_smoke(tmp_path, name, label_col):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("curve,")
     assert any(line.startswith(label_col + ",") for line in lines[1:])
+    curves = [line.split(",", 1)[0] for line in lines[1:]]
+    assert list(dict.fromkeys(curves)) == list(EXPERIMENTS[name][2])
 
 
 def test_console_entry_point(tmp_path):
@@ -280,7 +296,7 @@ def test_console_entry_point(tmp_path):
     src = os.path.dirname(os.path.dirname(uwachan.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "uwachan.cli", "validate", "--realizations", "3"],
+        [sys.executable, "-m", "uwachan.cli", "validate"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
