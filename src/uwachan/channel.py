@@ -39,20 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SubPath:
-    """One reflected sub-path: its rays' frozen draws, stacked for evaluation."""
+    """One reflected sub-path: its rays' initial phases and frozen draws."""
 
     path: geo.PathIndex
     phases: np.ndarray  # (R,) initial ray phases in [0, 2*pi)
-    aods: np.ndarray  # (R,) frozen departure angles; NaN for single bounce
-    aoas: np.ndarray  # (R,) frozen arrival angles
-    theta_first: np.ndarray  # (R,), 0 where the first cluster is on the bottom
-    theta_last: np.ndarray  # (R,), 0 where the last cluster is on the bottom
-    delta_mid: np.ndarray  # (R,)
+    rays: geo.RayDraws  # (R,) per field
 
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """All frozen randomness of one channel draw plus its seed lineage."""
+    """All frozen randomness of one channel draw and the horizon it covers."""
 
     cfg: ScenarioConfig
     index: int
@@ -153,17 +149,7 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
             raise geo.GeometryError(
                 f"could not draw a ray of {path.label} at least as long as the direct path"
             )
-        subpaths.append(
-            SubPath(
-                path=path,
-                phases=rng.uniform(0.0, TAU, n_rays),
-                aods=rays.aod,
-                aoas=rays.aoa,
-                theta_first=rays.theta_first,
-                theta_last=rays.theta_last,
-                delta_mid=rays.delta_mid,
-            )
-        )
+        subpaths.append(SubPath(path=path, phases=rng.uniform(0.0, TAU, n_rays), rays=rays))
     return ChannelRealization(
         cfg=cfg,
         index=index,
@@ -180,10 +166,9 @@ class ComponentTable:
     """Per-time geometry and per-(ray, time) delays; frequency-independent."""
 
     times: np.ndarray  # (T,)
-    state: geo.GeometryState  # array-valued, (T,)
     los_length: np.ndarray  # (T,)
     los_delay: np.ndarray  # (T,)
-    clusters: list[geo.ClusterGeometry]  # array-valued, (T,), one per sub-path
+    clusters: list[geo.ClusterGeometry]  # fields (T, 1), one per sub-path
     delays: list[np.ndarray]  # (T, R) per sub-path
 
     def take(self, rows) -> ComponentTable:
@@ -197,7 +182,6 @@ class ComponentTable:
 
         return ComponentTable(
             times=self.times[rows],
-            state=pick(self.state),
             los_length=self.los_length[rows],
             los_delay=self.los_delay[rows],
             clusters=[pick(cluster) for cluster in self.clusters],
@@ -211,51 +195,26 @@ def component_table(real: ChannelRealization, times) -> ComponentTable:
     cfg = real.cfg
     depth = cfg.geometry.water_depth
     c = cfg.geometry.sound_speed
-    state = geo.evolve(cfg.geometry, cfg.intentional, tt)
-    dd_t, al_t = real.drift_tx.displacement(tt)
-    dd_r, al_r = real.drift_rx.displacement(tt)
-    los_length = geo.los_distance(state, (dd_t, al_t), (dd_r, al_r))
-    col = lambda x: np.asarray(x, dtype=float)[:, np.newaxis]
-    state_col = geo.GeometryState(
-        distance=col(state.distance),
-        tx_depth=col(state.tx_depth),
-        rx_depth=col(state.rx_depth),
-        aod_los=col(state.aod_los),
-        aoa_los=col(state.aoa_los),
-    )
-    drift_tx_col = (col(dd_t), col(al_t))
-    drift_rx_col = (col(dd_r), col(al_r))
+    # A column time axis: geometry comes out (T, 1) and broadcasts against
+    # each sub-path's (R,) ray draws into (T, R) legs.
+    t_col = tt[:, np.newaxis]
+    state = geo.evolve(cfg.geometry, cfg.intentional, t_col)
+    drift_tx = real.drift_tx.displacement(t_col)
+    drift_rx = real.drift_rx.displacement(t_col)
+    los_length = geo.los_distance(state, drift_tx, drift_rx)[:, 0]
     clusters = []
     delays = []
     for sp in real.subpaths:
         cluster = geo.macro_ray(state, depth, sp.path)
-        aoa = sp.aoas[np.newaxis, :]
-        if sp.path.is_single_bounce:
-            aod = geo.sb_departure_angle(sp.path.kind, aoa, state_col, depth)
-        else:
-            aod = sp.aods[np.newaxis, :]
-        leg_tx, mid, leg_rx = geo.segment_lengths(
-            sp.path,
-            state_col,
-            depth,
-            col(cluster.leg_mid),
-            aod,
-            aoa,
-            sp.theta_first[np.newaxis, :],
-            sp.theta_last[np.newaxis, :],
-            sp.delta_mid[np.newaxis, :],
-            drift_tx_col,
-            drift_rx_col,
-            cfg.surface,
-            col(tt),
+        leg_tx, mid, leg_rx = geo.micro_ray_distances(
+            sp.rays, cluster, state, depth, drift_tx, drift_rx, cfg.surface, t_col
         )
         clusters.append(cluster)
         delays.append((leg_tx + mid + leg_rx) / c)
     return ComponentTable(
         times=tt,
-        state=state,
-        los_length=np.atleast_1d(los_length),
-        los_delay=np.atleast_1d(los_length) / c,
+        los_length=los_length,
+        los_delay=los_length / c,
         clusters=clusters,
         delays=delays,
     )
@@ -279,9 +238,9 @@ def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz, unit
     for sp, cluster in zip(real.subpaths, table.clusters):
         breakdown = prop.path_gain(
             sp.path.kind,
-            cluster.distance,
+            cluster.distance[:, 0],
             freq_hz,
-            incidence=cluster.incidence,
+            incidence=cluster.incidence[:, 0],
             bottom_bounces=sp.path.bottom_hops,
             bottom=cfg.bottom,
             water_sound_speed=cfg.geometry.sound_speed,
@@ -370,7 +329,6 @@ def tap_list(real: ChannelRealization, t: float, freq_offset: float, unit_gains:
     return taps
 
 
-def los_delay(real: ChannelRealization, t) -> float | np.ndarray:
-    """Direct-path delay at time(s) t, drift projections included."""
-    table = component_table(real, t)
-    return float(table.los_delay[0]) if np.ndim(t) == 0 else table.los_delay
+def los_delay(real: ChannelRealization, t) -> np.ndarray:
+    """Direct-path delay at time(s) t, drift projections included, shaped like t."""
+    return component_table(real, t).los_delay.reshape(np.shape(t))

@@ -317,7 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check the measurement-comparison delay moments")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("preset", help="run a named experiment end to end")
+    p = sub.add_parser(
+        "preset",
+        help="run a named experiment end to end",
+        description=(
+            "Run a named experiment end to end. fig5 and table1 are deterministic "
+            "cluster-mode results: fig5 ignores --seed, --realizations and --jobs, and "
+            "table1 ignores --seed and --jobs (--realizations only sets its "
+            "'realizations' column)."
+        ),
+    )
     p.add_argument("preset", metavar="name", help=f"one of: {', '.join(PRESET_NAMES)}")
     p.add_argument("--seed", type=int)
     p.add_argument("--realizations", type=int)

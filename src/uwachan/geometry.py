@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .motion import surface_displacement
 from .propagation import PathKind
 from .scenario import TAU, ClusterConfig, GeometryConfig, IntentionalMotion, SurfaceMotionConfig
 
@@ -109,14 +110,14 @@ def enumerate_paths(clusters: ClusterConfig) -> tuple[PathIndex, ...]:
 class GeometryState:
     """Horizontal range, platform depths, and direct-path angles at time t.
 
-    Fields are floats for scalar t and ndarrays for an array of times.
+    Fields are arrays shaped like t (0-d for a scalar t).
     """
 
-    distance: float | np.ndarray
-    tx_depth: float | np.ndarray
-    rx_depth: float | np.ndarray
-    aod_los: float | np.ndarray
-    aoa_los: float | np.ndarray
+    distance: np.ndarray
+    tx_depth: np.ndarray
+    rx_depth: np.ndarray
+    aod_los: np.ndarray
+    aoa_los: np.ndarray
 
 
 def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometryState:
@@ -135,15 +136,10 @@ def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometrySt
         if np.any(depth <= 0) or np.any(depth >= geometry.water_depth):
             raise GeometryError(f"{name} breaches the water column within t={t!r}")
     aod_los = np.arctan2(rx_depth - tx_depth, distance)
-    scalar = np.ndim(t) == 0
-    if scalar:
-        return GeometryState(
-            float(distance), float(tx_depth), float(rx_depth), float(aod_los), float(aod_los) + math.pi
-        )
     return GeometryState(distance, tx_depth, rx_depth, aod_los, aod_los + math.pi)
 
 
-def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0)):
+def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0)) -> np.ndarray:
     """Direct-path length with first-order drift projections removed.
 
     ``drift_tx``/``drift_rx`` are (displacement m, bearing rad) pairs; the
@@ -152,12 +148,11 @@ def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0))
     dd_t, alpha_t = drift_tx
     dd_r, alpha_r = drift_rx
     base = np.hypot(state.distance, state.rx_depth - state.tx_depth)
-    out = (
+    return (
         base
         - dd_t * np.cos(np.asarray(alpha_t) - state.aod_los)
         - dd_r * np.cos(state.aoa_los - np.asarray(alpha_r))
     )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +162,17 @@ class ClusterGeometry:
     ``distance`` is the unfolded image-method path length, ``incidence`` the
     boundary incidence angle, and the three legs split the path at the first
     and last reflection clusters (``leg_mid`` is 0 for single bounces).
+    Fields are arrays shaped like the state's.
     """
 
     path: PathIndex
-    distance: float | np.ndarray
-    incidence: float | np.ndarray
-    mean_aod: float | np.ndarray
-    mean_aoa: float | np.ndarray
-    leg_tx: float | np.ndarray
-    leg_rx: float | np.ndarray
-    leg_mid: float | np.ndarray
+    distance: np.ndarray
+    incidence: np.ndarray
+    mean_aod: np.ndarray
+    mean_aoa: np.ndarray
+    leg_tx: np.ndarray
+    leg_rx: np.ndarray
+    leg_mid: np.ndarray
 
     @property
     def first_boundary(self) -> Boundary:
@@ -213,23 +209,8 @@ def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> Clus
     else:
         mean_aoa = 3 * math.pi / 2 - incidence
         leg_rx = h_r / cos_inc
-    leg_mid = distance - leg_tx - leg_rx
-    if path.is_single_bounce:
-        leg_mid = np.zeros_like(np.asarray(leg_mid, dtype=float))
-        if np.ndim(distance) == 0:
-            leg_mid = 0.0
-    scalar = np.ndim(distance) == 0
-    cast = float if scalar else (lambda x: x)
-    return ClusterGeometry(
-        path=path,
-        distance=cast(distance),
-        incidence=cast(incidence),
-        mean_aod=cast(mean_aod),
-        mean_aoa=cast(mean_aoa),
-        leg_tx=cast(leg_tx),
-        leg_rx=cast(leg_rx),
-        leg_mid=cast(leg_mid),
-    )
+    leg_mid = np.zeros_like(distance) if path.is_single_bounce else distance - leg_tx - leg_rx
+    return ClusterGeometry(path, distance, incidence, mean_aod, mean_aoa, leg_tx, leg_rx, leg_mid)
 
 
 class RayDraws(NamedTuple):
@@ -319,16 +300,22 @@ def sample_micro_ray_mb(
     return RayDraws(angles[0], angles[1], theta_first, theta_last, delta_mid), resamples
 
 
+def _sb_run(kind: PathKind, aoa, state: GeometryState, water_depth: float) -> np.ndarray:
+    """Horizontal run from the single scatterer to the Rx implied by ``aoa``."""
+    if kind is PathKind.DA:
+        return (water_depth - state.rx_depth) / np.tan(math.pi - aoa)
+    return state.rx_depth / np.tan(aoa - math.pi)
+
+
 def _sb_arrival_valid(path: PathIndex, aoa: np.ndarray, state: GeometryState, water_depth: float) -> np.ndarray:
     # The single scatterer must sit on its boundary strictly between the
     # platforms; otherwise the coupled departure angle leaves its branch.
+    if path.kind is PathKind.DA:
+        branch = (math.pi / 2 < aoa) & (aoa < math.pi)
+    else:
+        branch = (math.pi < aoa) & (aoa < 3 * math.pi / 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if path.kind is PathKind.DA:
-            branch = (math.pi / 2 < aoa) & (aoa < math.pi)
-            run = (water_depth - state.rx_depth) / np.tan(math.pi - aoa)
-        else:
-            branch = (math.pi < aoa) & (aoa < 3 * math.pi / 2)
-            run = state.rx_depth / np.tan(aoa - math.pi)
+        run = _sb_run(path.kind, aoa, state, water_depth)
     return branch & (0.0 < run) & (run < state.distance)
 
 
@@ -362,12 +349,11 @@ def sample_micro_ray_sb(
     return RayDraws(np.full(n, math.nan), aoa, theta, theta, np.zeros(n)), resamples
 
 
-def sb_departure_angle(kind: PathKind, aoa, state: GeometryState, water_depth: float):
+def sb_departure_angle(kind: PathKind, aoa, state: GeometryState, water_depth: float) -> np.ndarray:
     """Departure angle of a single-bounce ray implied by its arrival angle."""
+    run = _sb_run(kind, np.asarray(aoa, dtype=float), state, water_depth)
     if kind is PathKind.DA:
-        run = (water_depth - state.rx_depth) / np.tan(math.pi - np.asarray(aoa, dtype=float))
         return np.arctan2(water_depth - state.tx_depth, state.distance - run)
-    run = state.rx_depth / np.tan(np.asarray(aoa, dtype=float) - math.pi)
     return TAU - np.arctan2(state.tx_depth, state.distance - run)
 
 
@@ -392,15 +378,13 @@ def segment_lengths(
     bottom (no surface-oscillation term). ``drift_tx``/``drift_rx`` are
     (magnitude, bearing) pairs of the platform drift displacement at ``t``.
     """
-    tt = np.asarray(t, dtype=float)
     dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
     dd_r, alpha_r = (np.asarray(v, dtype=float) for v in drift_rx)
     b_tx = dd_t * np.cos(alpha_t - aod)
     b_rx = dd_r * np.cos(alpha_r - aoa)
 
     if path.first_boundary is Boundary.SURFACE:
-        osc = surface.amplitude * np.sin(TAU * surface.freq * tt + theta_first)
-        a_tx = osc * np.cos(aod - surface.travel_angle)
+        a_tx = surface_displacement(surface, theta_first, t) * np.cos(aod - surface.travel_angle)
         sin_t = np.sin(aod)
         _guard_sin(sin_t, path)
         leg_tx = a_tx + (water_depth - state.tx_depth) / sin_t - b_tx
@@ -410,8 +394,7 @@ def segment_lengths(
         leg_tx = state.tx_depth / sin_t - b_tx
 
     if path.last_boundary is Boundary.SURFACE:
-        osc = surface.amplitude * np.sin(TAU * surface.freq * tt + theta_last)
-        a_rx = osc * np.cos(aoa - surface.travel_angle)
+        a_rx = surface_displacement(surface, theta_last, t) * np.cos(aoa - surface.travel_angle)
         sin_r = np.sin(math.pi - aoa)
         _guard_sin(sin_r, path)
         leg_rx = a_rx + (water_depth - state.rx_depth) / sin_r - b_rx

@@ -52,10 +52,11 @@ class DriftState:
         """Last instant covered by the built intervals."""
         return self.change_interval * len(self.speeds)
 
-    def displacement(self, t):
+    def displacement(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Magnitude (m) and bearing (rad) of the displacement at time(s) t.
 
-        The bearing is reported as 0 where the magnitude is zero.
+        Both are arrays shaped like t (0-d for a scalar t). The bearing is
+        reported as 0 where the magnitude is zero.
         """
         tt = np.asarray(t, dtype=float)
         if np.any(tt < -1e-12) or np.any(tt > self.horizon + 1e-9):
@@ -68,8 +69,6 @@ class DriftState:
         vec = self.cumulative[k] + local[..., np.newaxis] * self.velocity[k]
         magnitude = np.hypot(vec[..., 0], vec[..., 1])
         bearing = np.where(magnitude > 0.0, np.arctan2(vec[..., 1], vec[..., 0]) % TAU, 0.0)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(magnitude), float(bearing)
         return magnitude, bearing
 
 

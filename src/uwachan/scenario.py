@@ -344,6 +344,10 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _section_from_dict(cls, name: str, data: dict):
     if not isinstance(data, dict):
         raise ScenarioError(f"section {name!r} must be an object, got {type(data).__name__}")
@@ -360,8 +364,11 @@ def _section_from_dict(cls, name: str, data: dict):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ScenarioError(f"{name}.{field.name} must be an integer, got {value!r}")
         elif isinstance(value, list):
+            bad = [v for v in value if not _is_number(v)]
+            if bad:
+                raise ScenarioError(f"{name}.{field.name} must list numbers, got {bad[0]!r}")
             kwargs[field.name] = tuple(float(v) for v in value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        elif _is_number(value):
             kwargs[field.name] = float(value)
         else:
             raise ScenarioError(f"{name}.{field.name} has unsupported value {value!r}")

@@ -52,9 +52,9 @@ def test_subpath_and_ray_counts():
     )
     real = build_realization(cfg, 0)
     assert len(real.subpaths) == 8
-    assert sum(sp.aoas.size for sp in real.subpaths) == 400
+    assert sum(sp.rays.aoa.size for sp in real.subpaths) == 400
     for sp in real.subpaths:
-        fields = (sp.phases, sp.aods, sp.aoas, sp.theta_first, sp.theta_last, sp.delta_mid)
+        fields = (sp.phases, *sp.rays)
         assert all(values.shape == (50,) for values in fields)
 
 
@@ -64,7 +64,7 @@ def test_build_is_deterministic():
     b = build_realization(cfg, 3)
     for sa, sb in zip(a.subpaths, b.subpaths):
         assert np.array_equal(sa.phases, sb.phases)
-        assert np.array_equal(sa.aoas, sb.aoas)
+        assert np.array_equal(sa.rays.aoa, sb.rays.aoa)
     assert np.array_equal(evaluate_ctf(a).values, evaluate_ctf(b).values)
     c = build_realization(cfg, 4)
     assert not np.array_equal(a.subpaths[0].phases, c.subpaths[0].phases)

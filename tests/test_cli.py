@@ -176,6 +176,20 @@ def test_invalid_json_names_the_file(tmp_path, capsys, preset):
     assert error.startswith(f"{path}: not valid JSON")
 
 
+@pytest.mark.parametrize("value", [[None], [[1]], ["1.5"], [True]], ids=["null", "nested", "string", "bool"])
+@pytest.mark.parametrize("overlay", [False, True], ids=["file", "overlay"])
+def test_non_numeric_list_element_names_the_field(tmp_path, capsys, value, overlay):
+    path = tmp_path / "bad.json"
+    if overlay:
+        data, preset = {"signal": {"freq_offsets": value}}, ["--preset", "table1"]
+    else:
+        data, preset = scenario_to_dict(preset_scenario("table1")), []
+        data["signal"]["freq_offsets"] = value
+    path.write_text(json.dumps(data))
+    assert run(["pdp", *preset, "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "signal.freq_offsets" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_bad_scenario_key_fails(tmp_path, capsys):
     path = tmp_path / "bad.json"
     data = scenario_to_dict(preset_scenario("table1"))

@@ -25,7 +25,14 @@ from uwachan.stats import (
     tfcf,
 )
 from uwachan import stats
-from uwachan.channel import build_realization, component_table, ctf_weights, subpath_gains
+from uwachan.channel import (
+    build_realization,
+    component_table,
+    ctf_weights,
+    evaluate_ctf,
+    subpath_gains,
+    tap_list,
+)
 from uwachan.propagation import PathKind
 from uwachan.scenario import TAU, stream_for
 
@@ -302,6 +309,46 @@ def test_kernel_matches_reference(
         ref = np.array([r[estimator] for r in want])
         scale = abs(ref[:, 0].mean())
         assert np.abs(rows - ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rice_k=st.sampled_from([0.0, 0.5, 5.0]),
+    amplitude=st.floats(0.0, 2.0),
+    rays=st.integers(1, 8),
+    hops=st.integers(1, 2),
+    seed=st.integers(0, 10_000),
+    speeds=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    start=INSTANTS,
+    step=st.sampled_from([0.02, 0.05]),
+    instants=st.integers(1, 4),
+    offsets=st.lists(OFFSETS, min_size=1, max_size=3, unique=True),
+    unit_gains=st.booleans(),
+)
+def test_taps_sum_to_the_ctf_grid(
+    rice_k, amplitude, rays, hops, seed, speeds, start, step, instants, offsets, unit_gains
+):
+    # tap_list evaluates one instant per table, evaluate_ctf the whole grid in one
+    cfg = moving_scenario(
+        intentional=IntentionalMotion(
+            tx_speed=speeds[0], tx_heading=0.3, rx_speed=speeds[1], rx_heading=-math.pi / 2
+        ),
+        power=PowerConfig(rice_k=rice_k),
+        surface=SurfaceMotionConfig(amplitude=amplitude, freq=0.5, travel_angle=math.pi / 2),
+        clusters=ClusterConfig(max_surface_hops=hops, max_bottom_hops=hops, rays_per_path=rays),
+        signal=SignalConfig(
+            carrier_freq=15000.0,
+            freq_offsets=tuple(offsets),
+            time_grid=tuple(start + step * i for i in range(instants)),
+        ),
+        master_seed=seed,
+    )
+    real = build_realization(cfg, 0)
+    frame = evaluate_ctf(real, unit_gains)
+    for ti, t in enumerate(cfg.signal.time_grid):
+        for fi, f in enumerate(cfg.signal.freq_offsets):
+            amps = np.array([tap.amplitude for tap in tap_list(real, t, f, unit_gains)])
+            assert abs(amps.sum() - frame.values[ti, fi]) <= 1e-9 * np.abs(amps).sum()
 
 
 # ---------------------------------------------------------------------------

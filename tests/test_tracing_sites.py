@@ -1,0 +1,39 @@
+"""The names the benchmark tracer (``perfbench/tracing.py``) patches stay live.
+
+The tracer replaces module attributes with ``setattr`` and counts what the
+program calls through them. A caller that binds one of these names locally
+(``from .geometry import segment_lengths``, a default argument, a cached
+reference) would bypass the patch and leave that layer's counter at zero.
+"""
+from collections import Counter
+
+import numpy as np
+
+from uwachan import channel, geometry, stats
+from uwachan.presets import preset_scenario
+
+SITES = [
+    (geometry, "micro_ray_distances"),
+    (geometry, "segment_lengths"),
+    (channel, "component_table"),
+    (stats, "build_realization"),
+    (stats, "subpath_gains"),
+]
+
+
+def test_patched_names_are_reached_at_call_time(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in SITES:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    cfg = preset_scenario("fig3")
+    stats.acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.1, 3), realizations=1)
+    channel.tap_list(channel.build_realization(cfg, 0), 0.05, 0.0)
+    assert all(counts[name] > 0 for _, name in SITES), dict(counts)
