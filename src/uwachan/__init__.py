@@ -2,7 +2,6 @@
 from .channel import (
     ChannelRealization,
     CtfFrame,
-    Tap,
     build_realization,
     evaluate_ctf,
     los_delay,
@@ -23,7 +22,7 @@ from .geometry import (
     sample_micro_ray_mb,
     sample_micro_ray_sb,
 )
-from .motion import DriftState, build_drift, surface_displacement, surface_velocity
+from .motion import DriftState, build_drift, surface_displacement
 from .presets import PRESET_NAMES, preset_scenario
 from .propagation import (
     LossBreakdown,

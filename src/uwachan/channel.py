@@ -24,7 +24,7 @@ __all__ = [
     "SubPath",
     "ChannelRealization",
     "CtfFrame",
-    "Tap",
+    "Taps",
     "build_realization",
     "component_table",
     "subpath_gains",
@@ -70,11 +70,20 @@ class CtfFrame:
     realization: int
 
 
-@dataclass(frozen=True)
-class Tap:
-    delay: float  # s
-    amplitude: complex  # weighted complex gain, phase included
-    label: str
+@dataclass(eq=False)
+class Taps:
+    """Multipath taps over a (t, f) grid: the direct tap (only when the Rice
+    factor is positive), then every ray of each sub-path. ``len()`` counts
+    (t, f, tap) entries.
+    """
+
+    delays: np.ndarray  # (T, N) s; frequency-independent
+    amplitudes: np.ndarray  # (T, F, N) complex weighted gains, phase included
+    powers: np.ndarray  # (T, F, N) mean tap powers: class power weight x gain^2
+    labels: list[str]  # (N,) "los" or "{sub-path}#{ray}"
+
+    def __len__(self) -> int:
+        return self.amplitudes.size
 
 
 def _worst_case_slack(path: geo.PathIndex, rays: geo.RayDraws, cfg: ScenarioConfig, span: float) -> np.ndarray:
@@ -305,28 +314,42 @@ def evaluate_ctf(real: ChannelRealization, unit_gains: bool = False) -> CtfFrame
     )
 
 
-def tap_list(real: ChannelRealization, t: float, freq_offset: float, unit_gains: bool = False) -> list[Tap]:
-    """Discrete multipath taps at one (t, f); their sum equals the CTF there.
+def tap_list(real: ChannelRealization, times, freq_offsets, unit_gains: bool = False) -> Taps:
+    """Discrete multipath taps over ``times`` x baseband ``freq_offsets`` Hz.
 
-    The direct tap is present only when the Rice factor is positive.
+    At each (t, f) the amplitudes sum to the CTF there. One component table
+    serves the whole grid and one gain evaluation each offset.
     """
     cfg = real.cfg
-    table = component_table(real, [t])
-    f_abs = cfg.signal.carrier_freq + freq_offset
-    a_los, a_subs = subpath_gains(real, table, f_abs, unit_gains)
+    table = component_table(real, times)
+    f_abs = cfg.signal.carrier_freq + np.atleast_1d(np.asarray(freq_offsets, dtype=float))
+    k = cfg.power.rice_k
+    n_rays = cfg.clusters.rays_per_path
     w_los, w_da, w_ua = ctf_weights(cfg)
-    taps: list[Tap] = []
-    if cfg.power.rice_k > 0:
-        amp = w_los * a_los[0] * np.exp(-1j * TAU * f_abs * table.los_delay[0])
-        taps.append(Tap(delay=float(table.los_delay[0]), amplitude=complex(amp), label="los"))
-    for sp, a, delays in zip(real.subpaths, a_subs, table.delays):
-        w = w_da if sp.path.kind is PathKind.DA else w_ua
-        amps = w * a[0] * np.exp(1j * sp.phases - 1j * TAU * f_abs * delays[0])
-        for n in range(delays.shape[1]):
-            taps.append(
-                Tap(delay=float(delays[0, n]), amplitude=complex(amps[n]), label=f"{sp.path.label}#{n}")
-            )
-    return taps
+    # Columns are evaluated per component (direct, then each sub-path) and
+    # repeated out to one per tap; the direct column is dropped when K = 0.
+    kinds = [sp.path.kind for sp in real.subpaths]
+    per_tap = [1] + [n_rays] * len(kinds)
+    amp_weights = np.repeat([w_los] + [w_da if kind is PathKind.DA else w_ua for kind in kinds], per_tap)
+    power_weights = np.repeat([k / (k + 1.0)] + [class_weight(cfg, kind) / n_rays for kind in kinds], per_tap)
+    labels = ["los"] + [f"{sp.path.label}#{n}" for sp in real.subpaths for n in range(n_rays)]
+    amplitudes, powers = [], []  # per offset, (T, N)
+    for f in f_abs:
+        a_los, a_subs = subpath_gains(real, table, f, unit_gains)
+        gains = np.repeat(np.column_stack([a_los, *a_subs]), per_tap, axis=1)
+        phasors = np.column_stack(
+            [np.exp(-1j * TAU * f * table.los_delay)]
+            + [np.exp(1j * sp.phases - 1j * TAU * f * d) for sp, d in zip(real.subpaths, table.delays)]
+        )
+        amplitudes.append(amp_weights * gains * phasors)
+        powers.append(power_weights * gains**2)
+    keep = slice(0 if k > 0 else 1, None)
+    return Taps(
+        delays=np.column_stack([table.los_delay, *table.delays])[:, keep],
+        amplitudes=np.stack(amplitudes, axis=1)[..., keep],
+        powers=np.stack(powers, axis=1)[..., keep],
+        labels=labels[keep],
+    )
 
 
 def los_delay(real: ChannelRealization, t) -> np.ndarray:

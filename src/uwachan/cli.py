@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import os  # noqa: F401  (tests observe the atomic rename through cli.os.replace)
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -27,6 +26,7 @@ from .scenario import (
     overlay,
     read_document,
     scenario_to_dict,
+    write_atomic,
 )
 
 __all__ = ["main"]
@@ -43,17 +43,9 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: str, write) -> None:
-    """Write a text file through a temp file in its directory and ``os.replace``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """``write_atomic``, with a failure reported as a ``CliError`` naming ``path``."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                write(fh)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        write_atomic(path, write)
     except OSError as exc:
         # Name the target, not the temp file: its random name changes per run.
         raise CliError(f"cannot write to {path!r}: {exc.strerror}") from exc
@@ -119,12 +111,14 @@ def _cmd_simulate(args) -> int:
     rows: list[tuple] = []
     if args.taps:
         header = ["t_s", "f_offset_hz", "delay_s", "re", "im", "path"]
+        times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
         for r in range(n):
-            real = build_realization(cfg, r)
-            for t in cfg.signal.time_grid:
-                for f in cfg.signal.freq_offsets:
-                    for tap in tap_list(real, t, f):
-                        rows.append((t, f, tap.delay, tap.amplitude.real, tap.amplitude.imag, tap.label))
+            taps = tap_list(build_realization(cfg, r), times, freqs)
+            delays, re, im = taps.delays.tolist(), taps.amplitudes.real.tolist(), taps.amplitudes.imag.tolist()
+            for ti, t in enumerate(times):
+                for fi, f in enumerate(freqs):
+                    cols = zip(delays[ti], re[ti][fi], im[ti][fi], taps.labels)
+                    rows += [(t, f, delay, x, y, label) for delay, x, y, label in cols]
     else:
         header = ["t_s", "f_offset_hz", "re", "im", "realization"]
         for r in range(n):
@@ -261,16 +255,13 @@ def _cmd_preset(args) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", help="scenario JSON file")
     parser.add_argument("--preset", help=f"named scenario: {', '.join(PRESET_NAMES)}")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--realizations", type=int, help="override the ensemble size")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    if with_out:
-        parser.add_argument("--out", required=True, help="output CSV path")
-        parser.add_argument("--meta", action="store_true", help="write <out>.meta.json sidecar")
-        parser.add_argument("--plot-script", help="write a plain-text plotting companion")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--meta", action="store_true", help="write <out>.meta.json sidecar")
+    parser.add_argument("--plot-script", help="write a plain-text plotting companion")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,11 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="dump complex CTF samples (or taps) to CSV")
     _add_common(p)
+    p.add_argument("--realizations", type=int, help="number of draws to dump (default 1)")
     p.add_argument("--taps", action="store_true", help="dump per-ray taps instead of CTF samples")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("acf", help="temporal autocorrelation at an anchor")
     _add_common(p)
+    p.add_argument("--realizations", type=int, help="override the ensemble size")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--t", type=float, default=0.0, help="anchor time, s")
     p.add_argument("--f", type=float, default=0.0, help="anchor baseband offset, Hz")
     p.add_argument("--lag-max", type=float, default=0.1, help="largest lag, s")
@@ -309,6 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay-stats", help="ensemble average delay and RMS delay spread")
     _add_common(p)
+    p.add_argument("--realizations", type=int, help="override the ensemble size")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--f", type=float, default=0.0)
     p.add_argument("--mode", choices=("cluster", "ray"), default="cluster")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .scenario import TAU, DriftConfig, SurfaceMotionConfig
 
-__all__ = ["DriftState", "build_drift", "surface_displacement", "surface_velocity"]
+__all__ = ["DriftState", "build_drift", "surface_displacement"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +94,3 @@ def surface_displacement(cfg: SurfaceMotionConfig, theta: float, t):
     direction is applied by the caller.
     """
     return cfg.amplitude * np.sin(TAU * cfg.freq * np.asarray(t, dtype=float) + theta)
-
-
-def surface_velocity(cfg: SurfaceMotionConfig, theta: float, t):
-    """Analytic time derivative of :func:`surface_displacement`, m/s."""
-    return TAU * cfg.freq * cfg.amplitude * np.cos(TAU * cfg.freq * np.asarray(t, dtype=float) + theta)

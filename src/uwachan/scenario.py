@@ -45,6 +45,7 @@ __all__ = [
     "read_document",
     "load_scenario",
     "dump_scenario",
+    "write_atomic",
 ]
 
 
@@ -424,16 +425,21 @@ def load_scenario(path: str) -> ScenarioConfig:
     return scenario_from_dict(read_document(path))
 
 
+def write_atomic(path: str, write) -> None:
+    """Write a text file atomically: ``write(fh)`` fills a temp file next to
+    ``path``, ``os.replace`` moves it there, and no temp file outlives the call.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def dump_scenario(cfg: ScenarioConfig, path: str) -> None:
     """Write a scenario file atomically (temp file + rename)."""
     payload = json.dumps(scenario_to_dict(cfg), indent=2, sort_keys=True) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, lambda fh: fh.write(payload))

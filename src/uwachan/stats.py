@@ -29,6 +29,7 @@ from .channel import (
     component_table,
     ctf_weights,
     subpath_gains,
+    tap_list,
 )
 from .propagation import PathKind
 from .scenario import TAU, ScenarioConfig, stream_for
@@ -270,17 +271,6 @@ class PdpResult:
     labels: list[str]
     first_arrival: float  # absolute delay of the earliest impulse, s
 
-    def binned(self, width: float = 1e-4):
-        """Presentation-only binning: (bin starts, per-bin power sums)."""
-        if width <= 0:
-            raise ValueError(f"bin width must be > 0, got {width}")
-        edges_n = int(np.floor(self.delays.max() / width)) + 1 if self.delays.size else 1
-        starts = np.arange(edges_n) * width
-        sums = np.zeros(edges_n)
-        idx = np.minimum((self.delays / width).astype(int), edges_n - 1)
-        np.add.at(sums, idx, self.powers)
-        return starts, sums
-
 
 def pdp(
     source: ChannelRealization | ScenarioConfig,
@@ -302,14 +292,18 @@ def pdp(
         real, cfg = source, source.cfg
     else:
         real, cfg = None, source
-    k = cfg.power.rice_k
-    f_abs = cfg.signal.carrier_freq + f
-    c = cfg.geometry.sound_speed
-    delays: list[float] = []
-    powers: list[float] = []
-    labels: list[str] = []
-
-    if mode == "cluster":
+    if mode == "ray":
+        if real is None:
+            raise ValueError("ray-level PDP needs a built ChannelRealization")
+        taps = tap_list(real, [t], [f], unit_gains)
+        delays_arr, powers_arr, labels = taps.delays[0], taps.powers[0, 0], taps.labels
+    else:
+        k = cfg.power.rice_k
+        f_abs = cfg.signal.carrier_freq + f
+        c = cfg.geometry.sound_speed
+        delays: list[float] = []
+        powers: list[float] = []
+        labels = []
         state = geo.evolve(cfg.geometry, cfg.intentional, t)
         if k > 0:
             d_los = geo.los_distance(state)
@@ -334,25 +328,9 @@ def pdp(
             delays.append(cluster.distance / c)
             powers.append(class_weight(cfg, path.kind) * a * a)
             labels.append(path.label)
-    else:
-        if real is None:
-            raise ValueError("ray-level PDP needs a built ChannelRealization")
-        table = component_table(real, [t])
-        a_los, a_subs = subpath_gains(real, table, f_abs, unit_gains)
-        if k > 0:
-            delays.append(float(table.los_delay[0]))
-            powers.append(k / (k + 1.0) * float(a_los[0]) ** 2)
-            labels.append("los")
-        n_rays = cfg.clusters.rays_per_path
-        for sp, a, d in zip(real.subpaths, a_subs, table.delays):
-            weight = class_weight(cfg, sp.path.kind) / n_rays
-            for ray_i in range(n_rays):
-                delays.append(float(d[0, ray_i]))
-                powers.append(weight * float(a[0]) ** 2)
-                labels.append(f"{sp.path.label}#{ray_i}")
+        delays_arr = np.asarray(delays)
+        powers_arr = np.asarray(powers)
 
-    delays_arr = np.asarray(delays)
-    powers_arr = np.asarray(powers)
     first = float(delays_arr.min())
     order = np.argsort(delays_arr, kind="stable")
     return PdpResult(

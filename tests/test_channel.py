@@ -144,9 +144,24 @@ def test_ctf_los_only_limit():
 def test_ctf_k_zero_has_no_direct_tap():
     cfg = small_scenario(power=PowerConfig(rice_k=0.0))
     real = build_realization(cfg, 0)
-    taps = tap_list(real, 0.0, 0.0)
+    taps = tap_list(real, [0.0], [0.0])
     assert len(taps) == 4 * 8
-    assert all(t.label != "los" for t in taps)
+    assert "los" not in taps.labels
+
+
+def test_grid_table_rows_equal_single_instant_tables():
+    # Taps and the CTF both evaluate a whole time grid in one table, so their
+    # agreement cannot show a table whose rows depend on the rest of the grid.
+    cfg = preset_scenario("fig3")  # drift, surface motion and intentional motion
+    times = np.linspace(0.0, 4.0, 41)
+    for index in range(3):
+        real = build_realization(cfg, index, horizon=times[-1])
+        grid = component_table(real, times)
+        for i, t in enumerate(times):
+            single = component_table(real, [t])
+            assert np.array_equal(grid.los_delay[i : i + 1], single.los_delay)
+            for grid_delays, single_delays in zip(grid.delays, single.delays):
+                assert np.array_equal(grid_delays[i : i + 1], single_delays)
 
 
 def test_static_channel_is_time_invariant():
@@ -160,9 +175,9 @@ def test_tap_list_counts_and_sum():
         clusters=ClusterConfig(max_surface_hops=1, max_bottom_hops=1, rays_per_path=50)
     )
     real = build_realization(cfg, 0)
-    taps = tap_list(real, 0.0, 1000.0)
+    taps = tap_list(real, [0.0], [1000.0])
     assert len(taps) == 1 + 4 * 50
-    total = sum(t.amplitude for t in taps)
+    total = taps.amplitudes[0, 0].sum()
     table = component_table(real, [0.0])
     h = ctf_values(real, table, 1000.0)[0]
     assert total == pytest.approx(h, rel=1e-12)
@@ -170,8 +185,8 @@ def test_tap_list_counts_and_sum():
 
 def test_tap_list_earliest_is_direct():
     real = build_realization(small_scenario(), 0)
-    taps = sorted(tap_list(real, 0.0, 0.0), key=lambda tap: tap.delay)
-    assert taps[0].label == "los"
+    taps = tap_list(real, [0.0], [0.0])
+    assert taps.labels[int(np.argmin(taps.delays[0]))] == "los"
 
 
 def test_delay_shift_rotates_ctf_phase():
@@ -179,10 +194,10 @@ def test_delay_shift_rotates_ctf_phase():
     real = build_realization(cfg, 0)
     f = 1000.0
     f_abs = cfg.signal.carrier_freq + f
-    taps = tap_list(real, 0.0, f)
-    h = sum(t.amplitude for t in taps)
+    amps = tap_list(real, [0.0], [f]).amplitudes[0, 0]
+    h = amps.sum()
     shift = 1.7e-3
-    shifted = sum(t.amplitude * np.exp(-1j * TAU * f_abs * shift) for t in taps)
+    shifted = (amps * np.exp(-1j * TAU * f_abs * shift)).sum()
     assert shifted == pytest.approx(h * np.exp(-1j * TAU * f_abs * shift), rel=1e-12)
 
 

@@ -220,6 +220,17 @@ def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,flag", [("simulate", "--jobs"), ("pdp", "--jobs"), ("pdp", "--realizations")]
+)
+def test_flags_a_subcommand_does_not_use_are_rejected(scenario_file, tmp_path, command, flag):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--scenario", scenario_file, flag, "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_missing_scenario_and_preset_fails(tmp_path, capsys):
     assert run(["acf", "--out", str(tmp_path / "x.csv")]) == 2
     assert "provide" in json.loads(capsys.readouterr().err)["error"]

@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from uwachan.motion import DriftState, build_drift, surface_displacement, surface_velocity
+from uwachan.motion import DriftState, build_drift, surface_displacement
 from uwachan.scenario import DriftConfig, SurfaceMotionConfig, stream_for
 
 TAU = 2 * math.pi
@@ -94,25 +93,6 @@ def test_surface_displacement_zero_amplitude():
 def test_surface_displacement_direct_value():
     cfg = SurfaceMotionConfig(amplitude=2.0, freq=0.1)
     assert surface_displacement(cfg, 0.0, 2.5) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_surface_velocity_analytic_value():
-    cfg = SurfaceMotionConfig(amplitude=2.0, freq=0.1)
-    assert surface_velocity(cfg, 0.0, 0.0) == pytest.approx(2 * math.pi * 0.1 * 2.0, rel=1e-12)
-
-
-@given(
-    st.floats(min_value=0.0, max_value=5.0),
-    st.floats(min_value=0.01, max_value=2.0),
-    st.floats(min_value=0.0, max_value=TAU),
-    st.floats(min_value=0.0, max_value=20.0),
-)
-def test_surface_velocity_matches_finite_difference(amplitude, freq, theta, t):
-    cfg = SurfaceMotionConfig(amplitude=amplitude, freq=freq)
-    h = 1e-6
-    numeric = (surface_displacement(cfg, theta, t + h) - surface_displacement(cfg, theta, t - h)) / (2 * h)
-    analytic = surface_velocity(cfg, theta, t)
-    assert numeric == pytest.approx(analytic, rel=1e-6, abs=1e-6 * max(1.0, amplitude))
 
 
 def test_surface_displacement_periodicity():

@@ -328,7 +328,8 @@ def test_kernel_matches_reference(
 def test_taps_sum_to_the_ctf_grid(
     rice_k, amplitude, rays, hops, seed, speeds, start, step, instants, offsets, unit_gains
 ):
-    # tap_list evaluates one instant per table, evaluate_ctf the whole grid in one
+    # Both sides evaluate the grid in one table; that a grid table's rows equal
+    # single-instant tables is test_grid_table_rows_equal_single_instant_tables.
     cfg = moving_scenario(
         intentional=IntentionalMotion(
             tx_speed=speeds[0], tx_heading=0.3, rx_speed=speeds[1], rx_heading=-math.pi / 2
@@ -345,10 +346,8 @@ def test_taps_sum_to_the_ctf_grid(
     )
     real = build_realization(cfg, 0)
     frame = evaluate_ctf(real, unit_gains)
-    for ti, t in enumerate(cfg.signal.time_grid):
-        for fi, f in enumerate(cfg.signal.freq_offsets):
-            amps = np.array([tap.amplitude for tap in tap_list(real, t, f, unit_gains)])
-            assert abs(amps.sum() - frame.values[ti, fi]) <= 1e-9 * np.abs(amps).sum()
+    amps = tap_list(real, cfg.signal.time_grid, cfg.signal.freq_offsets, unit_gains).amplitudes
+    assert np.all(np.abs(amps.sum(axis=-1) - frame.values) <= 1e-9 * np.abs(amps).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +419,16 @@ def test_ray_pdp_impulse_count():
     assert pytest.approx(profile.delays[0]) == 0.0
 
 
+@pytest.mark.parametrize("rice_k", [0.0, 1.0])
+def test_ray_pdp_unit_gain_powers_sum_to_one(rice_k):
+    # K/(K+1) direct plus the DA and UA fractions of 1/(K+1), spread over the rays
+    cfg = scenario(power=PowerConfig(rice_k=rice_k))
+    profile = pdp(build_realization(cfg, 0), 0.0, 0.0, "ray", unit_gains=True)
+    assert len(profile.delays) == (rice_k > 0) + 4 * cfg.clusters.rays_per_path
+    assert ("los" in profile.labels) == (rice_k > 0)
+    assert profile.powers.sum() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_ray_pdp_requires_realization():
     with pytest.raises(ValueError, match="ChannelRealization"):
         pdp(scenario(), 0.0, 0.0, "ray")
@@ -447,13 +456,6 @@ def test_pdp_powers_are_quadratic_in_gain():
         ).total
     for label, p_real, p_unit in zip(plain.labels, plain.powers, unit.powers):
         assert p_real == pytest.approx(p_unit * gains[label] ** 2, rel=1e-12)
-
-
-def test_pdp_binning_conserves_power():
-    profile = pdp(scenario(), 0.0, 0.0, "cluster")
-    starts, sums = profile.binned(width=5e-4)
-    assert sums.sum() == pytest.approx(profile.powers.sum(), rel=1e-12)
-    assert starts[0] == 0.0
 
 
 def test_ensemble_delay_stats_cluster_mode_is_degenerate():

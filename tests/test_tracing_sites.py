@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 
-from uwachan import channel, geometry, stats
+from uwachan import channel, cli, geometry, stats
 from uwachan.presets import preset_scenario
 
 SITES = [
@@ -35,5 +35,28 @@ def test_patched_names_are_reached_at_call_time(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     cfg = preset_scenario("fig3")
     stats.acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.1, 3), realizations=1)
-    channel.tap_list(channel.build_realization(cfg, 0), 0.05, 0.0)
+    channel.tap_list(channel.build_realization(cfg, 0), [0.05], [0.0])
     assert all(counts[name] > 0 for _, name in SITES), dict(counts)
+
+
+def test_tap_dump_counts_one_tap_list_per_realization(monkeypatch, tmp_path):
+    # The tracer's tap_list.taps sums len() over cli.tap_list results; it must
+    # equal the rows the dump writes.
+    tap_list, write_csv = cli.tap_list, cli._write_csv
+    results, rows = [], []
+
+    def counting_taps(*args, **kwargs):
+        results.append(tap_list(*args, **kwargs))
+        return results[-1]
+
+    def counting_csv(*args, **kwargs):
+        rows.append(write_csv(*args, **kwargs))
+        return rows[-1]
+
+    monkeypatch.setattr(cli, "tap_list", counting_taps)
+    monkeypatch.setattr(cli, "_write_csv", counting_csv)
+    out = tmp_path / "taps.csv"
+    assert cli.main(["simulate", "--taps", "--preset", "fig3", "--realizations", "2", "--out", str(out)]) == 0
+    assert len(results) == 2
+    assert rows == [sum(len(taps) for taps in results)]
+    assert rows[0] == len(out.read_text().splitlines()) - 1
