@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os  # noqa: F401  (tests observe the atomic rename through cli.os.replace)
 import sys
 import time
 
@@ -36,10 +35,9 @@ class CliError(Exception):
     """User-facing CLI failure with a stable message."""
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy float64; canonical shortest repr
-        return repr(float(value))
-    return str(value)
+def _floats(values) -> list[str]:
+    """CSV strings of ``values`` flattened: Python's shortest round-trip ``repr``."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
 
 
 def _write_atomic(path: str, write) -> None:
@@ -51,14 +49,24 @@ def _write_atomic(path: str, write) -> None:
         raise CliError(f"cannot write to {path!r}: {exc.strerror}") from exc
 
 
-def _write_csv(path: str, header: list[str], rows: list[tuple]) -> int:
+def _write_csv(path: str, header: list[str], blocks) -> int:
+    """Write ``header`` and then each block's rows; return the number of rows.
+
+    A block is a tuple of equal-length columns of strings. Blocks are written
+    as they are drawn, so a generator of blocks streams the file.
+    """
+    rows = 0
+
     def write(fh):
+        nonlocal rows
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for cols in blocks:
+            if cols[0]:  # an empty block writes no blank line
+                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+                rows += len(cols[0])
 
     _write_atomic(path, write)
-    return len(rows)
+    return rows
 
 
 def _write_meta(out_path: str, cfg: ScenarioConfig, command: str, extra: dict) -> None:
@@ -104,32 +112,47 @@ def _summary(out: str, rows: int, started: float, seed: int) -> None:
 # subcommands
 
 
+def _tap_blocks(dumps: list, times, freqs):
+    """One block per (realization, instant): F offsets x N taps rows.
+
+    Each t and f string is formatted once, and each delay once per (t, tap).
+    """
+    t_strs, f_strs = _floats(times), _floats(freqs)
+    for taps in dumps:
+        f_col = [f for f in f_strs for _ in taps.labels]
+        labels = taps.labels * len(f_strs)
+        for ti, t in enumerate(t_strs):
+            amps = taps.amplitudes[ti]
+            delays = _floats(taps.delays[ti]) * len(f_strs)
+            yield [t] * len(f_col), f_col, delays, _floats(amps.real), _floats(amps.imag), labels
+
+
+def _ctf_blocks(frames: list):
+    """One block per realization: the (t, f) grid in row-major order."""
+    for r, frame in enumerate(frames):
+        t_col = [t for t in _floats(frame.times) for _ in frame.freq_offsets]
+        f_col = _floats(frame.freq_offsets) * len(frame.times)
+        yield t_col, f_col, _floats(frame.values.real), _floats(frame.values.imag), [str(r)] * len(t_col)
+
+
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
     n = args.realizations if args.realizations is not None else 1  # raw dumps default to one draw
-    rows: list[tuple] = []
+    reals = [build_realization(cfg, r) for r in range(n)]
     if args.taps:
         header = ["t_s", "f_offset_hz", "delay_s", "re", "im", "path"]
         times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
-        for r in range(n):
-            taps = tap_list(build_realization(cfg, r), times, freqs)
-            delays, re, im = taps.delays.tolist(), taps.amplitudes.real.tolist(), taps.amplitudes.imag.tolist()
-            for ti, t in enumerate(times):
-                for fi, f in enumerate(freqs):
-                    cols = zip(delays[ti], re[ti][fi], im[ti][fi], taps.labels)
-                    rows += [(t, f, delay, x, y, label) for delay, x, y, label in cols]
+        # tap_list runs before _write_csv, so the benchmark's write_csv span times formatting alone
+        blocks = _tap_blocks([tap_list(real, times, freqs) for real in reals], times, freqs)
     else:
         header = ["t_s", "f_offset_hz", "re", "im", "realization"]
-        for r in range(n):
-            frame = evaluate_ctf(build_realization(cfg, r))
-            for ti, t in enumerate(frame.times):
-                for fi, f in enumerate(frame.freq_offsets):
-                    h = frame.values[ti, fi]
-                    rows.append((float(t), float(f), h.real, h.imag, r))
-    written = _write_csv(args.out, header, rows)
+        blocks = _ctf_blocks([evaluate_ctf(real) for real in reals])
+    written = _write_csv(args.out, header, blocks)
     if args.meta:
-        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps)})
+        resamples = [real.resample_count for real in reals]
+        extra = {"mean": sum(resamples) / n, "max": max(resamples)}
+        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps), "resamples": extra})
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, ["# x: t_s, y: 20*log10(hypot(re, im))"])
     _summary(args.out, written, started, cfg.master_seed)
@@ -142,6 +165,10 @@ def _acf_lags(args) -> np.ndarray:
     return np.linspace(0.0, args.lag_max, args.lag_count)
 
 
+def _acf_block(lags, norm, values) -> tuple:
+    return _floats(lags), _floats(norm), _floats(values.real), _floats(values.imag)
+
+
 def _cmd_acf(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
@@ -151,11 +178,8 @@ def _cmd_acf(args) -> int:
         norm, values, se = result.empirical_norm, result.empirical, result.empirical_stderr
     else:
         norm, values, se = result.expectation_norm, result.expectation, result.expectation_stderr
-    rows = [
-        (float(lag), float(a), v.real, v.imag, float(e))
-        for lag, a, v, e in zip(result.lags_t, norm, values, se)
-    ]
-    written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], rows)
+    block = (*_acf_block(result.lags_t, norm, values), _floats(se))
+    written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], [block])
     if args.meta:
         _write_meta(args.out, cfg, "acf", {"t": args.t, "f": args.f, "estimator": args.estimator})
     if args.plot_script:
@@ -164,8 +188,8 @@ def _cmd_acf(args) -> int:
     return 0
 
 
-def _pdp_rows(profile: stats.PdpResult) -> list[tuple]:
-    return [(float(d), float(p), label) for d, p, label in zip(profile.delays, profile.powers, profile.labels)]
+def _pdp_block(profile: stats.PdpResult) -> tuple:
+    return _floats(profile.delays), _floats(profile.powers), profile.labels
 
 
 def _cmd_pdp(args) -> int:
@@ -176,7 +200,7 @@ def _cmd_pdp(args) -> int:
     else:
         source = cfg
     profile = stats.pdp(source, args.t, args.f, args.mode)
-    written = _write_csv(args.out, ["delay_s", "power", "label"], _pdp_rows(profile))
+    written = _write_csv(args.out, ["delay_s", "power", "label"], [_pdp_block(profile)])
     if args.meta:
         _write_meta(args.out, cfg, "pdp", {"t": args.t, "f": args.f, "mode": args.mode})
     if args.plot_script:
@@ -185,18 +209,20 @@ def _cmd_pdp(args) -> int:
     return 0
 
 
-def _delay_stat_rows(ens: stats.EnsembleDelayStats) -> list[tuple]:
-    return [
-        ("average_delay", ens.average_mean, ens.average_std, ens.n),
-        ("rms_delay_spread", ens.rms_spread_mean, ens.rms_spread_std, ens.n),
-    ]
+def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
+    return (
+        ["average_delay", "rms_delay_spread"],
+        _floats([ens.average_mean, ens.rms_spread_mean]),
+        _floats([ens.average_std, ens.rms_spread_std]),
+        [str(ens.n)] * 2,
+    )
 
 
 def _cmd_delay_stats(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
-    rows = _delay_stat_rows(stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs))
-    written = _write_csv(args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], rows)
+    block = _delay_stat_block(stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs))
+    written = _write_csv(args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [block])
     if args.meta:
         _write_meta(args.out, cfg, "delay-stats", {"t": args.t, "f": args.f, "mode": args.mode})
     _summary(args.out, written, started, cfg.master_seed)
@@ -221,28 +247,28 @@ _PRESET_HEADERS = {
 }
 
 
-def _preset_rows(name: str, cfg: ScenarioConfig, jobs: int):
+def _preset_blocks(name: str, cfg: ScenarioConfig, jobs: int):
+    """The preset's header and one block per curve, every curve evaluated."""
     statistic, _, curves = presets.EXPERIMENTS[name]
-    rows: list[tuple] = []
+    blocks = []
     for label in curves:
         result = presets.evaluate(name, label, cfg, jobs=jobs)
         if statistic == "acf":
-            rows += [
-                (label, float(lag), float(a), v.real, v.imag)
-                for lag, a, v in zip(result.lags_t, result.expectation_norm, result.expectation)
-            ]
+            block = _acf_block(result.lags_t, result.expectation_norm, result.expectation)
         elif statistic == "pdp":
-            rows += [(label, *row) for row in _pdp_rows(result)]
+            block = _pdp_block(result)
         else:
-            rows += _delay_stat_rows(result)
-    return _PRESET_HEADERS[statistic], rows
+            blocks.append(_delay_stat_block(result))  # table1's rows carry no curve column
+            continue
+        blocks.append(([label] * len(block[0]), *block))
+    return _PRESET_HEADERS[statistic], blocks
 
 
 def _cmd_preset(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
-    header, rows = _preset_rows(args.preset, cfg, args.jobs)
-    written = _write_csv(args.out, header, rows)
+    header, blocks = _preset_blocks(args.preset, cfg, args.jobs)
+    written = _write_csv(args.out, header, blocks)
     if args.meta:
         _write_meta(args.out, cfg, f"preset {args.preset}", {})
     if args.plot_script:

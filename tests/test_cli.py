@@ -2,10 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uwachan import cli, presets
+from uwachan.channel import build_realization, evaluate_ctf, tap_list
 from uwachan.presets import EXPERIMENTS, PRESET_NAMES, preset_scenario
 from uwachan.scenario import (
     ClusterConfig,
@@ -282,7 +286,7 @@ def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, mo
         replaced.append(os.path.basename(dst))
         real_replace(src, dst)
 
-    monkeypatch.setattr(cli.os, "replace", recording_replace)
+    monkeypatch.setattr("uwachan.scenario.os.replace", recording_replace)
     out = tmp_path / "pdp.csv"
     assert run(["pdp", "--scenario", scenario_file, "--out", str(out), "--meta",
                 "--plot-script", str(tmp_path / "plot.txt")]) == 0
@@ -345,3 +349,100 @@ def test_flag_precedence_over_file_over_preset(tmp_path):
     assert meta["scenario"]["master_seed"] == 7  # flag wins over file's 42
     assert meta["scenario"]["power"]["rice_k"] == 2.0  # file wins over preset's 1.44
     assert meta["scenario"]["geometry"]["distance0"] == 1500.0  # preset base kept
+
+
+# ---------------------------------------------------------------------------
+# The columnar writer against the row-wise writer it replaced
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):  # includes numpy float64; canonical shortest repr
+        return repr(float(value))
+    return str(value)
+
+
+def _rowwise_csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-5, 1e-4, math.inf, -math.inf, math.nan]
+_COLUMN_KINDS = {
+    "float": st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=True, allow_infinity=True)),
+    "int": st.integers(-(10**12), 10**12),
+    "label": st.text("abcdefghijklmnopqrstuvwxyz0123456789_#", max_size=12),
+}
+
+
+@st.composite
+def _csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=6))
+    n = draw(st.integers(0, 25))
+    columns = [draw(st.lists(_COLUMN_KINDS[kind], min_size=n, max_size=n)) for kind in kinds]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=4)))
+    return kinds, columns, [0, *cuts, n]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_tables())
+def test_columnar_writer_matches_rowwise_formatting(table):
+    kinds, columns, bounds = table
+    header = [f"{kind}{i}" for i, kind in enumerate(kinds)]
+
+    def as_strings(kind, values):
+        if kind == "float":
+            return cli._floats(np.array(values, dtype=float))
+        return list(map(str, values))
+
+    blocks = [
+        tuple(as_strings(kind, col[lo:hi]) for kind, col in zip(kinds, columns))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        assert cli._write_csv(path, header, blocks) == len(columns[0])
+        with open(path, "rb") as fh:
+            assert fh.read() == _rowwise_csv(header, list(zip(*columns)))
+
+
+@pytest.mark.parametrize("taps", [True, False], ids=["taps", "ctf"])
+def test_simulate_matches_a_rowwise_dump(scenario_file, tmp_path, taps):
+    # 3 instants x 2 offsets x 2 realizations, written row by row from the library
+    cfg = load_scenario(scenario_file)
+    times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
+    rows = []
+    for r in range(2):
+        real = build_realization(cfg, r)
+        if taps:
+            dump = tap_list(real, times, freqs)
+            for ti, t in enumerate(times):
+                for fi, f in enumerate(freqs):
+                    for n, label in enumerate(dump.labels):
+                        h = dump.amplitudes[ti, fi, n]
+                        rows.append((t, f, dump.delays[ti, n], h.real, h.imag, label))
+        else:
+            frame = evaluate_ctf(real)
+            for ti, t in enumerate(frame.times):
+                for fi, f in enumerate(frame.freq_offsets):
+                    h = frame.values[ti, fi]
+                    rows.append((float(t), float(f), h.real, h.imag, r))
+    out = tmp_path / "dump.csv"
+    flags = ["--taps"] if taps else []
+    assert run(["simulate", "--scenario", scenario_file, *flags, "--realizations", "2",
+                "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert len(rows) == (2 * 3 * 2 * 21 if taps else 2 * 3 * 2)
+    assert out.read_bytes() == _rowwise_csv(header, rows)
+
+
+def test_simulate_meta_reports_resamples(scenario_file, tmp_path):
+    metas = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        assert run(["simulate", "--scenario", scenario_file, "--taps", "--realizations", "3",
+                    "--out", str(out), "--meta"]) == 0
+        metas.append((tmp_path / f"{name}.meta.json").read_bytes())
+    assert metas[0] == metas[1]
+    cfg = load_scenario(scenario_file)
+    counts = [build_realization(cfg, r).resample_count for r in range(3)]
+    assert json.loads(metas[0])["resamples"] == {"mean": sum(counts) / 3, "max": max(counts)}

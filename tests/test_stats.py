@@ -33,8 +33,9 @@ from uwachan.channel import (
     subpath_gains,
     tap_list,
 )
+from uwachan.presets import preset_scenario
 from uwachan.propagation import PathKind
-from uwachan.scenario import TAU, stream_for
+from uwachan.scenario import TAU, overlay, stream_for
 
 
 def scenario(**overrides) -> ScenarioConfig:
@@ -472,3 +473,18 @@ def test_ensemble_delay_stats_ray_mode_varies():
     ens = ensemble_delay_stats(cfg, mode="ray", realizations=4)
     assert ens.n == 4
     assert ens.rms_spread_std > 0.0
+
+
+def test_ray_mode_equals_cluster_mode_at_the_cluster_limit():
+    # With no angle or mid-distance spread and a still surface, every ray of a
+    # sub-path runs along its specular reflection, so each realization's ray
+    # moments are the cluster moments (Table 1 scenario, 4e-13 relative here).
+    limit = {
+        "clusters": {"angle_spread_surface": 0.0, "angle_spread_bottom": 0.0, "mid_distance_spread": 0.0},
+        "surface": {"amplitude": 0.0},
+    }
+    cfg = overlay(preset_scenario("table1"), limit)
+    ray = ensemble_delay_stats(cfg, mode="ray", realizations=5)
+    cluster = ensemble_delay_stats(cfg, mode="cluster", realizations=1)
+    np.testing.assert_allclose(ray.average, cluster.average_mean, rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(ray.rms_spread, cluster.rms_spread_mean, rtol=1e-11, atol=0.0)
