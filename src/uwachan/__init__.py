@@ -50,11 +50,14 @@ from .scenario import (
     validate,
 )
 from .stats import (
+    CorrelationPlan,
     CorrelationResult,
     DelayStats,
     EnsembleDelayStats,
     PdpResult,
     acf,
+    acf_plan,
+    correlate,
     delay_stats,
     ensemble_delay_stats,
     pdp,

@@ -78,6 +78,11 @@ def _write_meta(out_path: str, cfg: ScenarioConfig, command: str, extra: dict) -
     _write_atomic(out_path + ".meta.json", lambda fh: fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
 
 
+def _resample_summary(counts: list[int]) -> dict:
+    """Sidecar summary of the ray draws rejected while building each realization."""
+    return {"mean": sum(counts) / len(counts), "max": max(counts)}
+
+
 def _write_plot_script(path: str, out_csv: str, description: list[str]) -> None:
     lines = [
         "# Plot companion (plain text). Feed the CSV below to any plotting tool.",
@@ -150,9 +155,8 @@ def _cmd_simulate(args) -> int:
         blocks = _ctf_blocks([evaluate_ctf(real) for real in reals])
     written = _write_csv(args.out, header, blocks)
     if args.meta:
-        resamples = [real.resample_count for real in reals]
-        extra = {"mean": sum(resamples) / n, "max": max(resamples)}
-        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps), "resamples": extra})
+        resamples = _resample_summary([real.resample_count for real in reals])
+        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps), "resamples": resamples})
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, ["# x: t_s, y: 20*log10(hypot(re, im))"])
     _summary(args.out, written, started, cfg.master_seed)
@@ -181,7 +185,8 @@ def _cmd_acf(args) -> int:
     block = (*_acf_block(result.lags_t, norm, values), _floats(se))
     written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], [block])
     if args.meta:
-        _write_meta(args.out, cfg, "acf", {"t": args.t, "f": args.f, "estimator": args.estimator})
+        extra = {"t": args.t, "f": args.f, "estimator": args.estimator}
+        _write_meta(args.out, cfg, "acf", {**extra, "resamples": _resample_summary(result.resamples)})
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, ["# x: lag_s, y: abs"])
     _summary(args.out, written, started, cfg.master_seed)
@@ -247,12 +252,10 @@ _PRESET_HEADERS = {
 }
 
 
-def _preset_blocks(name: str, cfg: ScenarioConfig, jobs: int):
-    """The preset's header and one block per curve, every curve evaluated."""
-    statistic, _, curves = presets.EXPERIMENTS[name]
+def _preset_blocks(statistic: str, results: dict) -> list:
+    """One block per evaluated curve of a preset, in curve order."""
     blocks = []
-    for label in curves:
-        result = presets.evaluate(name, label, cfg, jobs=jobs)
+    for label, result in results.items():
         if statistic == "acf":
             block = _acf_block(result.lags_t, result.expectation_norm, result.expectation)
         elif statistic == "pdp":
@@ -261,16 +264,20 @@ def _preset_blocks(name: str, cfg: ScenarioConfig, jobs: int):
             blocks.append(_delay_stat_block(result))  # table1's rows carry no curve column
             continue
         blocks.append(([label] * len(block[0]), *block))
-    return _PRESET_HEADERS[statistic], blocks
+    return blocks
 
 
 def _cmd_preset(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
-    header, blocks = _preset_blocks(args.preset, cfg, args.jobs)
-    written = _write_csv(args.out, header, blocks)
+    statistic = presets.EXPERIMENTS[args.preset][0]
+    results = presets.evaluate_curves(args.preset, cfg=cfg, jobs=args.jobs)
+    written = _write_csv(args.out, _PRESET_HEADERS[statistic], _preset_blocks(statistic, results))
     if args.meta:
-        _write_meta(args.out, cfg, f"preset {args.preset}", {})
+        extra = {}
+        if statistic == "acf":
+            extra["resamples"] = _resample_summary([n for r in results.values() for n in r.resamples])
+        _write_meta(args.out, cfg, f"preset {args.preset}", extra)
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, [f"# preset {args.preset}; group rows by 'curve'"])
     _summary(args.out, written, started, cfg.master_seed)

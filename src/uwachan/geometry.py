@@ -120,6 +120,11 @@ class GeometryState:
     aoa_los: np.ndarray
 
 
+def _first(tt: np.ndarray, bad: np.ndarray) -> float:
+    """The earliest instant of ``tt`` flagged in ``bad``, as a plain float."""
+    return float(np.broadcast_to(tt, bad.shape)[bad].min())
+
+
 def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometryState:
     """Geometry under intentional motion only; drift does not move platforms."""
     tt = np.asarray(t, dtype=float)
@@ -131,10 +136,11 @@ def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometrySt
     tx_depth = geometry.tx_depth0 + motion.tx_speed * tt * math.sin(motion.tx_heading)
     rx_depth = geometry.rx_depth0 + motion.rx_speed * tt * math.sin(motion.rx_heading)
     if np.any(distance <= 0):
-        raise GeometryError(f"Tx-Rx horizontal distance became <= 0 within t={t!r}")
+        raise GeometryError(f"Tx-Rx horizontal distance became <= 0 by t={_first(tt, distance <= 0)!r}")
     for name, depth in (("Tx", tx_depth), ("Rx", rx_depth)):
-        if np.any(depth <= 0) or np.any(depth >= geometry.water_depth):
-            raise GeometryError(f"{name} breaches the water column within t={t!r}")
+        breach = (depth <= 0) | (depth >= geometry.water_depth)
+        if np.any(breach):
+            raise GeometryError(f"{name} breaches the water column by t={_first(tt, breach)!r}")
     aod_los = np.arctan2(rx_depth - tx_depth, distance)
     return GeometryState(distance, tx_depth, rx_depth, aod_los, aod_los + math.pi)
 

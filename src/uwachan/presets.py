@@ -25,6 +25,7 @@ __all__ = [
     "PRESET_NAMES",
     "preset_scenario",
     "evaluate",
+    "evaluate_curves",
     "table1_check",
     "FIG3_LAGS",
     "FIG4_LAGS",
@@ -147,21 +148,34 @@ def preset_scenario(name: str) -> ScenarioConfig:
     raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
 
 
-def evaluate(name: str, label: str, cfg: ScenarioConfig | None = None, **options):
-    """One curve of an experiment, with its changes overlaid on ``cfg`` (default: the preset's).
+def evaluate_curves(name: str, labels=None, cfg: ScenarioConfig | None = None, **options) -> dict:
+    """``{label: result}`` for the curves of an experiment (default: every curve, in order).
 
-    ``options`` (``realizations``, ``jobs``, ``phase_draws``, ...) go to the statistic;
+    Each curve's changes are overlaid on ``cfg`` (default: the preset's).
+    ``options`` (``realizations``, ``jobs``, ``phase_draws``, ...) go to the
+    statistic. ACF curves run as one ensemble, with one worker pool at most;
     the cluster PDP is one deterministic profile and ignores ``jobs``.
     """
     statistic, lags, curves = EXPERIMENTS[name]
-    t, changes = curves[label]
-    cfg = overlay(preset_scenario(name) if cfg is None else cfg, changes)
+    base = preset_scenario(name) if cfg is None else cfg
+    chosen = curves if labels is None else {label: curves[label] for label in labels}
+    anchors = {label: (t, overlay(base, changes)) for label, (t, changes) in chosen.items()}
     if statistic == "acf":
-        return stats.acf(cfg, t, 0.0, lags, **options)
+        jobs = options.pop("jobs", 1)
+        plans = [stats.acf_plan(c, t, 0.0, lags, **options) for t, c in anchors.values()]
+        return dict(zip(anchors, stats.correlate(plans, jobs)))
     if statistic == "pdp":
         options.pop("jobs", None)
-        return stats.pdp(cfg, t, 0.0, "cluster", **options)
-    return stats.ensemble_delay_stats(cfg, t, 0.0, "cluster", **options)
+        return {label: stats.pdp(c, t, 0.0, "cluster", **options) for label, (t, c) in anchors.items()}
+    return {
+        label: stats.ensemble_delay_stats(c, t, 0.0, "cluster", **options)
+        for label, (t, c) in anchors.items()
+    }
+
+
+def evaluate(name: str, label: str, cfg: ScenarioConfig | None = None, **options):
+    """One curve of an experiment: :func:`evaluate_curves` for ``label`` alone."""
+    return evaluate_curves(name, (label,), cfg, **options)[label]
 
 
 def table1_check(ens: stats.EnsembleDelayStats) -> list[tuple[str, float, float, bool]]:

@@ -36,8 +36,11 @@ from .scenario import TAU, ScenarioConfig, stream_for
 
 __all__ = [
     "CorrelationResult",
+    "CorrelationPlan",
     "acf",
+    "acf_plan",
     "tfcf",
+    "correlate",
     "PdpResult",
     "pdp",
     "DelayStats",
@@ -64,6 +67,7 @@ class CorrelationResult:
     empirical_norm: np.ndarray
     expectation_stderr: np.ndarray  # SE of the complex mean, / |R(0)|
     empirical_stderr: np.ndarray
+    resamples: list[int]  # ray draws rejected while building each realization
 
 
 def _corr_realization(args):
@@ -119,7 +123,7 @@ def _corr_realization(args):
             rot = np.exp(1j * phases)[np.newaxis, :]
             h = h + w * a * (rot * phasor).sum(axis=1)
         emp += h[hi] * np.conj(h[lo])
-    return exp_row, emp / phase_draws
+    return exp_row, emp / phase_draws, real.resample_count
 
 
 def _collect_rows(worker, arglist, jobs):
@@ -133,7 +137,18 @@ def _collect_rows(worker, arglist, jobs):
         return list(pool.map(worker, arglist, chunksize=chunk))
 
 
-def _correlate(
+@dataclass(eq=False)
+class CorrelationPlan:
+    """One validated correlation curve: its lag axis and one task per realization."""
+
+    anchor_t: float
+    anchor_f: float
+    lags_t: np.ndarray
+    lags_f: np.ndarray
+    tasks: list  # _corr_realization arguments, in realization-index order
+
+
+def _plan(
     cfg: ScenarioConfig,
     anchor_t: float,
     anchor_f: float,
@@ -143,10 +158,9 @@ def _correlate(
     lags_t: np.ndarray,
     lags_f: np.ndarray,
     realizations: int | None,
-    jobs: int,
     unit_gains: bool,
     phase_draws: int,
-) -> CorrelationResult:
+) -> CorrelationPlan:
     if np.any(lo_t < 0) or np.any(hi_t < 0):
         raise ValueError("correlation would evaluate the channel before t=0; reduce the lags")
     if phase_draws < 1:
@@ -159,11 +173,15 @@ def _correlate(
     lo_ext = np.concatenate([[anchor_t], lo_t])
     lo_f_ext = np.concatenate([[anchor_f], lo_f])
     horizon = float(max(hi_ext.max(), lo_ext.max()))
-    arglist = [
+    tasks = [
         (cfg, i, hi_ext, lo_ext, anchor_f, lo_f_ext, horizon, phase_draws, unit_gains)
         for i in range(n)
     ]
-    rows = _collect_rows(_corr_realization, arglist, jobs)
+    return CorrelationPlan(anchor_t, anchor_f, lags_t, lags_f, tasks)
+
+
+def _reduce(plan: CorrelationPlan, rows: list) -> CorrelationResult:
+    n = len(rows)
     exp_rows = np.array([r[0] for r in rows])
     emp_rows = np.array([r[1] for r in rows])
     r_exp = exp_rows.mean(axis=0)
@@ -181,10 +199,10 @@ def _correlate(
     if z_exp == 0.0 or z_emp == 0.0:
         raise ArithmeticError("zero-lag correlation vanished; cannot normalize")
     return CorrelationResult(
-        anchor_t=anchor_t,
-        anchor_f=anchor_f,
-        lags_t=lags_t,
-        lags_f=lags_f,
+        anchor_t=plan.anchor_t,
+        anchor_f=plan.anchor_f,
+        lags_t=plan.lags_t,
+        lags_f=plan.lags_f,
         n_realizations=n,
         expectation=r_exp[1:],
         empirical=r_emp[1:],
@@ -194,6 +212,42 @@ def _correlate(
         empirical_norm=np.abs(r_emp[1:]) / z_emp,
         expectation_stderr=se_exp[1:] / z_exp,
         empirical_stderr=se_emp[1:] / z_emp,
+        resamples=[r[2] for r in rows],
+    )
+
+
+def correlate(plans: list[CorrelationPlan], jobs: int = 1) -> list[CorrelationResult]:
+    """Evaluate every curve in ``plans`` as one ensemble: one worker pool at most.
+
+    Each curve's rows are taken back out in realization-index order, so a
+    curve's result does not depend on ``jobs`` or on the other curves.
+    """
+    rows = _collect_rows(_corr_realization, [task for plan in plans for task in plan.tasks], jobs)
+    results, start = [], 0
+    for plan in plans:
+        stop = start + len(plan.tasks)
+        results.append(_reduce(plan, rows[start:stop]))
+        start = stop
+    return results
+
+
+def acf_plan(
+    cfg: ScenarioConfig,
+    t: float,
+    f: float,
+    lags,
+    realizations: int | None = None,
+    unit_gains: bool = False,
+    phase_draws: int = 1,
+) -> CorrelationPlan:
+    """The :func:`acf` curve at ``(t, f)``, validated, for :func:`correlate`."""
+    lags_t = np.asarray(lags, dtype=float)
+    hi_t = t + lags_t
+    lo_t = np.full_like(lags_t, float(t))
+    lo_f = np.full_like(lags_t, float(f))
+    return _plan(
+        cfg, t, f, hi_t, lo_t, lo_f, lags_t, np.zeros_like(lags_t),
+        realizations, unit_gains, phase_draws,
     )
 
 
@@ -216,14 +270,7 @@ def acf(
     *empirical* estimator over extra initial-phase draws per realization;
     the expectation estimator is unaffected by it.
     """
-    lags_t = np.asarray(lags, dtype=float)
-    hi_t = t + lags_t
-    lo_t = np.full_like(lags_t, float(t))
-    lo_f = np.full_like(lags_t, float(f))
-    return _correlate(
-        cfg, t, f, hi_t, lo_t, lo_f, lags_t, np.zeros_like(lags_t),
-        realizations, jobs, unit_gains, phase_draws,
-    )
+    return correlate([acf_plan(cfg, t, f, lags, realizations, unit_gains, phase_draws)], jobs)[0]
 
 
 def tfcf(
@@ -249,10 +296,10 @@ def tfcf(
     if np.any(lo_t < 0):
         raise ValueError(f"anchor t={t} minus max lag evaluates before t=0")
     lo_f = f - lags_f
-    return _correlate(
-        cfg, t, f, hi_t, lo_t, lo_f, lags_t, lags_f,
-        realizations, jobs, unit_gains, phase_draws,
+    plan = _plan(
+        cfg, t, f, hi_t, lo_t, lo_f, lags_t, lags_f, realizations, unit_gains, phase_draws
     )
+    return correlate([plan], jobs)[0]
 
 
 # ---------------------------------------------------------------------------

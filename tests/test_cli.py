@@ -19,6 +19,7 @@ from uwachan.scenario import (
     SignalConfig,
     dump_scenario,
     load_scenario,
+    overlay,
     scenario_from_dict,
     scenario_to_dict,
     validate,
@@ -446,3 +447,54 @@ def test_simulate_meta_reports_resamples(scenario_file, tmp_path):
     cfg = load_scenario(scenario_file)
     counts = [build_realization(cfg, r).resample_count for r in range(3)]
     assert json.loads(metas[0])["resamples"] == {"mean": sum(counts) / 3, "max": max(counts)}
+
+
+def test_geometry_error_names_the_instant_on_one_line(tmp_path, capsys):
+    # fig4-time closes the Tx-Rx range at 2000 m / 15 m/s = 133 s
+    out = tmp_path / "x.csv"
+    code = run(["acf", "--preset", "fig4-time", "--t", "140", "--realizations", "1", "--lag-count", "3",
+                "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert "t=140.0" in error and "array(" not in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,pools",
+    [
+        (["fig3", "--jobs", "2", "--realizations", "2"], [2]),
+        (["fig4-time", "--jobs", "3", "--realizations", "1"], [3]),
+        (["fig5", "--jobs", "2"], []),
+        (["table1", "--jobs", "2", "--realizations", "4"], []),
+    ],
+)
+def test_one_pool_per_command(recording_pool, tmp_path, argv, pools):
+    assert run(["preset", *argv, "--out", str(tmp_path / "x.csv")]) == 0
+    assert recording_pool == pools
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["acf", "--preset", "fig3", "--realizations", "3", "--lag-count", "3"],
+        ["preset", "fig3", "--realizations", "2"],
+    ],
+    ids=["acf", "preset"],
+)
+def test_ensemble_meta_reports_resamples(tmp_path, argv):
+    metas = []
+    for name, jobs in (("a.csv", "1"), ("b.csv", "1"), ("c.csv", "2")):
+        assert run([*argv, "--jobs", jobs, "--out", str(tmp_path / name), "--meta"]) == 0
+        metas.append((tmp_path / f"{name}.meta.json").read_bytes())
+    assert metas[0] == metas[1] == metas[2]
+    # both commands build their realizations over a 0.1 s horizon (the largest lag)
+    cfg = preset_scenario("fig3")
+    if argv[0] == "acf":
+        ensembles = [(cfg, 3)]
+    else:
+        ensembles = [(overlay(cfg, changes), 2) for _, changes in EXPERIMENTS["fig3"][2].values()]
+    counts = [build_realization(c, r, horizon=0.1).resample_count for c, n in ensembles for r in range(n)]
+    assert json.loads(metas[0])["resamples"] == {"mean": sum(counts) / len(counts), "max": max(counts)}

@@ -33,7 +33,7 @@ from uwachan.channel import (
     subpath_gains,
     tap_list,
 )
-from uwachan.presets import preset_scenario
+from uwachan.presets import EXPERIMENTS, evaluate_curves, preset_scenario
 from uwachan.propagation import PathKind
 from uwachan.scenario import TAU, overlay, stream_for
 
@@ -172,33 +172,29 @@ def test_jobs_do_not_change_results():
     assert np.array_equal(serial.empirical, parallel.empirical)
 
 
-def test_pool_is_no_larger_than_the_task_list(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        """Records the requested pool size and runs the tasks in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(stats, "ProcessPoolExecutor", RecordingPool)
+def test_pool_is_no_larger_than_the_task_list(recording_pool):
     cfg = moving_scenario(realizations=3)
     lags = [0.0, 0.01]
     pooled = acf(cfg, 0.0, 0.0, lags, jobs=64)
-    assert sizes == [3]
+    assert recording_pool == [3]
     assert np.array_equal(pooled.expectation, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation)
     acf(cfg, 0.0, 0.0, lags, realizations=1, jobs=64)  # one task runs in-process
     ensemble_delay_stats(cfg, mode="ray", realizations=2, jobs=8)
-    assert sizes == [3, 2]
+    assert recording_pool == [3, 2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", ["fig3", "fig4-freq"])
+def test_one_pass_equals_per_curve_acf(name, jobs):
+    _, lags, curves = EXPERIMENTS[name]
+    together = evaluate_curves(name, realizations=3, jobs=jobs)
+    assert list(together) == list(curves)
+    for label, (t, changes) in curves.items():
+        alone = acf(overlay(preset_scenario(name), changes), t, 0.0, lags, realizations=3)
+        got = together[label]
+        for field in ("expectation", "empirical", "expectation_stderr", "empirical_stderr"):
+            assert np.array_equal(getattr(got, field), getattr(alone, field)), (label, field)
+        assert got.resamples == alone.resamples
 
 
 def reference_corr_realization(args):
