@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -166,6 +167,8 @@ def _cmd_simulate(args) -> int:
 def _acf_lags(args) -> np.ndarray:
     if args.lag_count < 2:
         raise CliError("--lag-count must be >= 2")
+    if not math.isfinite(args.lag_max):  # linspace would spread it into NaN lags
+        raise CliError(f"--lag-max must be finite, got {args.lag_max!r}")
     return np.linspace(0.0, args.lag_max, args.lag_count)
 
 
@@ -200,6 +203,7 @@ def _pdp_block(profile: stats.PdpResult) -> tuple:
 def _cmd_pdp(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
+    stats.check_anchor(args.t, args.f)  # before a ray-mode build over the anchor's horizon
     if args.mode == "ray":
         source = build_realization(cfg, args.realization, horizon=max(args.t, 1e-9))
     else:
@@ -226,10 +230,15 @@ def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
 def _cmd_delay_stats(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
-    block = _delay_stat_block(stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs))
-    written = _write_csv(args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [block])
+    ens = stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs)
+    written = _write_csv(
+        args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [_delay_stat_block(ens)]
+    )
     if args.meta:
-        _write_meta(args.out, cfg, "delay-stats", {"t": args.t, "f": args.f, "mode": args.mode})
+        extra = {"t": args.t, "f": args.f, "mode": args.mode}
+        if ens.resamples:  # cluster mode builds no realization
+            extra["resamples"] = _resample_summary(ens.resamples)
+        _write_meta(args.out, cfg, "delay-stats", extra)
     _summary(args.out, written, started, cfg.master_seed)
     return 0
 

@@ -135,11 +135,11 @@ def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometrySt
     )
     tx_depth = geometry.tx_depth0 + motion.tx_speed * tt * math.sin(motion.tx_heading)
     rx_depth = geometry.rx_depth0 + motion.rx_speed * tt * math.sin(motion.rx_heading)
-    if np.any(distance <= 0):
+    if (distance <= 0).any():
         raise GeometryError(f"Tx-Rx horizontal distance became <= 0 by t={_first(tt, distance <= 0)!r}")
     for name, depth in (("Tx", tx_depth), ("Rx", rx_depth)):
         breach = (depth <= 0) | (depth >= geometry.water_depth)
-        if np.any(breach):
+        if breach.any():
             raise GeometryError(f"{name} breaches the water column by t={_first(tt, breach)!r}")
     aod_los = np.arctan2(rx_depth - tx_depth, distance)
     return GeometryState(distance, tx_depth, rx_depth, aod_los, aod_los + math.pi)
@@ -198,7 +198,7 @@ def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> Clus
     else:
         tx_sign = -1.0 if path.surface_hops == path.bottom_hops else 1.0
         vertical = 2.0 * path.surface_hops * water_depth + tx_sign * h_t + h_r
-    if np.any(vertical <= 0):
+    if (vertical <= 0).any():
         raise GeometryError(f"non-positive unfolded vertical extent for {path.label}")
     distance = np.hypot(dist, vertical)
     incidence = np.arctan2(dist, vertical)  # in (0, pi/2) for positive operands
@@ -383,31 +383,43 @@ def segment_lengths(
     ``theta_first``/``theta_last`` are ignored where that cluster is on the
     bottom (no surface-oscillation term). ``drift_tx``/``drift_rx`` are
     (magnitude, bearing) pairs of the platform drift displacement at ``t``.
+
+    A side's drift projection is added only where that side has drifted at
+    some instant, and the surface terms only for a moving surface
+    (``surface.amplitude`` != 0): a skipped term would add a signed zero to
+    a positive leg, so the legs are the same bits either way. Their shape
+    is then that of the terms present (state, angles, and drift or ``t``
+    where those terms enter).
     """
     dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
     dd_r, alpha_r = (np.asarray(v, dtype=float) for v in drift_rx)
-    b_tx = dd_t * np.cos(alpha_t - aod)
-    b_rx = dd_r * np.cos(alpha_r - aoa)
+    moving = surface.amplitude != 0.0
 
     if path.first_boundary is Boundary.SURFACE:
-        a_tx = surface_displacement(surface, theta_first, t) * np.cos(aod - surface.travel_angle)
         sin_t = np.sin(aod)
         _guard_sin(sin_t, path)
-        leg_tx = a_tx + (water_depth - state.tx_depth) / sin_t - b_tx
+        leg_tx = (water_depth - state.tx_depth) / sin_t
+        if moving:
+            leg_tx = surface_displacement(surface, theta_first, t) * np.cos(aod - surface.travel_angle) + leg_tx
     else:
         sin_t = np.sin(TAU - aod)
         _guard_sin(sin_t, path)
-        leg_tx = state.tx_depth / sin_t - b_tx
+        leg_tx = state.tx_depth / sin_t
+    if dd_t.any():
+        leg_tx = leg_tx - dd_t * np.cos(alpha_t - aod)
 
     if path.last_boundary is Boundary.SURFACE:
-        a_rx = surface_displacement(surface, theta_last, t) * np.cos(aoa - surface.travel_angle)
         sin_r = np.sin(math.pi - aoa)
         _guard_sin(sin_r, path)
-        leg_rx = a_rx + (water_depth - state.rx_depth) / sin_r - b_rx
+        leg_rx = (water_depth - state.rx_depth) / sin_r
+        if moving:
+            leg_rx = surface_displacement(surface, theta_last, t) * np.cos(aoa - surface.travel_angle) + leg_rx
     else:
         sin_r = np.sin(aoa - math.pi)
         _guard_sin(sin_r, path)
-        leg_rx = state.rx_depth / sin_r - b_rx
+        leg_rx = state.rx_depth / sin_r
+    if dd_r.any():
+        leg_rx = leg_rx - dd_r * np.cos(alpha_r - aoa)
 
     if path.is_single_bounce:
         mid = np.zeros(np.broadcast(leg_tx, leg_rx).shape)
@@ -417,7 +429,7 @@ def segment_lengths(
 
 
 def _guard_sin(sin_values, path: PathIndex) -> None:
-    if np.any(np.abs(sin_values) < _MIN_SIN):
+    if (np.abs(sin_values) < _MIN_SIN).any():
         raise GeometryError(f"degenerate grazing angle on {path.label}: |sin| < {_MIN_SIN}")
 
 

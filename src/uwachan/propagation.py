@@ -46,11 +46,16 @@ class LossBreakdown:
         return self.spreading * self.absorption * self.bottom
 
 
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The first entry of ``values`` flagged in ``bad``, as a plain float."""
+    return float(values[bad][0])
+
+
 def thorp_attenuation(f_khz):
     """Seawater attenuation in dB/km at frequency ``f_khz`` (kHz, > 0)."""
     f = np.asarray(f_khz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError(f"frequency must be > 0 kHz, got {f_khz!r}")
+    if (f <= 0).any():
+        raise ValueError(f"frequency must be > 0 kHz, got {_first(f, f <= 0)!r}")
     f2 = f * f
     alpha = 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
     return float(alpha) if np.ndim(f_khz) == 0 else alpha
@@ -59,8 +64,8 @@ def thorp_attenuation(f_khz):
 def absorption_loss(distance_m, f_khz):
     """Amplitude ratio after absorption over ``distance_m`` meters."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d < 0):
-        raise ValueError(f"distance must be >= 0 m, got {distance_m!r}")
+    if (d < 0).any():
+        raise ValueError(f"distance must be >= 0 m, got {_first(d, d < 0)!r}")
     loss = 10.0 ** (-(d * thorp_attenuation(f_khz)) / 20000.0)
     return float(loss) if np.ndim(loss) == 0 else loss
 
@@ -68,8 +73,8 @@ def absorption_loss(distance_m, f_khz):
 def spreading_loss(distance_m):
     """Spherical spreading amplitude ratio 1/d for a point source."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError(f"distance must be > 0 m, got {distance_m!r}")
+    if (d <= 0).any():
+        raise ValueError(f"distance must be > 0 m, got {_first(d, d <= 0)!r}")
     loss = 1.0 / d
     return float(loss) if np.ndim(loss) == 0 else loss
 
@@ -82,8 +87,9 @@ def bottom_reflection(incidence, bottom: BottomConfig, water_sound_speed: float)
     imaginary and the magnitude is exactly 1 (total internal reflection).
     """
     phi = np.asarray(incidence, dtype=float)
-    if np.any(phi < 0) or np.any(phi >= math.pi / 2):
-        raise ValueError(f"incidence must lie in [0, pi/2), got {incidence!r}")
+    outside = (phi < 0) | (phi >= math.pi / 2)
+    if outside.any():
+        raise ValueError(f"incidence must lie in [0, pi/2), got {_first(phi, outside)!r}")
     m = bottom.density_ratio
     n = water_sound_speed / bottom.sound_speed
     radicand = n * n - np.sin(phi) ** 2
@@ -110,8 +116,8 @@ def path_gain(
     bottom factor is raised to the path's bottom-contact count.
     """
     f = np.asarray(freq_hz, dtype=float)
-    if np.any(f <= 0):
-        raise ValueError(f"absolute frequency must be > 0 Hz, got {freq_hz!r}")
+    if (f <= 0).any():
+        raise ValueError(f"absolute frequency must be > 0 Hz, got {_first(f, f <= 0)!r}")
     spreading = spreading_loss(distance_m)
     absorption = absorption_loss(distance_m, f / 1000.0)
     if kind is PathKind.LOS:

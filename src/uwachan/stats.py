@@ -15,7 +15,6 @@ realization index, so results do not depend on worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,7 @@ __all__ = [
     "CorrelationPlan",
     "acf",
     "acf_plan",
+    "check_anchor",
     "tfcf",
     "correlate",
     "PdpResult",
@@ -83,7 +83,9 @@ def _corr_realization(args):
     pairs, pair_of = np.unique(pair_t + 1j * pair_f, return_inverse=True)
     hi, lo = pair_of[:n], pair_of[n:]
     times, time_of = np.unique(pairs.real, return_inverse=True)
-    table = component_table(real, times).take(time_of)
+    table = component_table(real, times)
+    if times.size < pairs.size:  # an instant paired with several frequencies
+        table = table.take(time_of)
     fabs = pairs.imag
     a_los, a_subs = subpath_gains(real, table, fabs, unit_gains)
     k = cfg.power.rice_k
@@ -126,12 +128,28 @@ def _corr_realization(args):
     return exp_row, emp / phase_draws, real.resample_count
 
 
+def check_anchor(t: float, f: float, lags=()) -> None:
+    """Reject a non-finite or negative anchor time and a non-finite offset or lag."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"anchor time must be finite and >= 0 s, got {float(t)!r}")
+    if not math.isfinite(f):
+        raise ValueError(f"baseband offset must be finite, got {float(f)!r}")
+    lags = np.asarray(lags, dtype=float)
+    bad = ~np.isfinite(lags)
+    if bad.any():
+        raise ValueError(f"lags must be finite, got {float(lags[bad][0])!r}")
+
+
 def _collect_rows(worker, arglist, jobs):
     # A fork-started pool launches all of its workers at the first submit,
     # so never ask for more workers than there are tasks.
     workers = min(jobs, len(arglist))
     if workers <= 1:
         return [worker(args) for args in arglist]
+    # Imported here: multiprocessing costs every command's start-up, and
+    # most commands never start a pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(arglist) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, arglist, chunksize=chunk))
@@ -242,6 +260,7 @@ def acf_plan(
 ) -> CorrelationPlan:
     """The :func:`acf` curve at ``(t, f)``, validated, for :func:`correlate`."""
     lags_t = np.asarray(lags, dtype=float)
+    check_anchor(t, f, lags_t)
     hi_t = t + lags_t
     lo_t = np.full_like(lags_t, float(t))
     lo_f = np.full_like(lags_t, float(f))
@@ -291,6 +310,7 @@ def tfcf(
     """
     lags_t = np.asarray(lags_t, dtype=float)
     lags_f = np.broadcast_to(np.asarray(lags_f, dtype=float), lags_t.shape).copy()
+    check_anchor(t, f, np.concatenate([lags_t, lags_f]))
     hi_t = np.full_like(lags_t, float(t))
     lo_t = t - lags_t
     if np.any(lo_t < 0):
@@ -335,6 +355,7 @@ def pdp(
     """
     if mode not in ("cluster", "ray"):
         raise ValueError(f"unknown PDP mode {mode!r}")
+    check_anchor(t, f)
     if isinstance(source, ChannelRealization):
         real, cfg = source, source.cfg
     else:
@@ -415,6 +436,7 @@ class EnsembleDelayStats:
 
     average: np.ndarray  # (n,) s
     rms_spread: np.ndarray  # (n,) s
+    resamples: list[int]  # ray draws rejected per built realization; none in cluster mode
 
     @property
     def n(self) -> int:
@@ -441,7 +463,7 @@ def _delay_worker(args):
     cfg, index, t, f, mode, unit_gains = args
     real = build_realization(cfg, index, horizon=t)
     stats = delay_stats(pdp(real, t, f, mode, unit_gains))
-    return stats.average, stats.rms_spread
+    return stats.average, stats.rms_spread, real.resample_count
 
 
 def ensemble_delay_stats(
@@ -461,13 +483,16 @@ def ensemble_delay_stats(
     n = realizations if realizations is not None else cfg.realizations
     if n < 1:
         raise ValueError(f"need at least one realization, got {n}")
+    check_anchor(t, f)
     if mode == "cluster":
         stats = delay_stats(pdp(cfg, t, f, mode, unit_gains))
         return EnsembleDelayStats(
-            average=np.full(n, stats.average), rms_spread=np.full(n, stats.rms_spread)
+            average=np.full(n, stats.average), rms_spread=np.full(n, stats.rms_spread), resamples=[]
         )
     arglist = [(cfg, i, t, f, mode, unit_gains) for i in range(n)]
     rows = _collect_rows(_delay_worker, arglist, jobs)
     return EnsembleDelayStats(
-        average=np.array([r[0] for r in rows]), rms_spread=np.array([r[1] for r in rows])
+        average=np.array([r[0] for r in rows]),
+        rms_spread=np.array([r[1] for r in rows]),
+        resamples=[r[2] for r in rows],
     )

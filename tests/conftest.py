@@ -1,6 +1,6 @@
-import pytest
+import concurrent.futures
 
-from uwachan import stats
+import pytest
 
 
 @pytest.fixture()
@@ -24,5 +24,6 @@ def recording_pool(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(stats, "ProcessPoolExecutor", RecordingPool)
+    # stats._collect_rows imports the pool class from here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes

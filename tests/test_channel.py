@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uwachan import geometry
 from uwachan.channel import (
     build_realization,
     component_table,
@@ -14,8 +16,10 @@ from uwachan.channel import (
 )
 from uwachan.presets import preset_scenario
 from uwachan.propagation import PathKind
+from uwachan.motion import surface_displacement
 from uwachan.scenario import (
     ClusterConfig,
+    DriftConfig,
     GeometryConfig,
     IntentionalMotion,
     PowerConfig,
@@ -224,3 +228,74 @@ def test_nonstationary_surface_modulates_ctf():
     cfg = small_scenario(surface=SurfaceMotionConfig(amplitude=1.0, freq=0.5))
     frame = evaluate_ctf(build_realization(cfg, 0))
     assert not np.allclose(frame.values[0, :], frame.values[1, :])
+
+
+# ---------------------------------------------------------------------------
+# skipped zero terms
+
+
+def reference_segment_lengths(
+    path, state, water_depth, leg_mid, aod, aoa, theta_first, theta_last, delta_mid, drift_tx, drift_rx, surface, t
+):
+    """Ray legs with every drift and surface term evaluated, zero or not."""
+    dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
+    dd_r, alpha_r = (np.asarray(v, dtype=float) for v in drift_rx)
+    b_tx = dd_t * np.cos(alpha_t - aod)
+    b_rx = dd_r * np.cos(alpha_r - aoa)
+    surface_boundary = geometry.Boundary.SURFACE
+    if path.first_boundary is surface_boundary:
+        a_tx = surface_displacement(surface, theta_first, t) * np.cos(aod - surface.travel_angle)
+        leg_tx = a_tx + (water_depth - state.tx_depth) / np.sin(aod) - b_tx
+    else:
+        leg_tx = state.tx_depth / np.sin(TAU - aod) - b_tx
+    if path.last_boundary is surface_boundary:
+        a_rx = surface_displacement(surface, theta_last, t) * np.cos(aoa - surface.travel_angle)
+        leg_rx = a_rx + (water_depth - state.rx_depth) / np.sin(math.pi - aoa) - b_rx
+    else:
+        leg_rx = state.rx_depth / np.sin(aoa - math.pi) - b_rx
+    if path.is_single_bounce:
+        mid = np.zeros(np.broadcast(leg_tx, leg_rx).shape)
+    else:
+        mid = leg_mid * np.exp(delta_mid)
+    return leg_tx, mid, leg_rx
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    v_max=st.one_of(st.just(0.0), st.floats(0.01, 0.5)),
+    amplitude=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    surface_freq=st.sampled_from([0.0, 0.5, 3.0]),
+    speeds=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    rays=st.integers(1, 8),
+    hops=st.integers(1, 2),
+    seed=st.integers(0, 10_000),
+    step=st.sampled_from([0.05, 0.2]),
+    instants=st.integers(2, 6),
+)
+def test_skipped_zero_terms_leave_every_bit(
+    v_max, amplitude, surface_freq, speeds, rays, hops, seed, step, instants
+):
+    # Drift is zero at t = 0, so the grid must run past its first instant.
+    times = tuple(step * i for i in range(instants))
+    cfg = small_scenario(
+        intentional=IntentionalMotion(tx_speed=speeds[0], tx_heading=0.3, rx_speed=speeds[1], rx_heading=-1.2),
+        drift=DriftConfig(v_min=0.0, v_max=v_max, change_freq=2.0),
+        surface=SurfaceMotionConfig(amplitude=amplitude, freq=surface_freq, travel_angle=1.1),
+        clusters=ClusterConfig(max_surface_hops=hops, max_bottom_hops=hops, rays_per_path=rays),
+        signal=SignalConfig(carrier_freq=15000.0, time_grid=times),
+        master_seed=seed,
+    )
+
+    def evaluate():
+        real = build_realization(cfg, 0)
+        return real, component_table(real, times)
+
+    real, table = evaluate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "segment_lengths", reference_segment_lengths)
+        want_real, want_table = evaluate()
+    assert real.resample_count == want_real.resample_count
+    for sp, want in zip(real.subpaths, want_real.subpaths):
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(sp.rays, want.rays))
+    assert all(np.array_equal(a, b) for a, b in zip(table.delays, want_table.delays))
+    assert np.array_equal(table.los_delay, want_table.los_delay)

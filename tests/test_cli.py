@@ -481,8 +481,9 @@ def test_one_pool_per_command(recording_pool, tmp_path, argv, pools):
     [
         ["acf", "--preset", "fig3", "--realizations", "3", "--lag-count", "3"],
         ["preset", "fig3", "--realizations", "2"],
+        ["delay-stats", "--preset", "fig3", "--mode", "ray", "--realizations", "3", "--t", "0.1"],
     ],
-    ids=["acf", "preset"],
+    ids=["acf", "preset", "delay-stats"],
 )
 def test_ensemble_meta_reports_resamples(tmp_path, argv):
     metas = []
@@ -490,11 +491,59 @@ def test_ensemble_meta_reports_resamples(tmp_path, argv):
         assert run([*argv, "--jobs", jobs, "--out", str(tmp_path / name), "--meta"]) == 0
         metas.append((tmp_path / f"{name}.meta.json").read_bytes())
     assert metas[0] == metas[1] == metas[2]
-    # both commands build their realizations over a 0.1 s horizon (the largest lag)
+    # every command builds its realizations over a 0.1 s horizon (the largest lag, or the anchor)
     cfg = preset_scenario("fig3")
-    if argv[0] == "acf":
+    if argv[0] != "preset":
         ensembles = [(cfg, 3)]
     else:
         ensembles = [(overlay(cfg, changes), 2) for _, changes in EXPERIMENTS["fig3"][2].values()]
     counts = [build_realization(c, r, horizon=0.1).resample_count for c, n in ensembles for r in range(n)]
     assert json.loads(metas[0])["resamples"] == {"mean": sum(counts) / len(counts), "max": max(counts)}
+
+
+def test_cluster_delay_stats_meta_reports_no_resamples(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["delay-stats", "--preset", "table1", "--realizations", "3", "--out", str(out), "--meta"]) == 0
+    assert "resamples" not in json.loads((tmp_path / "x.csv.meta.json").read_text())
+
+
+_BAD_ANCHORS = [
+    (["pdp", "--t", "nan"], "nan"),
+    (["pdp", "--f", "nan"], "nan"),
+    (["pdp", "--t", "-5"], "-5.0"),
+    (["pdp", "--mode", "ray", "--t", "nan"], "nan"),
+    (["delay-stats", "--t", "nan"], "nan"),
+    (["delay-stats", "--mode", "ray", "--realizations", "2", "--t", "-1"], "-1.0"),
+    (["acf", "--t", "nan"], "nan"),
+    (["acf", "--t", "-0.5"], "-0.5"),
+    (["acf", "--f", "inf"], "inf"),
+    (["acf", "--lag-max", "inf"], "inf"),
+    (["acf", "--lag-max", "nan"], "nan"),
+    (["acf", "--f", "-20000"], "-5000.0"),  # the absolute frequency at fig3's 15 kHz carrier
+]
+
+
+@pytest.mark.parametrize("argv,named", [pytest.param(a, n, id=" ".join(a)) for a, n in _BAD_ANCHORS])
+def test_bad_anchor_is_one_line_error_naming_the_value(tmp_path, capsys, argv, named):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--preset", "fig3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error.endswith(f"got {named}") and "array(" not in error
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    import subprocess, sys
+
+    import uwachan
+
+    src = os.path.dirname(os.path.dirname(uwachan.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, uwachan.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
