@@ -8,7 +8,6 @@ per (ray, time) and reused across frequencies.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -124,6 +123,9 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
         raise ValueError(f"realization index must be >= 0, got {index}")
     t_max = max(cfg.signal.time_grid)
     span = max(horizon if horizon is not None else 0.0, t_max, 1e-9)
+    # Intentional motion is linear in t, so its geometry is valid on [0, span]
+    # when it is valid at both ends: check that before drawing any drift.
+    geo.evolve(cfg.geometry, cfg.intentional, np.array([0.0, span]))
     drift_tx = build_drift(cfg.drift, span, stream_for(cfg.master_seed, index, "drift/tx"))
     drift_rx = build_drift(cfg.drift, span, stream_for(cfg.master_seed, index, "drift/rx"))
     state0 = geo.evolve(cfg.geometry, cfg.intentional, 0.0)
@@ -179,23 +181,6 @@ class ComponentTable:
     los_delay: np.ndarray  # (T,)
     clusters: list[geo.ClusterGeometry]  # fields (T, 1), one per sub-path
     delays: list[np.ndarray]  # (T, R) per sub-path
-
-    def take(self, rows) -> ComponentTable:
-        """The table at time indices ``rows`` (repeats allowed)."""
-
-        def pick(obj):
-            values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-            return dataclasses.replace(
-                obj, **{name: v[rows] for name, v in values.items() if isinstance(v, np.ndarray)}
-            )
-
-        return ComponentTable(
-            times=self.times[rows],
-            los_length=self.los_length[rows],
-            los_delay=self.los_delay[rows],
-            clusters=[pick(cluster) for cluster in self.clusters],
-            delays=[d[rows] for d in self.delays],
-        )
 
 
 def component_table(real: ChannelRealization, times) -> ComponentTable:

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import presets, stats
+from . import __version__, presets, stats
 from .channel import build_realization, evaluate_ctf, tap_list
 from .presets import PRESET_NAMES, preset_scenario
 from .scenario import (
@@ -73,6 +73,7 @@ def _write_csv(path: str, header: list[str], blocks) -> int:
 def _write_meta(out_path: str, cfg: ScenarioConfig, command: str, extra: dict) -> None:
     meta = {
         "command": command,
+        "version": __version__,
         "scenario": scenario_to_dict(cfg),
         **extra,
     }
@@ -188,7 +189,7 @@ def _cmd_acf(args) -> int:
     block = (*_acf_block(result.lags_t, norm, values), _floats(se))
     written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], [block])
     if args.meta:
-        extra = {"t": args.t, "f": args.f, "estimator": args.estimator}
+        extra = {"t": args.t, "f": args.f, "estimator": args.estimator, "max_se": float(se.max())}
         _write_meta(args.out, cfg, "acf", {**extra, "resamples": _resample_summary(result.resamples)})
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, ["# x: lag_s, y: abs"])
@@ -286,6 +287,7 @@ def _cmd_preset(args) -> int:
         extra = {}
         if statistic == "acf":
             extra["resamples"] = _resample_summary([n for r in results.values() for n in r.resamples])
+            extra["max_se"] = {label: float(r.expectation_stderr.max()) for label, r in results.items()}
         _write_meta(args.out, cfg, f"preset {args.preset}", extra)
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, [f"# preset {args.preset}; group rows by 'curve'"])

@@ -1,8 +1,9 @@
 """Amplitude loss models: spreading, absorption, bottom reflection.
 
-All functions return linear amplitude ratios in (0, 1] and accept scalars or
-numpy arrays. Frequencies are absolute (carrier + baseband offset); the Thorp
-attenuation takes kHz, everything else Hz.
+All functions return arrays shaped like their input (0-d for a scalar): linear
+amplitude ratios in (0, 1], or the Thorp attenuation in dB/km. Frequencies
+are absolute (carrier + baseband offset); the Thorp attenuation takes kHz,
+everything else Hz.
 """
 from __future__ import annotations
 
@@ -37,12 +38,12 @@ class PathKind(Enum):
 class LossBreakdown:
     """Multiplicative amplitude-loss factors and their product."""
 
-    spreading: float
-    absorption: float
-    bottom: float
+    spreading: np.ndarray
+    absorption: np.ndarray
+    bottom: np.ndarray | float  # 1.0 for a path without bottom contact
 
     @property
-    def total(self) -> float:
+    def total(self) -> np.ndarray:
         return self.spreading * self.absorption * self.bottom
 
 
@@ -58,7 +59,7 @@ def thorp_attenuation(f_khz):
         raise ValueError(f"frequency must be > 0 kHz, got {_first(f, f <= 0)!r}")
     f2 = f * f
     alpha = 0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2) + 2.75e-4 * f2 + 0.003
-    return float(alpha) if np.ndim(f_khz) == 0 else alpha
+    return alpha
 
 
 def absorption_loss(distance_m, f_khz):
@@ -66,8 +67,7 @@ def absorption_loss(distance_m, f_khz):
     d = np.asarray(distance_m, dtype=float)
     if (d < 0).any():
         raise ValueError(f"distance must be >= 0 m, got {_first(d, d < 0)!r}")
-    loss = 10.0 ** (-(d * thorp_attenuation(f_khz)) / 20000.0)
-    return float(loss) if np.ndim(loss) == 0 else loss
+    return 10.0 ** (-(d * thorp_attenuation(f_khz)) / 20000.0)
 
 
 def spreading_loss(distance_m):
@@ -75,8 +75,7 @@ def spreading_loss(distance_m):
     d = np.asarray(distance_m, dtype=float)
     if (d <= 0).any():
         raise ValueError(f"distance must be > 0 m, got {_first(d, d <= 0)!r}")
-    loss = 1.0 / d
-    return float(loss) if np.ndim(loss) == 0 else loss
+    return 1.0 / d
 
 
 def bottom_reflection(incidence, bottom: BottomConfig, water_sound_speed: float):
@@ -97,8 +96,7 @@ def bottom_reflection(incidence, bottom: BottomConfig, water_sound_speed: float)
     with np.errstate(invalid="ignore"):
         q = np.sqrt(np.maximum(radicand, 0.0))
         sub = np.abs((a - q) / (a + q))
-    coeff = np.where(radicand < 0.0, 1.0, sub)
-    return float(coeff) if np.ndim(coeff) == 0 else coeff
+    return np.where(radicand < 0.0, 1.0, sub)
 
 
 def path_gain(

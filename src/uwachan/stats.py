@@ -15,7 +15,7 @@ realization index, so results do not depend on worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,22 +71,13 @@ class CorrelationResult:
 
 
 def _corr_realization(args):
-    (cfg, index, hi_t, lo_t, hi_f, lo_f, horizon, phase_draws, unit_gains) = args
+    (cfg, index, times, offsets, horizon, phase_draws, unit_gains) = args
     real = build_realization(cfg, index, horizon)
-    n = hi_t.size
-    # Evaluate each distinct (t, f) pair of either side once: the anchor side
-    # of an acf repeats one instant for every lag, and a tfcf may pair one
-    # instant with several frequencies, so pairs, not instants, are the unit.
-    # (Complex keys t + i*f sort by t, then f, far cheaper than unique rows.)
-    pair_t = np.concatenate([hi_t, lo_t])
-    pair_f = cfg.signal.carrier_freq + np.concatenate([np.broadcast_to(hi_f, hi_t.shape), lo_f])
-    pairs, pair_of = np.unique(pair_t + 1j * pair_f, return_inverse=True)
-    hi, lo = pair_of[:n], pair_of[n:]
-    times, time_of = np.unique(pairs.real, return_inverse=True)
+    # Row 0 is the anchor that every row pairs against, E{H(row) H*(anchor)};
+    # its own product is the zero lag. One table covers every row, and a
+    # repeated instant is simply evaluated again.
     table = component_table(real, times)
-    if times.size < pairs.size:  # an instant paired with several frequencies
-        table = table.take(time_of)
-    fabs = pairs.imag
+    fabs = cfg.signal.carrier_freq + offsets
     a_los, a_subs = subpath_gains(real, table, fabs, unit_gains)
     k = cfg.power.rice_k
     w_los, w_da, w_ua = ctf_weights(cfg)
@@ -96,23 +87,21 @@ def _corr_realization(args):
     # the phases themselves reach ~1e5 rad.
     los_phase = fabs * table.los_delay
     los = w_los * a_los * np.exp(-1j * TAU * fabs * table.los_delay)
-    exp_row = (k / (k + 1.0)) * a_los[hi] * a_los[lo] * np.exp(
-        -1j * TAU * (los_phase[hi] - los_phase[lo])
-    )
-    phasors = []  # per sub-path, (pairs, R): delay phasors without initial phases
+    exp_row = (k / (k + 1.0)) * a_los * a_los[0] * np.exp(-1j * TAU * (los_phase - los_phase[0]))
+    phasors = []  # per sub-path, (rows, R): delay phasors without initial phases
     for sp, a, d in zip(real.subpaths, a_subs, table.delays):
         phasor = np.exp(-1j * TAU * f_col * d)
         # Elementwise products and sums, never BLAS (@, dot, matmul): these
         # blocks are small, and a threaded BLAS burns more CPU than it saves.
-        lagged = (phasor[hi] * np.conj(phasor)[lo]).mean(axis=1)
-        exp_row = exp_row + class_weight(cfg, sp.path.kind) * a[hi] * a[lo] * lagged
+        lagged = (phasor * np.conj(phasor[0])).mean(axis=1)
+        exp_row = exp_row + class_weight(cfg, sp.path.kind) * a * a[0] * lagged
         phasors.append(phasor)
 
     # Empirical estimator: fully realized lag products. Extra phase draws
     # stratify the initial-phase dimension, shrinking the cross-ray product
     # noise without touching the geometry ensemble; draw 0 reuses the
     # realization's own phases so phase_draws=1 is the bare product.
-    emp = np.zeros(n, dtype=complex)
+    emp = np.zeros(times.size, dtype=complex)
     for p in range(phase_draws):
         h = los.astype(complex)
         for sp, a, phasor in zip(real.subpaths, a_subs, phasors):
@@ -124,7 +113,7 @@ def _corr_realization(args):
             w = w_da if sp.path.kind is PathKind.DA else w_ua
             rot = np.exp(1j * phases)[np.newaxis, :]
             h = h + w * a * (rot * phasor).sum(axis=1)
-        emp += h[hi] * np.conj(h[lo])
+        emp += h * np.conj(h[0])
     return exp_row, emp / phase_draws, real.resample_count
 
 
@@ -170,31 +159,28 @@ def _plan(
     cfg: ScenarioConfig,
     anchor_t: float,
     anchor_f: float,
-    hi_t: np.ndarray,
-    lo_t: np.ndarray,
-    lo_f: np.ndarray,
+    points_t: np.ndarray,
+    points_f: np.ndarray,
     lags_t: np.ndarray,
     lags_f: np.ndarray,
     realizations: int | None,
     unit_gains: bool,
     phase_draws: int,
 ) -> CorrelationPlan:
-    if np.any(lo_t < 0) or np.any(hi_t < 0):
+    # row 0 is the anchor: every point pairs against it, and it against
+    # itself gives the zero lag used for normalization
+    times = np.concatenate([[anchor_t], points_t])
+    if np.any(times < 0):
         raise ValueError("correlation would evaluate the channel before t=0; reduce the lags")
+    geo.evolve(cfg.geometry, cfg.intentional, times)  # name the first instant the platforms cannot reach
     if phase_draws < 1:
         raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
     n = realizations if realizations is not None else cfg.realizations
     if n < 1:
         raise ValueError(f"need at least one realization, got {n}")
-    # index 0 carries the zero-lag pair used for normalization
-    hi_ext = np.concatenate([[anchor_t], hi_t])
-    lo_ext = np.concatenate([[anchor_t], lo_t])
-    lo_f_ext = np.concatenate([[anchor_f], lo_f])
-    horizon = float(max(hi_ext.max(), lo_ext.max()))
-    tasks = [
-        (cfg, i, hi_ext, lo_ext, anchor_f, lo_f_ext, horizon, phase_draws, unit_gains)
-        for i in range(n)
-    ]
+    offsets = np.concatenate([[anchor_f], points_f])
+    horizon = float(times.max())
+    tasks = [(cfg, i, times, offsets, horizon, phase_draws, unit_gains) for i in range(n)]
     return CorrelationPlan(anchor_t, anchor_f, lags_t, lags_f, tasks)
 
 
@@ -261,11 +247,8 @@ def acf_plan(
     """The :func:`acf` curve at ``(t, f)``, validated, for :func:`correlate`."""
     lags_t = np.asarray(lags, dtype=float)
     check_anchor(t, f, lags_t)
-    hi_t = t + lags_t
-    lo_t = np.full_like(lags_t, float(t))
-    lo_f = np.full_like(lags_t, float(f))
     return _plan(
-        cfg, t, f, hi_t, lo_t, lo_f, lags_t, np.zeros_like(lags_t),
+        cfg, t, f, t + lags_t, np.full_like(lags_t, float(f)), lags_t, np.zeros_like(lags_t),
         realizations, unit_gains, phase_draws,
     )
 
@@ -311,15 +294,19 @@ def tfcf(
     lags_t = np.asarray(lags_t, dtype=float)
     lags_f = np.broadcast_to(np.asarray(lags_f, dtype=float), lags_t.shape).copy()
     check_anchor(t, f, np.concatenate([lags_t, lags_f]))
-    hi_t = np.full_like(lags_t, float(t))
-    lo_t = t - lags_t
-    if np.any(lo_t < 0):
-        raise ValueError(f"anchor t={t} minus max lag evaluates before t=0")
-    lo_f = f - lags_f
     plan = _plan(
-        cfg, t, f, hi_t, lo_t, lo_f, lags_t, lags_f, realizations, unit_gains, phase_draws
+        cfg, t, f, t - lags_t, f - lags_f, lags_t, lags_f, realizations, unit_gains, phase_draws
     )
-    return correlate([plan], jobs)[0]
+    # The curve pairs the anchor against each point, the conjugate of the
+    # kernel's point-against-anchor product; magnitudes and errors are unchanged.
+    r = correlate([plan], jobs)[0]
+    return replace(
+        r,
+        expectation=r.expectation.conj(),
+        empirical=r.empirical.conj(),
+        expectation_zero=r.expectation_zero.conjugate(),
+        empirical_zero=r.empirical_zero.conjugate(),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ All runs are fully seeded, so results are reproducible bit for bit.
 """
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from uwachan import cli
 from uwachan.channel import build_realization, evaluate_ctf
 from uwachan.presets import EXPERIMENTS, evaluate, preset_scenario, table1_check
 from uwachan.propagation import bottom_reflection, thorp_attenuation
-from uwachan.scenario import BottomConfig
+from uwachan.scenario import BottomConfig, overlay
 
 REALIZATIONS = 500
+JOBS = min(2, os.cpu_count() or 1)  # each fixture's curves share one worker pool
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -25,18 +27,25 @@ def report(criterion: str, passed: bool, detail: str) -> None:
     assert passed, f"{criterion}: {detail}"
 
 
+def correlate_curves(curves):
+    """``{label: result}`` for ``(experiment, label, phase_draws)`` curves, as one ensemble."""
+    plans = []
+    for name, label, phase_draws in curves:
+        _, lags, table = EXPERIMENTS[name]
+        t, changes = table[label]
+        cfg = overlay(preset_scenario(name), changes)
+        plans.append(uc.acf_plan(cfg, t, 0.0, lags, REALIZATIONS, phase_draws=phase_draws))
+    return dict(zip([label for _, label, _ in curves], uc.correlate(plans, JOBS)))
+
+
 @pytest.fixture(scope="module")
 def fig3_curves():
-    return {label: evaluate("fig3", label, realizations=REALIZATIONS) for label in ("k5_a1", "k0_a1", "k5_a2")}
+    return correlate_curves([("fig3", label, 1) for label in ("k5_a1", "k0_a1", "k5_a2")])
 
 
 @pytest.fixture(scope="module")
 def fig4_curves():
-    return {
-        "t0": evaluate("fig4-time", "t0", realizations=REALIZATIONS, phase_draws=8),
-        "t5": evaluate("fig4-time", "t5", realizations=REALIZATIONS),
-        "fc100000": evaluate("fig4-freq", "fc100000", realizations=REALIZATIONS),
-    }
+    return correlate_curves([("fig4-time", "t0", 8), ("fig4-time", "t5", 1), ("fig4-freq", "fc100000", 1)])
 
 
 def test_criterion_1_measurement_delay_moments():

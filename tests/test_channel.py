@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uwachan import geometry
+from uwachan import channel, geometry
 from uwachan.channel import (
     build_realization,
     component_table,
@@ -131,6 +131,18 @@ def test_floor_reserves_the_worst_case_drift():
     margin = 4.0 * cfg.drift.v_max * horizon / cfg.geometry.sound_speed
     for delays in table.delays:
         assert np.all(delays[0] - table.los_delay[0] >= margin - 1e-12)
+
+
+def test_horizon_geometry_is_checked_before_drift_is_drawn(monkeypatch):
+    # fig3's platforms leave the valid geometry long before 1e6 s (the Rx
+    # leaves the water column at 80 s), so the build must fail on that
+    # without drawing a million drift intervals per side first.
+    def no_drift(*args):
+        raise AssertionError("drift drawn before the horizon's geometry was checked")
+
+    monkeypatch.setattr(channel, "build_drift", no_drift)
+    with pytest.raises(geometry.GeometryError):
+        build_realization(preset_scenario("fig3"), 0, horizon=1e6)
 
 
 def test_ctf_los_only_limit():

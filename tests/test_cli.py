@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uwachan
 from uwachan import cli, presets
 from uwachan.channel import build_realization, evaluate_ctf, tap_list
 from uwachan.presets import EXPERIMENTS, PRESET_NAMES, preset_scenario
@@ -279,6 +280,22 @@ def test_meta_sidecar_and_plot_script(scenario_file, tmp_path):
     assert str(out) in script.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "table1"],
+        ["pdp", "--preset", "table1"],
+        ["delay-stats", "--preset", "table1", "--realizations", "2"],
+        ["preset", "fig5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_sidecar_records_the_version(tmp_path, argv):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--out", str(out), "--meta"]) == 0
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["version"] == uwachan.__version__
+
+
 def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, monkeypatch):
     replaced = []
     real_replace = os.replace
@@ -462,6 +479,18 @@ def test_geometry_error_names_the_instant_on_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_horizon_past_the_water_column_is_one_line_error(tmp_path, capsys):
+    # fig3's Rx leaves the water column at 80 s, before any ray is drawn for the horizon
+    out = tmp_path / "x.csv"
+    code = run(["acf", "--preset", "fig3", "--t", "100", "--realizations", "1", "--lag-count", "2",
+                "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "Rx breaches the water column" in json.loads(err)["error"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,pools",
     [
@@ -498,7 +527,18 @@ def test_ensemble_meta_reports_resamples(tmp_path, argv):
     else:
         ensembles = [(overlay(cfg, changes), 2) for _, changes in EXPERIMENTS["fig3"][2].values()]
     counts = [build_realization(c, r, horizon=0.1).resample_count for c, n in ensembles for r in range(n)]
-    assert json.loads(metas[0])["resamples"] == {"mean": sum(counts) / len(counts), "max": max(counts)}
+    meta = json.loads(metas[0])
+    assert meta["resamples"] == {"mean": sum(counts) / len(counts), "max": max(counts)}
+    assert meta["version"] == uwachan.__version__
+    # the largest normalised standard error of the written estimator, per curve for a preset
+    if argv[0] == "acf":
+        se = [float(row.split(",")[-1]) for row in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+        assert meta["max_se"] == max(se) > 0.0
+    elif argv[0] == "preset":
+        curves = presets.evaluate_curves("fig3", realizations=2)
+        assert meta["max_se"] == {label: float(r.expectation_stderr.max()) for label, r in curves.items()}
+    else:
+        assert "max_se" not in meta
 
 
 def test_cluster_delay_stats_meta_reports_no_resamples(tmp_path):

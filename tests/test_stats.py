@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -148,18 +149,14 @@ def test_monte_carlo_error_shrinks_like_root_n():
     )
     lag = [0.05]
     trials = 64
-
-    def spread(n):
-        values = [
-            abs(
-                acf(dataclasses.replace(cfg, master_seed=1000 + s), 0.0, 0.0, lag,
-                    realizations=n).expectation[0]
-            )
-            for s in range(trials)
-        ]
-        return np.std(values, ddof=1)
-
-    ratio = spread(16) / spread(32)
+    # every trial of both ensemble sizes as one task list: one pool for all 128 curves
+    plans = [
+        stats.acf_plan(dataclasses.replace(cfg, master_seed=1000 + s), 0.0, 0.0, lag, realizations=n)
+        for n in (16, 32)
+        for s in range(trials)
+    ]
+    values = [abs(r.expectation[0]) for r in stats.correlate(plans, jobs=min(2, os.cpu_count() or 1))]
+    ratio = np.std(values[:trials], ddof=1) / np.std(values[trials:], ddof=1)
     assert math.sqrt(2) * 0.8 <= ratio <= math.sqrt(2) * 1.2
 
 
@@ -198,14 +195,16 @@ def test_one_pass_equals_per_curve_acf(name, jobs):
 
 
 def reference_corr_realization(args):
-    """The correlation kernel as it was before pair deduplication.
+    """The correlation kernel as it was before any evaluation was shared.
 
-    It evaluates both sides of every lag pair in full: two component
-    tables, two sets of gains and two phasor blocks per sub-path, even where
-    one instant repeats for every lag. Kept as the oracle for the kernel.
+    It evaluates both sides of every row in full, the anchor side repeated
+    once per row: two component tables, two sets of gains and two phasor
+    blocks per sub-path. Kept as the oracle for the kernel.
     """
-    (cfg, index, hi_t, lo_t, hi_f, lo_f, horizon, phase_draws, unit_gains) = args
+    (cfg, index, times, offsets, horizon, phase_draws, unit_gains) = args
     real = build_realization(cfg, index, horizon)
+    hi_t, hi_f = times, offsets
+    lo_t, lo_f = np.full_like(times, times[0]), np.full_like(offsets, offsets[0])
     fabs_hi = cfg.signal.carrier_freq + hi_f
     fabs_lo = cfg.signal.carrier_freq + lo_f
     tab_hi = component_table(real, hi_t)
@@ -214,8 +213,8 @@ def reference_corr_realization(args):
     a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo, unit_gains)
     k = cfg.power.rice_k
     w_los, w_da, w_ua = ctf_weights(cfg)
-    hi_col = np.broadcast_to(fabs_hi, tab_hi.times.shape)[:, np.newaxis]
-    lo_col = np.broadcast_to(fabs_lo, tab_lo.times.shape)[:, np.newaxis]
+    hi_col = fabs_hi[:, np.newaxis]
+    lo_col = fabs_lo[:, np.newaxis]
 
     los_hi = w_los * a_los_hi * np.exp(-1j * TAU * fabs_hi * tab_hi.los_delay)
     los_lo = w_los * a_los_lo * np.exp(-1j * TAU * fabs_lo * tab_lo.los_delay)
@@ -262,15 +261,12 @@ OFFSETS = st.sampled_from([0.0, 250.0, -400.0])
 
 
 @st.composite
-def lag_pairs(draw):
-    """(hi_t, lo_t, hi_f, lo_f) with the zero-lag pair first, repeats likely."""
+def anchor_points(draw):
+    """(times, offsets) with the anchor in row 0; repeated instants and several offsets likely."""
     size = draw(st.integers(1, 6))
-    anchor = draw(INSTANTS)
-    hi_f = draw(OFFSETS)
-    hi_t = [anchor] + draw(st.lists(INSTANTS, min_size=size, max_size=size))
-    lo_t = [anchor] + draw(st.lists(INSTANTS, min_size=size, max_size=size))
-    lo_f = [hi_f] + draw(st.lists(OFFSETS, min_size=size, max_size=size))
-    return np.array(hi_t), np.array(lo_t), hi_f, np.array(lo_f)
+    times = [draw(INSTANTS)] + draw(st.lists(INSTANTS, min_size=size, max_size=size))
+    offsets = [draw(OFFSETS)] + draw(st.lists(OFFSETS, min_size=size, max_size=size))
+    return np.array(times), np.array(offsets)
 
 
 @settings(max_examples=100, deadline=None)
@@ -281,12 +277,12 @@ def lag_pairs(draw):
     hops=st.integers(1, 2),
     seed=st.integers(0, 10_000),
     realizations=st.integers(1, 2),
-    lags=lag_pairs(),
+    points=anchor_points(),
     phase_draws=st.sampled_from([1, 3]),
     unit_gains=st.booleans(),
 )
 def test_kernel_matches_reference(
-    rice_k, amplitude, rays, hops, seed, realizations, lags, phase_draws, unit_gains
+    rice_k, amplitude, rays, hops, seed, realizations, points, phase_draws, unit_gains
 ):
     cfg = moving_scenario(
         power=PowerConfig(rice_k=rice_k),
@@ -294,11 +290,11 @@ def test_kernel_matches_reference(
         clusters=ClusterConfig(max_surface_hops=hops, max_bottom_hops=hops, rays_per_path=rays),
         master_seed=seed,
     )
-    hi_t, lo_t, hi_f, lo_f = lags
-    horizon = float(max(hi_t.max(), lo_t.max()))
+    times, offsets = points
+    horizon = float(times.max())
     got, want = [], []
     for index in range(realizations):
-        args = (cfg, index, hi_t, lo_t, hi_f, lo_f, horizon, phase_draws, unit_gains)
+        args = (cfg, index, times, offsets, horizon, phase_draws, unit_gains)
         got.append(stats._corr_realization(args))
         want.append(reference_corr_realization(args))
     for estimator in (0, 1):
