@@ -47,14 +47,13 @@ class SubPath:
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """All frozen randomness of one channel draw and the horizon it covers."""
+    """All frozen randomness of one channel draw."""
 
     cfg: ScenarioConfig
     index: int
     drift_tx: DriftState
     drift_rx: DriftState
     subpaths: tuple[SubPath, ...]
-    horizon: float
     resample_count: int
 
 
@@ -135,13 +134,12 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     n_rays = cfg.clusters.rays_per_path
     subpaths = []
     resamples = 0
-    max_tries = 1000
     for path in geo.enumerate_paths(cfg.clusters):
         cluster0 = geo.macro_ray(state0, depth, path)
         rng = stream_for(cfg.master_seed, index, f"path/{path.label}")
         rays = geo.RayDraws(*(np.empty(n_rays) for _ in geo.RayDraws._fields))
         pending = np.arange(n_rays)  # slots still waiting for an accepted ray
-        for _ in range(max_tries):
+        for _ in range(geo.MAX_TRIES):
             if path.is_single_bounce:
                 batch, extra = geo.sample_micro_ray_sb(cluster0, state0, depth, cfg.clusters, rng, pending.size)
             else:
@@ -167,7 +165,6 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
         drift_tx=drift_tx,
         drift_rx=drift_rx,
         subpaths=tuple(subpaths),
-        horizon=span,
         resample_count=resamples,
     )
 
@@ -214,7 +211,7 @@ def component_table(real: ChannelRealization, times) -> ComponentTable:
     )
 
 
-def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz, unit_gains: bool = False):
+def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz):
     """Amplitude gains (a_los, [a per sub-path]) at absolute frequency(ies).
 
     ``freq_hz`` may be a scalar or a per-time array; every ray of a sub-path
@@ -222,9 +219,6 @@ def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz, unit
     """
     cfg = real.cfg
     shape = table.times.shape
-    if unit_gains:
-        ones = np.ones(shape)
-        return ones, [np.ones(shape) for _ in real.subpaths]
     a_los = np.broadcast_to(
         prop.path_gain(PathKind.LOS, table.los_length, freq_hz).total, shape
     ).astype(float)
@@ -265,11 +259,11 @@ def ctf_weights(cfg: ScenarioConfig) -> tuple[float, float, float]:
     return w_los, w_da, w_ua
 
 
-def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset, unit_gains: bool = False) -> np.ndarray:
+def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset) -> np.ndarray:
     """Complex CTF along the table's time axis at baseband offset(s) Hz."""
     cfg = real.cfg
     f_abs = cfg.signal.carrier_freq + np.asarray(freq_offset, dtype=float)
-    a_los, a_subs = subpath_gains(real, table, f_abs, unit_gains)
+    a_los, a_subs = subpath_gains(real, table, f_abs)
     w_los, w_da, w_ua = ctf_weights(cfg)
     out = w_los * a_los * np.exp(-1j * TAU * f_abs * table.los_delay)
     f_col = np.broadcast_to(f_abs, table.times.shape)[:, np.newaxis]
@@ -280,14 +274,14 @@ def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset, uni
     return out
 
 
-def evaluate_ctf(real: ChannelRealization, unit_gains: bool = False) -> CtfFrame:
+def evaluate_ctf(real: ChannelRealization) -> CtfFrame:
     """The CTF over the scenario's full (time x frequency) grid."""
     cfg = real.cfg
     table = component_table(real, cfg.signal.time_grid)
     freqs = np.asarray(cfg.signal.freq_offsets, dtype=float)
     values = np.empty((table.times.size, freqs.size), dtype=complex)
     for fi, f in enumerate(freqs):
-        values[:, fi] = ctf_values(real, table, f, unit_gains)
+        values[:, fi] = ctf_values(real, table, f)
     if not np.all(np.isfinite(values.view(float))):
         raise ArithmeticError("CTF evaluation produced non-finite samples")
     return CtfFrame(
@@ -299,7 +293,7 @@ def evaluate_ctf(real: ChannelRealization, unit_gains: bool = False) -> CtfFrame
     )
 
 
-def tap_list(real: ChannelRealization, times, freq_offsets, unit_gains: bool = False) -> Taps:
+def tap_list(real: ChannelRealization, times, freq_offsets) -> Taps:
     """Discrete multipath taps over ``times`` x baseband ``freq_offsets`` Hz.
 
     At each (t, f) the amplitudes sum to the CTF there. One component table
@@ -320,7 +314,7 @@ def tap_list(real: ChannelRealization, times, freq_offsets, unit_gains: bool = F
     labels = ["los"] + [f"{sp.path.label}#{n}" for sp in real.subpaths for n in range(n_rays)]
     amplitudes, powers = [], []  # per offset, (T, N)
     for f in f_abs:
-        a_los, a_subs = subpath_gains(real, table, f, unit_gains)
+        a_los, a_subs = subpath_gains(real, table, f)
         gains = np.repeat(np.column_stack([a_los, *a_subs]), per_tap, axis=1)
         phasors = np.column_stack(
             [np.exp(-1j * TAU * f * table.los_delay)]

@@ -119,7 +119,7 @@ def _summary(out: str, rows: int, started: float, seed: int) -> None:
 # subcommands
 
 
-def _tap_blocks(dumps: list, times, freqs):
+def _tap_blocks(dumps, times, freqs):
     """One block per (realization, instant): F offsets x N taps rows.
 
     Each t and f string is formatted once, and each delay once per (t, tap).
@@ -134,7 +134,7 @@ def _tap_blocks(dumps: list, times, freqs):
             yield [t] * len(f_col), f_col, delays, _floats(amps.real), _floats(amps.imag), labels
 
 
-def _ctf_blocks(frames: list):
+def _ctf_blocks(frames):
     """One block per realization: the (t, f) grid in row-major order."""
     for r, frame in enumerate(frames):
         t_col = [t for t in _floats(frame.times) for _ in frame.freq_offsets]
@@ -146,19 +146,26 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     cfg = _resolve_scenario(args)
     n = args.realizations if args.realizations is not None else 1  # raw dumps default to one draw
-    reals = [build_realization(cfg, r) for r in range(n)]
+    times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
+    resamples = []
+
+    def realizations():
+        # Built as the CSV is written: one realization's output is held at a time.
+        for r in range(n):
+            real = build_realization(cfg, r)
+            resamples.append(real.resample_count)
+            yield real
+
     if args.taps:
         header = ["t_s", "f_offset_hz", "delay_s", "re", "im", "path"]
-        times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
-        # tap_list runs before _write_csv, so the benchmark's write_csv span times formatting alone
-        blocks = _tap_blocks([tap_list(real, times, freqs) for real in reals], times, freqs)
+        blocks = _tap_blocks((tap_list(real, times, freqs) for real in realizations()), times, freqs)
     else:
         header = ["t_s", "f_offset_hz", "re", "im", "realization"]
-        blocks = _ctf_blocks([evaluate_ctf(real) for real in reals])
+        blocks = _ctf_blocks(evaluate_ctf(real) for real in realizations())
     written = _write_csv(args.out, header, blocks)
     if args.meta:
-        resamples = _resample_summary([real.resample_count for real in reals])
-        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps), "resamples": resamples})
+        summary = _resample_summary(resamples)
+        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps), "resamples": summary})
     if args.plot_script:
         _write_plot_script(args.plot_script, args.out, ["# x: t_s, y: 20*log10(hypot(re, im))"])
     _summary(args.out, written, started, cfg.master_seed)
@@ -209,7 +216,7 @@ def _cmd_pdp(args) -> int:
         source = build_realization(cfg, args.realization, horizon=max(args.t, 1e-9))
     else:
         source = cfg
-    profile = stats.pdp(source, args.t, args.f, args.mode)
+    profile = stats.pdp(source, args.t, args.f)
     written = _write_csv(args.out, ["delay_s", "power", "label"], [_pdp_block(profile)])
     if args.meta:
         _write_meta(args.out, cfg, "pdp", {"t": args.t, "f": args.f, "mode": args.mode})

@@ -6,9 +6,10 @@ incidence angles are measured from the boundary normal and lie in (0, pi/2).
 With these conventions the mean ray angles at a reflection point are exactly
 pi/2 -+ incidence (surface) and 3*pi/2 +- incidence (bottom).
 
-Per-ray random draws (angle offsets, surface phases, mid-leg perturbation)
-are frozen when a ray is created; the angles themselves track the moving
-specular point, i.e. angle(t) = mean_angle(t) + frozen offset.
+Per-ray random draws (angles, surface phases, mid-leg perturbation) are
+frozen when a ray is created. A multi-bounce ray keeps its departure and
+arrival angles fixed in absolute terms; a single-bounce ray keeps its
+arrival angle, and its departure angle is re-derived from it at each t.
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 _MIN_SIN = 1e-12
+# Draws of one ray slot before its sampler (or the build's floor check)
+# gives up with a GeometryError.
+MAX_TRIES = 1000
 
 
 class GeometryError(ValueError):
@@ -248,18 +252,18 @@ def _angle_domain(boundary: Boundary) -> tuple[float, float]:
 
 
 def _draw_in_branch(
-    rng: np.random.Generator, mean: float, sigma: float, n: int, valid, max_tries: int, failure: str
+    rng: np.random.Generator, mean: float, sigma: float, n: int, valid, failure: str
 ) -> tuple[np.ndarray, int]:
     """``n`` normal draws, redrawing only the entries ``valid`` rejects.
 
     Returns (values, resamples), one resample per rejected draw; raises
     GeometryError(``failure``) when an entry is still rejected after
-    ``max_tries`` draws.
+    ``MAX_TRIES`` draws.
     """
     values = rng.normal(mean, sigma, n)
     pending = np.flatnonzero(~valid(values))
     resamples = 0
-    for _ in range(max_tries - 1):
+    for _ in range(MAX_TRIES - 1):
         if not pending.size:
             break
         resamples += pending.size
@@ -279,7 +283,6 @@ def sample_micro_ray_mb(
     spreads: ClusterConfig,
     rng: np.random.Generator,
     n: int,
-    max_tries: int = 1000,
 ) -> tuple[RayDraws, int]:
     """Draw ``n`` multi-bounce rays around a cluster; returns (rays, resamples).
 
@@ -290,13 +293,13 @@ def sample_micro_ray_mb(
     path = cluster.path
     if path.is_single_bounce:
         raise GeometryError(f"multi-bounce sampler called on single-bounce path {path.label}")
-    failure = f"could not draw an in-branch angle for {path.label} after {max_tries} tries"
+    failure = f"could not draw an in-branch angle for {path.label} after {MAX_TRIES} tries"
     angles = []
     resamples = 0
     for mean, boundary in ((cluster.mean_aod, path.first_boundary), (cluster.mean_aoa, path.last_boundary)):
         lo, hi = _angle_domain(boundary)
         angle, extra = _draw_in_branch(
-            rng, float(mean), _spread_for(boundary, spreads), n, lambda a: (lo < a) & (a < hi), max_tries, failure
+            rng, float(mean), _spread_for(boundary, spreads), n, lambda a: (lo < a) & (a < hi), failure
         )
         angles.append(angle)
         resamples += extra
@@ -332,7 +335,6 @@ def sample_micro_ray_sb(
     spreads: ClusterConfig,
     rng: np.random.Generator,
     n: int,
-    max_tries: int = 1000,
 ) -> tuple[RayDraws, int]:
     """Draw ``n`` single-bounce rays; departure angles are geometry-coupled.
 
@@ -348,8 +350,7 @@ def sample_micro_ray_sb(
         _spread_for(path.last_boundary, spreads),
         n,
         lambda a: _sb_arrival_valid(path, a, state, water_depth),
-        max_tries,
-        f"could not draw an in-branch arrival angle for {path.label} after {max_tries} tries",
+        f"could not draw an in-branch arrival angle for {path.label} after {MAX_TRIES} tries",
     )
     theta = _surface_phases(rng, path.last_boundary, n)  # one scatterer serves both legs
     return RayDraws(np.full(n, math.nan), aoa, theta, theta, np.zeros(n)), resamples

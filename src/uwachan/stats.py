@@ -71,14 +71,14 @@ class CorrelationResult:
 
 
 def _corr_realization(args):
-    (cfg, index, times, offsets, horizon, phase_draws, unit_gains) = args
-    real = build_realization(cfg, index, horizon)
+    (cfg, index, times, offsets, phase_draws) = args
+    real = build_realization(cfg, index, float(times.max()))
     # Row 0 is the anchor that every row pairs against, E{H(row) H*(anchor)};
     # its own product is the zero lag. One table covers every row, and a
     # repeated instant is simply evaluated again.
     table = component_table(real, times)
     fabs = cfg.signal.carrier_freq + offsets
-    a_los, a_subs = subpath_gains(real, table, fabs, unit_gains)
+    a_los, a_subs = subpath_gains(real, table, fabs)
     k = cfg.power.rice_k
     w_los, w_da, w_ua = ctf_weights(cfg)
     f_col = fabs[:, np.newaxis]
@@ -129,6 +129,13 @@ def check_anchor(t: float, f: float, lags=()) -> None:
         raise ValueError(f"lags must be finite, got {float(lags[bad][0])!r}")
 
 
+def _ensemble_size(cfg: ScenarioConfig) -> int:
+    """``cfg.realizations``, checked again: ``dataclasses.replace`` skips validation."""
+    if cfg.realizations < 1:
+        raise ValueError(f"need at least one realization, got {cfg.realizations}")
+    return cfg.realizations
+
+
 def _collect_rows(worker, arglist, jobs):
     # A fork-started pool launches all of its workers at the first submit,
     # so never ask for more workers than there are tasks.
@@ -163,8 +170,6 @@ def _plan(
     points_f: np.ndarray,
     lags_t: np.ndarray,
     lags_f: np.ndarray,
-    realizations: int | None,
-    unit_gains: bool,
     phase_draws: int,
 ) -> CorrelationPlan:
     # row 0 is the anchor: every point pairs against it, and it against
@@ -175,12 +180,8 @@ def _plan(
     geo.evolve(cfg.geometry, cfg.intentional, times)  # name the first instant the platforms cannot reach
     if phase_draws < 1:
         raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
-    n = realizations if realizations is not None else cfg.realizations
-    if n < 1:
-        raise ValueError(f"need at least one realization, got {n}")
     offsets = np.concatenate([[anchor_f], points_f])
-    horizon = float(times.max())
-    tasks = [(cfg, i, times, offsets, horizon, phase_draws, unit_gains) for i in range(n)]
+    tasks = [(cfg, i, times, offsets, phase_draws) for i in range(_ensemble_size(cfg))]
     return CorrelationPlan(anchor_t, anchor_f, lags_t, lags_f, tasks)
 
 
@@ -235,35 +236,16 @@ def correlate(plans: list[CorrelationPlan], jobs: int = 1) -> list[CorrelationRe
     return results
 
 
-def acf_plan(
-    cfg: ScenarioConfig,
-    t: float,
-    f: float,
-    lags,
-    realizations: int | None = None,
-    unit_gains: bool = False,
-    phase_draws: int = 1,
-) -> CorrelationPlan:
+def acf_plan(cfg: ScenarioConfig, t: float, f: float, lags, phase_draws: int = 1) -> CorrelationPlan:
     """The :func:`acf` curve at ``(t, f)``, validated, for :func:`correlate`."""
     lags_t = np.asarray(lags, dtype=float)
     check_anchor(t, f, lags_t)
-    return _plan(
-        cfg, t, f, t + lags_t, np.full_like(lags_t, float(f)), lags_t, np.zeros_like(lags_t),
-        realizations, unit_gains, phase_draws,
-    )
+    return _plan(cfg, t, f, t + lags_t, np.full_like(lags_t, float(f)), lags_t, np.zeros_like(lags_t), phase_draws)
 
 
-def acf(
-    cfg: ScenarioConfig,
-    t: float,
-    f: float,
-    lags,
-    realizations: int | None = None,
-    jobs: int = 1,
-    unit_gains: bool = False,
-    phase_draws: int = 1,
-) -> CorrelationResult:
-    """Temporal autocorrelation at instant ``t`` and baseband offset ``f``.
+def acf(cfg: ScenarioConfig, t: float, f: float, lags, jobs: int = 1, phase_draws: int = 1) -> CorrelationResult:
+    """Temporal autocorrelation at instant ``t`` and baseband offset ``f``, over
+    ``cfg.realizations`` realizations.
 
     Lag products pair the channel at ``t + lag`` against ``t``, i.e. the
     value at lag ``dt`` is the time-frequency correlation anchored at
@@ -272,7 +254,7 @@ def acf(
     *empirical* estimator over extra initial-phase draws per realization;
     the expectation estimator is unaffected by it.
     """
-    return correlate([acf_plan(cfg, t, f, lags, realizations, unit_gains, phase_draws)], jobs)[0]
+    return correlate([acf_plan(cfg, t, f, lags, phase_draws)], jobs)[0]
 
 
 def tfcf(
@@ -281,9 +263,7 @@ def tfcf(
     f: float,
     lags_t,
     lags_f=0.0,
-    realizations: int | None = None,
     jobs: int = 1,
-    unit_gains: bool = False,
     phase_draws: int = 1,
 ) -> CorrelationResult:
     """Time-frequency correlation E{H(t,f) H*(t-dt, f-df)} by Monte Carlo.
@@ -294,9 +274,7 @@ def tfcf(
     lags_t = np.asarray(lags_t, dtype=float)
     lags_f = np.broadcast_to(np.asarray(lags_f, dtype=float), lags_t.shape).copy()
     check_anchor(t, f, np.concatenate([lags_t, lags_f]))
-    plan = _plan(
-        cfg, t, f, t - lags_t, f - lags_f, lags_t, lags_f, realizations, unit_gains, phase_draws
-    )
+    plan = _plan(cfg, t, f, t - lags_t, f - lags_f, lags_t, lags_f, phase_draws)
     # The curve pairs the anchor against each point, the conjugate of the
     # kernel's point-against-anchor product; magnitudes and errors are unchanged.
     r = correlate([plan], jobs)[0]
@@ -319,40 +297,26 @@ class PdpResult:
 
     anchor_t: float
     anchor_f: float
-    mode: str  # "cluster" or "ray"
     delays: np.ndarray  # (N,) s, relative to the first arrival
     powers: np.ndarray  # (N,)
     labels: list[str]
     first_arrival: float  # absolute delay of the earliest impulse, s
 
 
-def pdp(
-    source: ChannelRealization | ScenarioConfig,
-    t: float,
-    f: float,
-    mode: str = "cluster",
-    unit_gains: bool = False,
-) -> PdpResult:
+def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpResult:
     """Power delay profile at one (t, f) anchor.
 
-    ``cluster`` mode reduces each sub-path to its specular reflection (the
-    deterministic per-cluster mean), so it only needs a scenario; ``ray``
-    mode lists every diffuse ray of a realization. The direct impulse is
+    A realization gives the ray profile: every diffuse ray is an impulse. A
+    scenario gives the cluster profile: each sub-path reduced to its specular
+    reflection, the deterministic per-cluster mean. The direct impulse is
     present only when the Rice factor is positive.
     """
-    if mode not in ("cluster", "ray"):
-        raise ValueError(f"unknown PDP mode {mode!r}")
     check_anchor(t, f)
     if isinstance(source, ChannelRealization):
-        real, cfg = source, source.cfg
-    else:
-        real, cfg = None, source
-    if mode == "ray":
-        if real is None:
-            raise ValueError("ray-level PDP needs a built ChannelRealization")
-        taps = tap_list(real, [t], [f], unit_gains)
+        taps = tap_list(source, [t], [f])
         delays_arr, powers_arr, labels = taps.delays[0], taps.powers[0, 0], taps.labels
     else:
+        cfg = source
         k = cfg.power.rice_k
         f_abs = cfg.signal.carrier_freq + f
         c = cfg.geometry.sound_speed
@@ -362,24 +326,21 @@ def pdp(
         state = geo.evolve(cfg.geometry, cfg.intentional, t)
         if k > 0:
             d_los = geo.los_distance(state)
-            a = 1.0 if unit_gains else prop.path_gain(PathKind.LOS, d_los, f_abs).total
+            a = prop.path_gain(PathKind.LOS, d_los, f_abs).total
             delays.append(d_los / c)
             powers.append(k / (k + 1.0) * a * a)
             labels.append("los")
         for path in geo.enumerate_paths(cfg.clusters):
             cluster = geo.macro_ray(state, cfg.geometry.water_depth, path)
-            if unit_gains:
-                a = 1.0
-            else:
-                a = prop.path_gain(
-                    path.kind,
-                    cluster.distance,
-                    f_abs,
-                    incidence=cluster.incidence,
-                    bottom_bounces=path.bottom_hops,
-                    bottom=cfg.bottom,
-                    water_sound_speed=cfg.geometry.sound_speed,
-                ).total
+            a = prop.path_gain(
+                path.kind,
+                cluster.distance,
+                f_abs,
+                incidence=cluster.incidence,
+                bottom_bounces=path.bottom_hops,
+                bottom=cfg.bottom,
+                water_sound_speed=cfg.geometry.sound_speed,
+            ).total
             delays.append(cluster.distance / c)
             powers.append(class_weight(cfg, path.kind) * a * a)
             labels.append(path.label)
@@ -391,7 +352,6 @@ def pdp(
     return PdpResult(
         anchor_t=t,
         anchor_f=f,
-        mode=mode,
         delays=delays_arr[order] - first,
         powers=powers_arr[order],
         labels=[labels[i] for i in order],
@@ -447,9 +407,9 @@ class EnsembleDelayStats:
 
 
 def _delay_worker(args):
-    cfg, index, t, f, mode, unit_gains = args
+    cfg, index, t, f = args
     real = build_realization(cfg, index, horizon=t)
-    stats = delay_stats(pdp(real, t, f, mode, unit_gains))
+    stats = delay_stats(pdp(real, t, f))
     return stats.average, stats.rms_spread, real.resample_count
 
 
@@ -458,25 +418,24 @@ def ensemble_delay_stats(
     t: float = 0.0,
     f: float = 0.0,
     mode: str = "cluster",
-    realizations: int | None = None,
     jobs: int = 1,
-    unit_gains: bool = False,
 ) -> EnsembleDelayStats:
-    """Delay moments per realization, summarized over the ensemble.
+    """Delay moments of ``cfg.realizations`` realizations, summarized.
 
+    ``mode`` is ``"ray"`` (each realization's ray profile) or ``"cluster"``.
     Cluster-level profiles are deterministic functions of the scenario, so
     that mode evaluates once and replicates.
     """
-    n = realizations if realizations is not None else cfg.realizations
-    if n < 1:
-        raise ValueError(f"need at least one realization, got {n}")
+    if mode not in ("cluster", "ray"):
+        raise ValueError(f"unknown delay-stats mode {mode!r}")
+    n = _ensemble_size(cfg)
     check_anchor(t, f)
     if mode == "cluster":
-        stats = delay_stats(pdp(cfg, t, f, mode, unit_gains))
+        stats = delay_stats(pdp(cfg, t, f))
         return EnsembleDelayStats(
             average=np.full(n, stats.average), rms_spread=np.full(n, stats.rms_spread), resamples=[]
         )
-    arglist = [(cfg, i, t, f, mode, unit_gains) for i in range(n)]
+    arglist = [(cfg, i, t, f) for i in range(n)]
     rows = _collect_rows(_delay_worker, arglist, jobs)
     return EnsembleDelayStats(
         average=np.array([r[0] for r in rows]),

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import unit_losses
 
 import uwachan as uc
 from uwachan import cli
@@ -33,8 +34,8 @@ def correlate_curves(curves):
     for name, label, phase_draws in curves:
         _, lags, table = EXPERIMENTS[name]
         t, changes = table[label]
-        cfg = overlay(preset_scenario(name), changes)
-        plans.append(uc.acf_plan(cfg, t, 0.0, lags, REALIZATIONS, phase_draws=phase_draws))
+        cfg = overlay(preset_scenario(name), {**changes, "realizations": REALIZATIONS})
+        plans.append(uc.acf_plan(cfg, t, 0.0, lags, phase_draws))
     return dict(zip([label for _, label, _ in curves], uc.correlate(plans, JOBS)))
 
 
@@ -49,7 +50,7 @@ def fig4_curves():
 
 
 def test_criterion_1_measurement_delay_moments():
-    ens = evaluate("table1", "table1", realizations=REALIZATIONS)
+    ens = evaluate("table1", "table1", overlay(preset_scenario("table1"), {"realizations": REALIZATIONS}))
     checks = table1_check(ens)
     report(
         "criterion 1 (measurement delay moments within 5%)",
@@ -133,13 +134,14 @@ def test_criterion_7_power_normalization():
     cfg = preset_scenario("table1")
     n = 1000
     powers = np.empty(n)
-    for i in range(n):
-        frame = evaluate_ctf(build_realization(cfg, i), unit_gains=True)
-        powers[i] = abs(frame.values[0, 0]) ** 2
+    with unit_losses():
+        for i in range(n):
+            frame = evaluate_ctf(build_realization(cfg, i))
+            powers[i] = abs(frame.values[0, 0]) ** 2
+        zero_lag = uc.acf(overlay(cfg, {"realizations": 20}), 0.0, 0.0, [0.0, 0.01])
     mean = powers.mean()
     se = powers.std(ddof=1) / math.sqrt(n)
     z = (mean - 1.0) / se
-    zero_lag = uc.acf(cfg, 0.0, 0.0, [0.0, 0.01], realizations=20, unit_gains=True)
     unit_zero = zero_lag.expectation_norm[0] == 1.0 and zero_lag.empirical_norm[0] == 1.0
     report(
         "criterion 7 (unit-loss power normalization)",

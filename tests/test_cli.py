@@ -72,6 +72,28 @@ def test_simulate_seed_changes_output(scenario_file, tmp_path):
     assert out1.read_bytes() != out2.read_bytes()
 
 
+def test_simulate_streams_one_realization_at_a_time(scenario_file, tmp_path, monkeypatch):
+    # Each realization's taps are written before the next one is evaluated.
+    events = []
+    tap_list, write_csv = cli.tap_list, cli._write_csv
+
+    def logged_taps(*args, **kwargs):
+        events.append("taps")
+        return tap_list(*args, **kwargs)
+
+    def logged_blocks(blocks):
+        for block in blocks:
+            events.append("blocks")
+            yield block
+
+    monkeypatch.setattr(cli, "tap_list", logged_taps)
+    monkeypatch.setattr(cli, "_write_csv", lambda out, header, blocks: write_csv(out, header, logged_blocks(blocks)))
+    out = tmp_path / "taps.csv"
+    assert run(["simulate", "--scenario", scenario_file, "--taps", "--realizations", "2", "--out", str(out)]) == 0
+    runs = [event for i, event in enumerate(events) if i == 0 or event != events[i - 1]]
+    assert runs == ["taps", "blocks", "taps", "blocks"]
+
+
 def test_tap_dump_row_count(scenario_file, tmp_path):
     out = tmp_path / "taps.csv"
     assert run(["simulate", "--scenario", scenario_file, "--taps", "--out", str(out)]) == 0
@@ -535,7 +557,7 @@ def test_ensemble_meta_reports_resamples(tmp_path, argv):
         se = [float(row.split(",")[-1]) for row in (tmp_path / "a.csv").read_text().splitlines()[1:]]
         assert meta["max_se"] == max(se) > 0.0
     elif argv[0] == "preset":
-        curves = presets.evaluate_curves("fig3", realizations=2)
+        curves = presets.evaluate_curves("fig3", cfg=overlay(cfg, {"realizations": 2}))
         assert meta["max_se"] == {label: float(r.expectation_stderr.max()) for label, r in curves.items()}
     else:
         assert "max_se" not in meta

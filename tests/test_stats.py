@@ -1,9 +1,11 @@
+import contextlib
 import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
+from conftest import unit_losses
 from hypothesis import given, settings, strategies as st
 
 from uwachan.scenario import (
@@ -35,6 +37,7 @@ from uwachan.channel import (
     tap_list,
 )
 from uwachan.presets import EXPERIMENTS, evaluate_curves, preset_scenario
+from uwachan.geometry import enumerate_paths
 from uwachan.propagation import PathKind
 from uwachan.scenario import TAU, overlay, stream_for
 
@@ -66,50 +69,50 @@ def moving_scenario(**overrides) -> ScenarioConfig:
 
 
 def test_zero_lag_normalizes_to_exactly_one():
-    result = acf(moving_scenario(), 0.0, 0.0, [0.0, 0.01, 0.02], realizations=12)
+    result = acf(moving_scenario(realizations=12), 0.0, 0.0, [0.0, 0.01, 0.02])
     assert result.expectation_norm[0] == 1.0
     assert result.empirical_norm[0] == 1.0
 
 
 def test_static_direct_only_channel_never_decorrelates():
-    cfg = scenario(power=PowerConfig(rice_k=1e12))
-    result = acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.5, 6), realizations=8)
+    cfg = scenario(power=PowerConfig(rice_k=1e12), realizations=8)
+    result = acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.5, 6))
     assert np.allclose(result.expectation_norm, 1.0, atol=1e-12)
     assert np.allclose(result.empirical_norm, 1.0, atol=1e-9)
 
 
 def test_static_channel_correlation_equals_zero_lag():
-    cfg = scenario()  # nothing moves at all
-    result = acf(cfg, 0.0, 0.0, np.linspace(0.0, 1.0, 5), realizations=10)
+    cfg = scenario(realizations=10)  # nothing moves at all
+    result = acf(cfg, 0.0, 0.0, np.linspace(0.0, 1.0, 5))
     assert np.allclose(result.expectation, result.expectation_zero, rtol=0, atol=1e-18)
     assert np.allclose(result.expectation_norm, 1.0, atol=1e-12)
 
 
 def test_moving_channel_correlation_bounded_by_zero_lag():
-    result = acf(moving_scenario(), 0.0, 0.0, np.linspace(0.0, 0.2, 9), realizations=60)
+    result = acf(moving_scenario(realizations=60), 0.0, 0.0, np.linspace(0.0, 0.2, 9))
     assert np.all(result.expectation_norm <= 1.0 + 1e-9)
     assert np.all(result.empirical_norm <= 1.0 + 1e-9)
 
 
 def test_acf_decays_under_motion():
-    result = acf(moving_scenario(power=PowerConfig(rice_k=0.0)), 0.0, 0.0, [0.0, 0.1], realizations=80)
+    result = acf(moving_scenario(power=PowerConfig(rice_k=0.0), realizations=80), 0.0, 0.0, [0.0, 0.1])
     assert result.expectation_norm[1] < 0.9
 
 
 def test_acf_matches_tfcf_at_shifted_anchor():
-    cfg = moving_scenario()
+    cfg = moving_scenario(realizations=10)
     lag = 0.04
-    forward = acf(cfg, 0.0, 0.0, [lag], realizations=10)
-    backward = tfcf(cfg, lag, 0.0, [lag], realizations=10)
+    forward = acf(cfg, 0.0, 0.0, [lag])
+    backward = tfcf(cfg, lag, 0.0, [lag])
     assert forward.expectation[0] == pytest.approx(backward.expectation[0], rel=1e-12)
     assert forward.empirical[0] == pytest.approx(backward.empirical[0], rel=1e-12)
 
 
 def test_tfcf_hermitian_symmetry():
-    cfg = moving_scenario()
+    cfg = moving_scenario(realizations=200)
     anchor = 0.1
     lags = np.array([0.03, -0.03])
-    result = tfcf(cfg, anchor, 0.0, lags, realizations=200)
+    result = tfcf(cfg, anchor, 0.0, lags)
     fwd, rev = result.expectation
     se = result.expectation_stderr * abs(result.expectation_zero)
     tol = 3 * (se[0] + se[1]) + 1e-12
@@ -118,14 +121,14 @@ def test_tfcf_hermitian_symmetry():
 
 def test_tfcf_rejects_lags_before_time_origin():
     with pytest.raises(ValueError, match="before t=0"):
-        tfcf(scenario(), 0.01, 0.0, [0.02], realizations=2)
+        tfcf(scenario(realizations=2), 0.01, 0.0, [0.02])
 
 
 def test_frequency_lag_changes_correlation():
     cfg = scenario(
-        clusters=ClusterConfig(max_surface_hops=2, max_bottom_hops=2, rays_per_path=10)
+        clusters=ClusterConfig(max_surface_hops=2, max_bottom_hops=2, rays_per_path=10), realizations=60
     )
-    result = tfcf(cfg, 0.0, 0.0, [0.0, 0.0], lags_f=[0.0, 200.0], realizations=60)
+    result = tfcf(cfg, 0.0, 0.0, [0.0, 0.0], lags_f=[0.0, 200.0])
     assert result.expectation_norm[0] == 1.0
     assert result.expectation_norm[1] < 0.999
 
@@ -151,7 +154,7 @@ def test_monte_carlo_error_shrinks_like_root_n():
     trials = 64
     # every trial of both ensemble sizes as one task list: one pool for all 128 curves
     plans = [
-        stats.acf_plan(dataclasses.replace(cfg, master_seed=1000 + s), 0.0, 0.0, lag, realizations=n)
+        stats.acf_plan(dataclasses.replace(cfg, master_seed=1000 + s, realizations=n), 0.0, 0.0, lag)
         for n in (16, 32)
         for s in range(trials)
     ]
@@ -175,8 +178,8 @@ def test_pool_is_no_larger_than_the_task_list(recording_pool):
     pooled = acf(cfg, 0.0, 0.0, lags, jobs=64)
     assert recording_pool == [3]
     assert np.array_equal(pooled.expectation, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation)
-    acf(cfg, 0.0, 0.0, lags, realizations=1, jobs=64)  # one task runs in-process
-    ensemble_delay_stats(cfg, mode="ray", realizations=2, jobs=8)
+    acf(dataclasses.replace(cfg, realizations=1), 0.0, 0.0, lags, jobs=64)  # one task runs in-process
+    ensemble_delay_stats(dataclasses.replace(cfg, realizations=2), mode="ray", jobs=8)
     assert recording_pool == [3, 2]
 
 
@@ -184,10 +187,10 @@ def test_pool_is_no_larger_than_the_task_list(recording_pool):
 @pytest.mark.parametrize("name", ["fig3", "fig4-freq"])
 def test_one_pass_equals_per_curve_acf(name, jobs):
     _, lags, curves = EXPERIMENTS[name]
-    together = evaluate_curves(name, realizations=3, jobs=jobs)
+    together = evaluate_curves(name, cfg=overlay(preset_scenario(name), {"realizations": 3}), jobs=jobs)
     assert list(together) == list(curves)
     for label, (t, changes) in curves.items():
-        alone = acf(overlay(preset_scenario(name), changes), t, 0.0, lags, realizations=3)
+        alone = acf(overlay(preset_scenario(name), {**changes, "realizations": 3}), t, 0.0, lags)
         got = together[label]
         for field in ("expectation", "empirical", "expectation_stderr", "empirical_stderr"):
             assert np.array_equal(getattr(got, field), getattr(alone, field)), (label, field)
@@ -201,16 +204,16 @@ def reference_corr_realization(args):
     once per row: two component tables, two sets of gains and two phasor
     blocks per sub-path. Kept as the oracle for the kernel.
     """
-    (cfg, index, times, offsets, horizon, phase_draws, unit_gains) = args
-    real = build_realization(cfg, index, horizon)
+    (cfg, index, times, offsets, phase_draws) = args
+    real = build_realization(cfg, index, float(times.max()))
     hi_t, hi_f = times, offsets
     lo_t, lo_f = np.full_like(times, times[0]), np.full_like(offsets, offsets[0])
     fabs_hi = cfg.signal.carrier_freq + hi_f
     fabs_lo = cfg.signal.carrier_freq + lo_f
     tab_hi = component_table(real, hi_t)
     tab_lo = component_table(real, lo_t)
-    a_los_hi, a_subs_hi = subpath_gains(real, tab_hi, fabs_hi, unit_gains)
-    a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo, unit_gains)
+    a_los_hi, a_subs_hi = subpath_gains(real, tab_hi, fabs_hi)
+    a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo)
     k = cfg.power.rice_k
     w_los, w_da, w_ua = ctf_weights(cfg)
     hi_col = fabs_hi[:, np.newaxis]
@@ -291,12 +294,12 @@ def test_kernel_matches_reference(
         master_seed=seed,
     )
     times, offsets = points
-    horizon = float(times.max())
     got, want = [], []
-    for index in range(realizations):
-        args = (cfg, index, times, offsets, horizon, phase_draws, unit_gains)
-        got.append(stats._corr_realization(args))
-        want.append(reference_corr_realization(args))
+    with unit_losses() if unit_gains else contextlib.nullcontext():
+        for index in range(realizations):
+            args = (cfg, index, times, offsets, phase_draws)
+            got.append(stats._corr_realization(args))
+            want.append(reference_corr_realization(args))
     for estimator in (0, 1):
         rows = np.array([r[estimator] for r in got])
         ref = np.array([r[estimator] for r in want])
@@ -338,8 +341,9 @@ def test_taps_sum_to_the_ctf_grid(
         master_seed=seed,
     )
     real = build_realization(cfg, 0)
-    frame = evaluate_ctf(real, unit_gains)
-    amps = tap_list(real, cfg.signal.time_grid, cfg.signal.freq_offsets, unit_gains).amplitudes
+    with unit_losses() if unit_gains else contextlib.nullcontext():
+        frame = evaluate_ctf(real)
+        amps = tap_list(real, cfg.signal.time_grid, cfg.signal.freq_offsets).amplitudes
     assert np.all(np.abs(amps.sum(axis=-1) - frame.values) <= 1e-9 * np.abs(amps).sum(axis=-1))
 
 
@@ -355,7 +359,6 @@ def impulses(delays, powers):
     return PdpResult(
         anchor_t=0.0,
         anchor_f=0.0,
-        mode="cluster",
         delays=delays[order] - first,
         powers=powers[order],
         labels=[f"i{k}" for k in range(delays.size)],
@@ -395,19 +398,19 @@ def test_delay_stats_rejects_zero_power():
 
 
 def test_cluster_pdp_impulse_count_and_normalization():
-    profile = pdp(scenario(), 0.0, 0.0, "cluster")
+    profile = pdp(scenario(), 0.0, 0.0)
     assert len(profile.delays) == 5  # direct + four sub-paths
     assert profile.delays[0] == 0.0
     assert np.all(profile.delays >= 0.0)
     assert profile.labels[0] == "los"
-    profile0 = pdp(scenario(power=PowerConfig(rice_k=0.0)), 0.0, 0.0, "cluster")
+    profile0 = pdp(scenario(power=PowerConfig(rice_k=0.0)), 0.0, 0.0)
     assert len(profile0.delays) == 4  # no direct impulse at zero Rice factor
 
 
 def test_ray_pdp_impulse_count():
     cfg = scenario()
     real = build_realization(cfg, 0)
-    profile = pdp(real, 0.0, 0.0, "ray")
+    profile = pdp(real, 0.0, 0.0)
     assert len(profile.delays) == 1 + 4 * cfg.clusters.rays_per_path
     assert pytest.approx(profile.delays[0]) == 0.0
 
@@ -416,21 +419,32 @@ def test_ray_pdp_impulse_count():
 def test_ray_pdp_unit_gain_powers_sum_to_one(rice_k):
     # K/(K+1) direct plus the DA and UA fractions of 1/(K+1), spread over the rays
     cfg = scenario(power=PowerConfig(rice_k=rice_k))
-    profile = pdp(build_realization(cfg, 0), 0.0, 0.0, "ray", unit_gains=True)
+    with unit_losses():
+        profile = pdp(build_realization(cfg, 0), 0.0, 0.0)
     assert len(profile.delays) == (rice_k > 0) + 4 * cfg.clusters.rays_per_path
     assert ("los" in profile.labels) == (rice_k > 0)
     assert profile.powers.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_ray_pdp_requires_realization():
-    with pytest.raises(ValueError, match="ChannelRealization"):
-        pdp(scenario(), 0.0, 0.0, "ray")
+def test_pdp_source_picks_the_profile():
+    # A scenario gives one impulse per cluster, a realization one per ray;
+    # every ray of a sub-path carries its cluster's gain and an equal share
+    # of its power, so each sub-path's rays sum to its cluster impulse.
+    cfg = scenario()
+    cluster = pdp(cfg, 0.0, 0.0)
+    ray = pdp(build_realization(cfg, 0), 0.0, 0.0)
+    assert sorted(cluster.labels) == sorted(["los", *(p.label for p in enumerate_paths(cfg.clusters))])
+    assert len(ray.labels) == 1 + 4 * cfg.clusters.rays_per_path
+    for label, power in zip(cluster.labels, cluster.powers):
+        summed = sum(p for name, p in zip(ray.labels, ray.powers) if name.split("#")[0] == label)
+        assert summed == pytest.approx(power, rel=1e-12), label
 
 
 def test_pdp_powers_are_quadratic_in_gain():
     cfg = scenario()
-    plain = pdp(cfg, 0.0, 0.0, "cluster")
-    unit = pdp(cfg, 0.0, 0.0, "cluster", unit_gains=True)
+    plain = pdp(cfg, 0.0, 0.0)
+    with unit_losses():
+        unit = pdp(cfg, 0.0, 0.0)
     from uwachan.propagation import PathKind, path_gain
     from uwachan.geometry import enumerate_paths, evolve, los_distance, macro_ray
 
@@ -452,17 +466,17 @@ def test_pdp_powers_are_quadratic_in_gain():
 
 
 def test_ensemble_delay_stats_cluster_mode_is_degenerate():
-    ens = ensemble_delay_stats(scenario(), realizations=7)
+    ens = ensemble_delay_stats(scenario(realizations=7))
     assert ens.n == 7
     assert ens.average_std == pytest.approx(0.0, abs=1e-15)
     assert ens.rms_spread_std == pytest.approx(0.0, abs=1e-15)
-    single = delay_stats(pdp(scenario(), 0.0, 0.0, "cluster"))
+    single = delay_stats(pdp(scenario(), 0.0, 0.0))
     assert ens.average_mean == pytest.approx(single.average, rel=1e-15)
 
 
 def test_ensemble_delay_stats_ray_mode_varies():
-    cfg = scenario(master_seed=9)
-    ens = ensemble_delay_stats(cfg, mode="ray", realizations=4)
+    cfg = scenario(master_seed=9, realizations=4)
+    ens = ensemble_delay_stats(cfg, mode="ray")
     assert ens.n == 4
     assert ens.rms_spread_std > 0.0
 
@@ -476,7 +490,25 @@ def test_ray_mode_equals_cluster_mode_at_the_cluster_limit():
         "surface": {"amplitude": 0.0},
     }
     cfg = overlay(preset_scenario("table1"), limit)
-    ray = ensemble_delay_stats(cfg, mode="ray", realizations=5)
-    cluster = ensemble_delay_stats(cfg, mode="cluster", realizations=1)
+    ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), mode="ray")
+    cluster = ensemble_delay_stats(overlay(cfg, {"realizations": 1}), mode="cluster")
     np.testing.assert_allclose(ray.average, cluster.average_mean, rtol=1e-11, atol=0.0)
     np.testing.assert_allclose(ray.rms_spread, cluster.rms_spread_mean, rtol=1e-11, atol=0.0)
+
+
+def test_unknown_delay_stats_mode_is_rejected_before_any_build(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a realization for an unknown mode")
+
+    monkeypatch.setattr(stats, "build_realization", no_build)
+    with pytest.raises(ValueError, match="unknown delay-stats mode 'bogus'"):
+        ensemble_delay_stats(scenario(realizations=2), mode="bogus")
+
+
+def test_unvalidated_empty_ensemble_is_rejected():
+    # dataclasses.replace skips the scenario's validation, so the statistics check the size again
+    empty = dataclasses.replace(scenario(), realizations=0)
+    with pytest.raises(ValueError, match="at least one realization, got 0"):
+        acf(empty, 0.0, 0.0, [0.0, 0.01])
+    with pytest.raises(ValueError, match="at least one realization, got 0"):
+        ensemble_delay_stats(empty, mode="ray")

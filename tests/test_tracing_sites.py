@@ -3,40 +3,58 @@
 The tracer replaces module attributes with ``setattr`` and counts what the
 program calls through them. A caller that binds one of these names locally
 (``from .geometry import segment_lengths``, a default argument, a cached
-reference) would bypass the patch and leave that layer's counter at zero.
+reference) would bypass the patch and leave that layer's counter at zero,
+and would bypass the unit-loss double in ``conftest.py``, which patches
+``propagation.path_gain`` the same way.
 """
+import dataclasses
 from collections import Counter
 
 import numpy as np
 
-from uwachan import channel, cli, geometry, stats
+from uwachan import channel, cli, geometry, propagation, stats
 from uwachan.presets import preset_scenario
 
+# Every (module, name) that perfbench/tracing.py replaces.
 SITES = [
+    (stats, "build_realization"),
+    (cli, "build_realization"),
+    (stats, "component_table"),
+    (channel, "component_table"),
+    (stats, "subpath_gains"),
+    (channel, "subpath_gains"),
+    (stats, "_collect_rows"),
+    (cli, "tap_list"),
+    (cli, "_write_csv"),
+    (cli, "_resolve_scenario"),
+    (cli, "_cmd_simulate"),
+    (geometry, "sample_micro_ray_sb"),
+    (geometry, "sample_micro_ray_mb"),
     (geometry, "micro_ray_distances"),
     (geometry, "segment_lengths"),
-    (channel, "component_table"),
-    (stats, "build_realization"),
-    (stats, "subpath_gains"),
+    (propagation, "path_gain"),
 ]
 
 
-def test_patched_names_are_reached_at_call_time(monkeypatch):
+def test_patched_names_are_reached_at_call_time(monkeypatch, tmp_path):
     counts = Counter()
 
-    def counting(name, fn):
+    def counting(site, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[site] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     for module, name in SITES:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-    cfg = preset_scenario("fig3")
-    stats.acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.1, 3), realizations=1)
-    channel.tap_list(channel.build_realization(cfg, 0), [0.05], [0.0])
-    assert all(counts[name] > 0 for _, name in SITES), dict(counts)
+        site = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, counting(site, getattr(module, name)))
+    cfg = dataclasses.replace(preset_scenario("fig3"), realizations=1)
+    stats.acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.1, 3))
+    out = tmp_path / "taps.csv"
+    assert cli.main(["simulate", "--taps", "--preset", "fig3", "--realizations", "1", "--out", str(out)]) == 0
+    missed = [f"{module.__name__}.{name}" for module, name in SITES if not counts[f"{module.__name__}.{name}"]]
+    assert not missed, missed
 
 
 def test_tap_dump_counts_one_tap_list_per_realization(monkeypatch, tmp_path):
