@@ -4,7 +4,6 @@ from .channel import (
     CtfFrame,
     build_realization,
     evaluate_ctf,
-    los_delay,
     tap_list,
 )
 from .geometry import (
@@ -25,7 +24,6 @@ from .geometry import (
 from .motion import DriftState, build_drift, surface_displacement
 from .presets import PRESET_NAMES, preset_scenario
 from .propagation import (
-    LossBreakdown,
     PathKind,
     absorption_loss,
     bottom_reflection,

@@ -28,11 +28,10 @@ __all__ = [
     "component_table",
     "subpath_gains",
     "class_weight",
-    "ctf_weights",
+    "ray_weight",
     "ctf_values",
     "evaluate_ctf",
     "tap_list",
-    "los_delay",
 ]
 
 
@@ -111,8 +110,11 @@ def _worst_case_slack(path: geo.PathIndex, rays: geo.RayDraws, cfg: ScenarioConf
 def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = None) -> ChannelRealization:
     """Draw one complete channel realization.
 
-    ``horizon`` extends the drift coverage beyond the scenario's time grid
-    (statistics evaluate the channel at anchor+lag instants). Rays whose
+    The realization covers ``[0, horizon]``, or the scenario's time grid
+    when ``horizon`` is None (statistics pass their last anchor+lag
+    instant, ``simulate`` the grid). The drift and the floor's slack are
+    built over that span and nothing else, so a statistic does not depend
+    on a grid it never evaluates. Rays whose
     frozen draws would make them shorter than the direct path anywhere on
     the horizon are rejected and redrawn, like any other out-of-branch draw.
     Each sub-path draws its rays as one batch on its own stream and, round
@@ -120,8 +122,7 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     """
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
-    t_max = max(cfg.signal.time_grid)
-    span = max(horizon if horizon is not None else 0.0, t_max, 1e-9)
+    span = max(max(cfg.signal.time_grid) if horizon is None else horizon, 1e-9)
     # Intentional motion is linear in t, so its geometry is valid on [0, span]
     # when it is valid at both ends: check that before drawing any drift.
     geo.evolve(cfg.geometry, cfg.intentional, np.array([0.0, span]))
@@ -219,12 +220,10 @@ def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz):
     """
     cfg = real.cfg
     shape = table.times.shape
-    a_los = np.broadcast_to(
-        prop.path_gain(PathKind.LOS, table.los_length, freq_hz).total, shape
-    ).astype(float)
+    a_los = np.broadcast_to(prop.path_gain(PathKind.LOS, table.los_length, freq_hz), shape).astype(float)
     a_subs = []
     for sp, cluster in zip(real.subpaths, table.clusters):
-        breakdown = prop.path_gain(
+        gain = prop.path_gain(
             sp.path.kind,
             cluster.distance[:, 0],
             freq_hz,
@@ -233,30 +232,33 @@ def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz):
             bottom=cfg.bottom,
             water_sound_speed=cfg.geometry.sound_speed,
         )
-        a_subs.append(np.broadcast_to(breakdown.total, shape).astype(float))
+        a_subs.append(np.broadcast_to(gain, shape).astype(float))
     return a_los, a_subs
 
 
 def class_weight(cfg: ScenarioConfig, kind: PathKind) -> float:
-    """Power weight of one sub-path of a diffuse class (DA or UA).
+    """Power weight of one component: the direct path or one diffuse sub-path.
 
-    The class's share of the diffuse power, ``fraction / (K + 1)``, split
-    evenly over its ``2 * max_hops`` sub-paths.
+    The direct path carries ``K / (K + 1)``. A diffuse class (DA or UA) has
+    the share ``fraction / (K + 1)``, split evenly over its
+    ``2 * max_hops`` sub-paths.
     """
     k = cfg.power.rice_k
+    if kind is PathKind.LOS:
+        return k / (k + 1.0)
     if kind is PathKind.DA:
         return cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * (k + 1.0))
     return cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0))
 
 
-def ctf_weights(cfg: ScenarioConfig) -> tuple[float, float, float]:
-    """Amplitude weights (direct, per DA ray, per UA ray) of the CTF sum."""
-    k = cfg.power.rice_k
-    n_rays = cfg.clusters.rays_per_path
-    w_los = math.sqrt(k / (k + 1.0))
-    w_da = math.sqrt(class_weight(cfg, PathKind.DA) / n_rays)
-    w_ua = math.sqrt(class_weight(cfg, PathKind.UA) / n_rays)
-    return w_los, w_da, w_ua
+def _rays_in(cfg: ScenarioConfig, kind: PathKind) -> int:
+    """Rays in one component; the direct path counts as one."""
+    return 1 if kind is PathKind.LOS else cfg.clusters.rays_per_path
+
+
+def ray_weight(cfg: ScenarioConfig, kind: PathKind) -> float:
+    """Amplitude weight of one ray of a component: sqrt(power weight / rays)."""
+    return math.sqrt(class_weight(cfg, kind) / _rays_in(cfg, kind))
 
 
 def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset) -> np.ndarray:
@@ -264,13 +266,11 @@ def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset) -> 
     cfg = real.cfg
     f_abs = cfg.signal.carrier_freq + np.asarray(freq_offset, dtype=float)
     a_los, a_subs = subpath_gains(real, table, f_abs)
-    w_los, w_da, w_ua = ctf_weights(cfg)
-    out = w_los * a_los * np.exp(-1j * TAU * f_abs * table.los_delay)
+    out = ray_weight(cfg, PathKind.LOS) * a_los * np.exp(-1j * TAU * f_abs * table.los_delay)
     f_col = np.broadcast_to(f_abs, table.times.shape)[:, np.newaxis]
     for sp, a, delays in zip(real.subpaths, a_subs, table.delays):
-        w = w_da if sp.path.kind is PathKind.DA else w_ua
         phasors = np.exp(1j * sp.phases[np.newaxis, :] - 1j * TAU * f_col * delays)
-        out = out + w * a * phasors.sum(axis=1)
+        out = out + ray_weight(cfg, sp.path.kind) * a * phasors.sum(axis=1)
     return out
 
 
@@ -302,15 +302,13 @@ def tap_list(real: ChannelRealization, times, freq_offsets) -> Taps:
     cfg = real.cfg
     table = component_table(real, times)
     f_abs = cfg.signal.carrier_freq + np.atleast_1d(np.asarray(freq_offsets, dtype=float))
-    k = cfg.power.rice_k
     n_rays = cfg.clusters.rays_per_path
-    w_los, w_da, w_ua = ctf_weights(cfg)
     # Columns are evaluated per component (direct, then each sub-path) and
     # repeated out to one per tap; the direct column is dropped when K = 0.
-    kinds = [sp.path.kind for sp in real.subpaths]
-    per_tap = [1] + [n_rays] * len(kinds)
-    amp_weights = np.repeat([w_los] + [w_da if kind is PathKind.DA else w_ua for kind in kinds], per_tap)
-    power_weights = np.repeat([k / (k + 1.0)] + [class_weight(cfg, kind) / n_rays for kind in kinds], per_tap)
+    kinds = [PathKind.LOS] + [sp.path.kind for sp in real.subpaths]
+    per_tap = [_rays_in(cfg, kind) for kind in kinds]
+    amp_weights = np.repeat([ray_weight(cfg, kind) for kind in kinds], per_tap)
+    power_weights = np.repeat([class_weight(cfg, kind) / n for kind, n in zip(kinds, per_tap)], per_tap)
     labels = ["los"] + [f"{sp.path.label}#{n}" for sp in real.subpaths for n in range(n_rays)]
     amplitudes, powers = [], []  # per offset, (T, N)
     for f in f_abs:
@@ -322,15 +320,10 @@ def tap_list(real: ChannelRealization, times, freq_offsets) -> Taps:
         )
         amplitudes.append(amp_weights * gains * phasors)
         powers.append(power_weights * gains**2)
-    keep = slice(0 if k > 0 else 1, None)
+    keep = slice(0 if cfg.power.rice_k > 0 else 1, None)
     return Taps(
         delays=np.column_stack([table.los_delay, *table.delays])[:, keep],
         amplitudes=np.stack(amplitudes, axis=1)[..., keep],
         powers=np.stack(powers, axis=1)[..., keep],
         labels=labels[keep],
     )
-
-
-def los_delay(real: ChannelRealization, t) -> np.ndarray:
-    """Direct-path delay at time(s) t, drift projections included, shaped like t."""
-    return component_table(real, t).los_delay.reshape(np.shape(t))

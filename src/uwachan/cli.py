@@ -213,7 +213,7 @@ def _cmd_pdp(args) -> int:
     cfg = _resolve_scenario(args)
     stats.check_anchor(args.t, args.f)  # before a ray-mode build over the anchor's horizon
     if args.mode == "ray":
-        source = build_realization(cfg, args.realization, horizon=max(args.t, 1e-9))
+        source = build_realization(cfg, args.realization, horizon=args.t)
     else:
         source = cfg
     profile = stats.pdp(source, args.t, args.f)

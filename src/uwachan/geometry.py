@@ -112,16 +112,19 @@ def enumerate_paths(clusters: ClusterConfig) -> tuple[PathIndex, ...]:
 
 @dataclass(frozen=True, eq=False)
 class GeometryState:
-    """Horizontal range, platform depths, and direct-path angles at time t.
+    """Horizontal range, platform heights, and the direct-path angle at time t.
 
-    Fields are arrays shaped like t (0-d for a scalar t).
+    ``tx_depth``/``rx_depth`` are heights above the bottom, despite their
+    names: the bottom is at 0 and the surface at the water depth, so a
+    heading of pi/2 moves a platform up. The direct path departs at
+    ``aod_los`` and arrives at ``aod_los + pi``. Fields are arrays shaped
+    like t (0-d for a scalar t).
     """
 
     distance: np.ndarray
     tx_depth: np.ndarray
     rx_depth: np.ndarray
     aod_los: np.ndarray
-    aoa_los: np.ndarray
 
 
 def _first(tt: np.ndarray, bad: np.ndarray) -> float:
@@ -146,7 +149,7 @@ def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometrySt
         if breach.any():
             raise GeometryError(f"{name} breaches the water column by t={_first(tt, breach)!r}")
     aod_los = np.arctan2(rx_depth - tx_depth, distance)
-    return GeometryState(distance, tx_depth, rx_depth, aod_los, aod_los + math.pi)
+    return GeometryState(distance, tx_depth, rx_depth, aod_los)
 
 
 def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0)) -> np.ndarray:
@@ -161,7 +164,7 @@ def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0))
     return (
         base
         - dd_t * np.cos(np.asarray(alpha_t) - state.aod_los)
-        - dd_r * np.cos(state.aoa_los - np.asarray(alpha_r))
+        - dd_r * np.cos(state.aod_los + math.pi - np.asarray(alpha_r))
     )
 
 
@@ -183,14 +186,6 @@ class ClusterGeometry:
     leg_tx: np.ndarray
     leg_rx: np.ndarray
     leg_mid: np.ndarray
-
-    @property
-    def first_boundary(self) -> Boundary:
-        return self.path.first_boundary
-
-    @property
-    def last_boundary(self) -> Boundary:
-        return self.path.last_boundary
 
 
 def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> ClusterGeometry:
@@ -365,15 +360,11 @@ def sb_departure_angle(kind: PathKind, aoa, state: GeometryState, water_depth: f
 
 
 def segment_lengths(
-    path: PathIndex,
+    rays: RayDraws,
+    cluster: ClusterGeometry,
+    aod,
     state: GeometryState,
     water_depth: float,
-    leg_mid,
-    aod,
-    aoa,
-    theta_first,
-    theta_last,
-    delta_mid,
     drift_tx,
     drift_rx,
     surface: SurfaceMotionConfig,
@@ -381,8 +372,11 @@ def segment_lengths(
 ):
     """Evaluate the three leg lengths of rays; broadcasts over all inputs.
 
-    ``theta_first``/``theta_last`` are ignored where that cluster is on the
-    bottom (no surface-oscillation term). ``drift_tx``/``drift_rx`` are
+    ``aod`` is the rays' departure angle (resolved for single bounces);
+    the arrival angles, surface phases and mid-leg perturbations come from
+    ``rays``, the path and the specular mid leg from ``cluster``. A surface
+    phase is ignored where its cluster is on the bottom (no
+    surface-oscillation term). ``drift_tx``/``drift_rx`` are
     (magnitude, bearing) pairs of the platform drift displacement at ``t``.
 
     A side's drift projection is added only where that side has drifted at
@@ -392,6 +386,8 @@ def segment_lengths(
     is then that of the terms present (state, angles, and drift or ``t``
     where those terms enter).
     """
+    path = cluster.path
+    aoa = rays.aoa
     dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
     dd_r, alpha_r = (np.asarray(v, dtype=float) for v in drift_rx)
     moving = surface.amplitude != 0.0
@@ -401,7 +397,8 @@ def segment_lengths(
         _guard_sin(sin_t, path)
         leg_tx = (water_depth - state.tx_depth) / sin_t
         if moving:
-            leg_tx = surface_displacement(surface, theta_first, t) * np.cos(aod - surface.travel_angle) + leg_tx
+            shift = surface_displacement(surface, rays.theta_first, t)
+            leg_tx = shift * np.cos(aod - surface.travel_angle) + leg_tx
     else:
         sin_t = np.sin(TAU - aod)
         _guard_sin(sin_t, path)
@@ -414,7 +411,8 @@ def segment_lengths(
         _guard_sin(sin_r, path)
         leg_rx = (water_depth - state.rx_depth) / sin_r
         if moving:
-            leg_rx = surface_displacement(surface, theta_last, t) * np.cos(aoa - surface.travel_angle) + leg_rx
+            shift = surface_displacement(surface, rays.theta_last, t)
+            leg_rx = shift * np.cos(aoa - surface.travel_angle) + leg_rx
     else:
         sin_r = np.sin(aoa - math.pi)
         _guard_sin(sin_r, path)
@@ -425,7 +423,7 @@ def segment_lengths(
     if path.is_single_bounce:
         mid = np.zeros(np.broadcast(leg_tx, leg_rx).shape)
     else:
-        mid = leg_mid * np.exp(delta_mid)
+        mid = cluster.leg_mid * np.exp(rays.delta_mid)
     return leg_tx, mid, leg_rx
 
 
@@ -454,18 +452,4 @@ def micro_ray_distances(
         aod = sb_departure_angle(path.kind, rays.aoa, state, water_depth)
     else:
         aod = rays.aod
-    return segment_lengths(
-        path,
-        state,
-        water_depth,
-        cluster.leg_mid,
-        aod,
-        rays.aoa,
-        rays.theta_first,
-        rays.theta_last,
-        rays.delta_mid,
-        drift_tx,
-        drift_rx,
-        surface,
-        t,
-    )
+    return segment_lengths(rays, cluster, aod, state, water_depth, drift_tx, drift_rx, surface, t)

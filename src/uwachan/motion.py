@@ -77,14 +77,19 @@ def build_drift(cfg: DriftConfig, horizon: float, rng: np.random.Generator) -> D
 
     Uses ceil(horizon * change_freq) intervals of exactly
     1 / change_freq seconds; per-interval speed ~ U[v_min, v_max] and
-    bearing ~ U[0, 2*pi).
+    bearing ~ U[0, 2*pi). A still drift (``v_max`` 0) draws nothing: one
+    all-zero interval spans those intervals, so it covers the same time
+    with one entry, and no other stream draws from the drift's.
     """
     if horizon <= 0:
         raise ValueError(f"drift horizon must be > 0, got {horizon}")
+    interval = 1.0 / cfg.change_freq
     n = max(1, math.ceil(horizon * cfg.change_freq - 1e-12))
+    if cfg.v_max == 0.0:
+        return DriftState.from_draws(interval * n, [0.0], [0.0])
     speeds = rng.uniform(cfg.v_min, cfg.v_max, n)
     bearings = rng.uniform(0.0, TAU, n)
-    return DriftState.from_draws(1.0 / cfg.change_freq, speeds, bearings)
+    return DriftState.from_draws(interval, speeds, bearings)
 
 
 def surface_displacement(cfg: SurfaceMotionConfig, theta: float, t):

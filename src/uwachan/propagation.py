@@ -8,7 +8,6 @@ everything else Hz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,7 +16,6 @@ from .scenario import BottomConfig
 
 __all__ = [
     "PathKind",
-    "LossBreakdown",
     "thorp_attenuation",
     "absorption_loss",
     "spreading_loss",
@@ -32,19 +30,6 @@ class PathKind(Enum):
     LOS = "los"
     DA = "da"  # downward arrival: final reflection at the surface
     UA = "ua"  # upward arrival: final reflection at the bottom
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Multiplicative amplitude-loss factors and their product."""
-
-    spreading: np.ndarray
-    absorption: np.ndarray
-    bottom: np.ndarray | float  # 1.0 for a path without bottom contact
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.spreading * self.absorption * self.bottom
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> float:
@@ -107,11 +92,12 @@ def path_gain(
     bottom_bounces: int = 0,
     bottom: BottomConfig | None = None,
     water_sound_speed: float | None = None,
-) -> LossBreakdown:
-    """Compose the amplitude gain of one path at an absolute frequency.
+) -> np.ndarray:
+    """Amplitude gain of one path at an absolute frequency.
 
-    Every diffuse ray of a reflected path carries its path's gain; the
-    bottom factor is raised to the path's bottom-contact count.
+    The product spreading x absorption x bottom factor, in that order. Every
+    diffuse ray of a reflected path carries its path's gain; the bottom
+    factor is raised to the path's bottom-contact count.
     """
     f = np.asarray(freq_hz, dtype=float)
     if (f <= 0).any():
@@ -131,4 +117,4 @@ def path_gain(
             if incidence is None or bottom is None or water_sound_speed is None:
                 raise ValueError("bottom-interacting paths need incidence, bottom and water_sound_speed")
             bottom_factor = bottom_reflection(incidence, bottom, water_sound_speed) ** bottom_bounces
-    return LossBreakdown(spreading=spreading, absorption=absorption, bottom=bottom_factor)
+    return spreading * absorption * bottom_factor

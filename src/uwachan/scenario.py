@@ -71,8 +71,8 @@ class GeometryConfig:
 
     distance0: float  # horizontal Tx-equipment to Rx separation, m
     water_depth: float  # m
-    tx_depth0: float  # m below the surface
-    rx_depth0: float  # m below the surface
+    tx_depth0: float  # m above the bottom, despite the name; the surface is at water_depth
+    rx_depth0: float  # m above the bottom, like tx_depth0
     sound_speed: float = 1500.0  # in-water sound speed, m/s
 
 

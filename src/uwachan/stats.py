@@ -26,7 +26,7 @@ from .channel import (
     build_realization,
     class_weight,
     component_table,
-    ctf_weights,
+    ray_weight,
     subpath_gains,
     tap_list,
 )
@@ -79,15 +79,13 @@ def _corr_realization(args):
     table = component_table(real, times)
     fabs = cfg.signal.carrier_freq + offsets
     a_los, a_subs = subpath_gains(real, table, fabs)
-    k = cfg.power.rice_k
-    w_los, w_da, w_ua = ctf_weights(cfg)
     f_col = fabs[:, np.newaxis]
 
     # One exp of the phase difference keeps the direct term's precision where
     # the phases themselves reach ~1e5 rad.
     los_phase = fabs * table.los_delay
-    los = w_los * a_los * np.exp(-1j * TAU * fabs * table.los_delay)
-    exp_row = (k / (k + 1.0)) * a_los * a_los[0] * np.exp(-1j * TAU * (los_phase - los_phase[0]))
+    los = ray_weight(cfg, PathKind.LOS) * a_los * np.exp(-1j * TAU * fabs * table.los_delay)
+    exp_row = class_weight(cfg, PathKind.LOS) * a_los * a_los[0] * np.exp(-1j * TAU * (los_phase - los_phase[0]))
     phasors = []  # per sub-path, (rows, R): delay phasors without initial phases
     for sp, a, d in zip(real.subpaths, a_subs, table.delays):
         phasor = np.exp(-1j * TAU * f_col * d)
@@ -110,9 +108,8 @@ def _corr_realization(args):
             else:
                 rng = stream_for(cfg.master_seed, index, f"phase-redraw/{p}/{sp.path.label}")
                 phases = rng.uniform(0.0, TAU, sp.phases.size)
-            w = w_da if sp.path.kind is PathKind.DA else w_ua
             rot = np.exp(1j * phases)[np.newaxis, :]
-            h = h + w * a * (rot * phasor).sum(axis=1)
+            h = h + ray_weight(cfg, sp.path.kind) * a * (rot * phasor).sum(axis=1)
         emp += h * np.conj(h[0])
     return exp_row, emp / phase_draws, real.resample_count
 
@@ -317,18 +314,17 @@ def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpR
         delays_arr, powers_arr, labels = taps.delays[0], taps.powers[0, 0], taps.labels
     else:
         cfg = source
-        k = cfg.power.rice_k
         f_abs = cfg.signal.carrier_freq + f
         c = cfg.geometry.sound_speed
         delays: list[float] = []
         powers: list[float] = []
         labels = []
         state = geo.evolve(cfg.geometry, cfg.intentional, t)
-        if k > 0:
+        if cfg.power.rice_k > 0:
             d_los = geo.los_distance(state)
-            a = prop.path_gain(PathKind.LOS, d_los, f_abs).total
+            a = prop.path_gain(PathKind.LOS, d_los, f_abs)
             delays.append(d_los / c)
-            powers.append(k / (k + 1.0) * a * a)
+            powers.append(class_weight(cfg, PathKind.LOS) * a * a)
             labels.append("los")
         for path in geo.enumerate_paths(cfg.clusters):
             cluster = geo.macro_ray(state, cfg.geometry.water_depth, path)
@@ -340,7 +336,7 @@ def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpR
                 bottom_bounces=path.bottom_hops,
                 bottom=cfg.bottom,
                 water_sound_speed=cfg.geometry.sound_speed,
-            ).total
+            )
             delays.append(cluster.distance / c)
             powers.append(class_weight(cfg, path.kind) * a * a)
             labels.append(path.label)

@@ -18,8 +18,7 @@ def unit_losses():
     """
 
     def unit_gain(kind, distance_m, freq_hz, *args, **kwargs):
-        ones = np.ones(np.broadcast(np.asarray(distance_m), np.asarray(freq_hz, dtype=float)).shape)
-        return propagation.LossBreakdown(spreading=ones, absorption=ones, bottom=1.0)
+        return np.ones(np.broadcast(np.asarray(distance_m), np.asarray(freq_hz, dtype=float)).shape)
 
     with mock.patch.object(propagation, "path_gain", unit_gain):
         yield

@@ -11,7 +11,6 @@ from uwachan.channel import (
     component_table,
     ctf_values,
     evaluate_ctf,
-    los_delay,
     tap_list,
 )
 from uwachan.presets import preset_scenario
@@ -100,7 +99,7 @@ def test_los_delay_measurement_geometry():
         signal=SignalConfig(carrier_freq=17000.0, time_grid=(0.0,)),
     )
     real = build_realization(cfg, 0)
-    assert los_delay(real, 0.0) == pytest.approx(math.hypot(1500.0, 1.5) / 1440.0, rel=1e-12)
+    assert component_table(real, [0.0]).los_delay[0] == pytest.approx(math.hypot(1500.0, 1.5) / 1440.0, rel=1e-12)
 
 
 def test_rays_never_beat_the_direct_path():
@@ -109,10 +108,18 @@ def test_rays_never_beat_the_direct_path():
     for name, horizon in (("table1", 1.0), ("fig3", 0.1)):
         real = build_realization(preset_scenario(name), 0, horizon=horizon)
         for t in np.linspace(0.0, horizon, 3):
-            tau_los = los_delay(real, t)
             table = component_table(real, [t])
             for delays in table.delays:
-                assert np.all(delays[0] >= tau_los - 1e-9)
+                assert np.all(delays[0] >= table.los_delay[0] - 1e-9)
+
+
+def test_still_drift_is_one_interval():
+    # table1 has no drift, so a long horizon must not allocate one interval
+    # per 1/change_freq seconds of it.
+    real = build_realization(preset_scenario("table1"), 0, horizon=1e4)
+    assert real.drift_tx.speeds.size == 1
+    assert real.drift_rx.speeds.size == 1
+    assert real.drift_tx.displacement(1e4)[0] == 0.0
 
 
 def test_floor_reserves_the_worst_case_drift():
@@ -246,29 +253,28 @@ def test_nonstationary_surface_modulates_ctf():
 # skipped zero terms
 
 
-def reference_segment_lengths(
-    path, state, water_depth, leg_mid, aod, aoa, theta_first, theta_last, delta_mid, drift_tx, drift_rx, surface, t
-):
+def reference_segment_lengths(rays, cluster, aod, state, water_depth, drift_tx, drift_rx, surface, t):
     """Ray legs with every drift and surface term evaluated, zero or not."""
+    path, aoa = cluster.path, rays.aoa
     dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
     dd_r, alpha_r = (np.asarray(v, dtype=float) for v in drift_rx)
     b_tx = dd_t * np.cos(alpha_t - aod)
     b_rx = dd_r * np.cos(alpha_r - aoa)
     surface_boundary = geometry.Boundary.SURFACE
     if path.first_boundary is surface_boundary:
-        a_tx = surface_displacement(surface, theta_first, t) * np.cos(aod - surface.travel_angle)
+        a_tx = surface_displacement(surface, rays.theta_first, t) * np.cos(aod - surface.travel_angle)
         leg_tx = a_tx + (water_depth - state.tx_depth) / np.sin(aod) - b_tx
     else:
         leg_tx = state.tx_depth / np.sin(TAU - aod) - b_tx
     if path.last_boundary is surface_boundary:
-        a_rx = surface_displacement(surface, theta_last, t) * np.cos(aoa - surface.travel_angle)
+        a_rx = surface_displacement(surface, rays.theta_last, t) * np.cos(aoa - surface.travel_angle)
         leg_rx = a_rx + (water_depth - state.rx_depth) / np.sin(math.pi - aoa) - b_rx
     else:
         leg_rx = state.rx_depth / np.sin(aoa - math.pi) - b_rx
     if path.is_single_bounce:
         mid = np.zeros(np.broadcast(leg_tx, leg_rx).shape)
     else:
-        mid = leg_mid * np.exp(delta_mid)
+        mid = cluster.leg_mid * np.exp(rays.delta_mid)
     return leg_tx, mid, leg_rx
 
 

@@ -56,7 +56,8 @@ def test_evolve_symmetric_depths_give_flat_angles():
     geo = GeometryConfig(distance0=1000.0, water_depth=100.0, tx_depth0=40.0, rx_depth0=40.0)
     st = evolve(geo, STILL, 1.0)
     assert st.aod_los == 0.0
-    assert st.aoa_los == pytest.approx(math.pi, rel=1e-15)
+    # the direct path arrives at pi: an Rx drift along +x lengthens it
+    assert los_distance(st, drift_rx=(1.0, 0.0)) == pytest.approx(1001.0, rel=1e-15)
 
 
 def test_evolve_is_exactly_linear_in_time():
@@ -100,8 +101,8 @@ def test_macro_ray_surface_single_bounce_values():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 0))
     assert cluster.distance == pytest.approx(math.hypot(2000.0, 70.0), abs=1e-9)
     assert cluster.incidence == pytest.approx(math.atan2(2000.0, 70.0), abs=1e-12)
-    assert cluster.first_boundary is Boundary.SURFACE
-    assert cluster.last_boundary is Boundary.SURFACE
+    assert cluster.path.first_boundary is Boundary.SURFACE
+    assert cluster.path.last_boundary is Boundary.SURFACE
     assert cluster.mean_aod == pytest.approx(math.pi / 2 - cluster.incidence, rel=1e-12)
     assert cluster.mean_aoa == pytest.approx(math.pi / 2 + cluster.incidence, rel=1e-12)
     assert cluster.leg_mid == 0.0
@@ -110,7 +111,7 @@ def test_macro_ray_surface_single_bounce_values():
 def test_macro_ray_bottom_single_bounce_values():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.UA, 0, 1))
     assert cluster.distance == pytest.approx(math.hypot(2000.0, 130.0), abs=1e-9)
-    assert cluster.first_boundary is Boundary.BOTTOM
+    assert cluster.path.first_boundary is Boundary.BOTTOM
     assert cluster.mean_aod == pytest.approx(3 * math.pi / 2 + cluster.incidence, rel=1e-12)
     assert cluster.mean_aoa == pytest.approx(3 * math.pi / 2 - cluster.incidence, rel=1e-12)
 
@@ -118,7 +119,7 @@ def test_macro_ray_bottom_single_bounce_values():
 def test_macro_ray_multi_bounce_leg_split():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 1))
     cos_inc = math.cos(cluster.incidence)
-    assert cluster.first_boundary is Boundary.BOTTOM
+    assert cluster.path.first_boundary is Boundary.BOTTOM
     assert cluster.leg_tx == pytest.approx(50.0 / cos_inc, rel=1e-12)
     assert cluster.leg_rx == pytest.approx(20.0 / cos_inc, rel=1e-12)
     assert cluster.leg_mid == pytest.approx(cluster.distance - cluster.leg_tx - cluster.leg_rx, rel=1e-12)

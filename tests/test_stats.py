@@ -31,7 +31,6 @@ from uwachan import stats
 from uwachan.channel import (
     build_realization,
     component_table,
-    ctf_weights,
     evaluate_ctf,
     subpath_gains,
     tap_list,
@@ -215,7 +214,10 @@ def reference_corr_realization(args):
     a_los_hi, a_subs_hi = subpath_gains(real, tab_hi, fabs_hi)
     a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo)
     k = cfg.power.rice_k
-    w_los, w_da, w_ua = ctf_weights(cfg)
+    n_rays = cfg.clusters.rays_per_path
+    w_los = math.sqrt(k / (k + 1.0))
+    w_da = math.sqrt(cfg.power.da_fraction / (2.0 * cfg.clusters.max_surface_hops * (k + 1.0)) / n_rays)
+    w_ua = math.sqrt(cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0)) / n_rays)
     hi_col = fabs_hi[:, np.newaxis]
     lo_col = fabs_lo[:, np.newaxis]
 
@@ -449,7 +451,7 @@ def test_pdp_powers_are_quadratic_in_gain():
     from uwachan.geometry import enumerate_paths, evolve, los_distance, macro_ray
 
     state = evolve(cfg.geometry, cfg.intentional, 0.0)
-    gains = {"los": path_gain(PathKind.LOS, los_distance(state), cfg.signal.carrier_freq).total}
+    gains = {"los": path_gain(PathKind.LOS, los_distance(state), cfg.signal.carrier_freq)}
     for path in enumerate_paths(cfg.clusters):
         cluster = macro_ray(state, cfg.geometry.water_depth, path)
         gains[path.label] = path_gain(
@@ -460,7 +462,7 @@ def test_pdp_powers_are_quadratic_in_gain():
             bottom_bounces=path.bottom_hops,
             bottom=cfg.bottom,
             water_sound_speed=cfg.geometry.sound_speed,
-        ).total
+        )
     for label, p_real, p_unit in zip(plain.labels, plain.powers, unit.powers):
         assert p_real == pytest.approx(p_unit * gains[label] ** 2, rel=1e-12)
 
@@ -479,6 +481,22 @@ def test_ensemble_delay_stats_ray_mode_varies():
     ens = ensemble_delay_stats(cfg, mode="ray")
     assert ens.n == 4
     assert ens.rms_spread_std > 0.0
+
+
+def test_statistics_ignore_the_simulate_grid():
+    # The ACF and the ray-mode delay moments evaluate their own instants; the
+    # time grid only tells `simulate` where to sample, so extending it must
+    # not move the drift, the floor's slack or any draw of their ensembles.
+    short = overlay(preset_scenario("fig3"), {"realizations": 4})
+    long = overlay(short, {"signal": {"time_grid": [0.0, 1.5, 3.0]}})
+    lags = np.linspace(0.0, 0.1, 21)
+    a, b = acf(short, 0.0, 0.0, lags), acf(long, 0.0, 0.0, lags)
+    assert np.array_equal(a.expectation, b.expectation)
+    assert np.array_equal(a.empirical, b.empirical)
+    a, b = (ensemble_delay_stats(overlay(cfg, {"realizations": 3}), mode="ray") for cfg in (short, long))
+    assert np.array_equal(a.average, b.average)
+    assert np.array_equal(a.rms_spread, b.rms_spread)
+    assert a.resamples == b.resamples
 
 
 def test_ray_mode_equals_cluster_mode_at_the_cluster_limit():
