@@ -50,6 +50,7 @@ class ChannelRealization:
 
     cfg: ScenarioConfig
     index: int
+    span: float  # s; the build checked [0, span], and only it can be evaluated
     drift_tx: DriftState
     drift_rx: DriftState
     subpaths: tuple[SubPath, ...]
@@ -163,6 +164,7 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     return ChannelRealization(
         cfg=cfg,
         index=index,
+        span=span,
         drift_tx=drift_tx,
         drift_rx=drift_rx,
         subpaths=tuple(subpaths),
@@ -182,8 +184,16 @@ class ComponentTable:
 
 
 def component_table(real: ChannelRealization, times) -> ComponentTable:
-    """Evaluate every component's geometry and ray delays on a time axis."""
+    """Evaluate every component's geometry and ray delays on a time axis.
+
+    Every instant must lie in the realization's span, the only time its
+    build checked the rays against.
+    """
     tt = np.atleast_1d(np.asarray(times, dtype=float))
+    outside = ~((tt >= 0.0) & (tt <= real.span))
+    if outside.any():
+        t = float(tt[outside][0])
+        raise ValueError(f"instant {t!r} s is outside the realization's span [0, {real.span!r}] s")
     cfg = real.cfg
     depth = cfg.geometry.water_depth
     c = cfg.geometry.sound_speed

@@ -36,9 +36,24 @@ class CliError(Exception):
     """User-facing CLI failure with a stable message."""
 
 
-def _floats(values) -> list[str]:
-    """CSV strings of ``values`` flattened: Python's shortest round-trip ``repr``."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+def _floats(values) -> np.ndarray:
+    """A field column of ``values`` flattened: the bytes of Python's ``repr``."""
+    # imported with the first CSV written: start-up does not compile it or build its tables
+    from .csvtext import float_fields
+
+    return float_fields(values)
+
+
+def _texts(strings) -> np.ndarray:
+    """A field column of ``strings``."""
+    from .csvtext import text_fields
+
+    return text_fields(strings)
+
+
+def _repeated(field: np.ndarray, rows: int) -> np.ndarray:
+    """A column of ``rows`` copies of one field (a row of a field column)."""
+    return np.broadcast_to(field, (rows, field.shape[-1]))
 
 
 def _write_atomic(path: str, write) -> None:
@@ -53,17 +68,21 @@ def _write_atomic(path: str, write) -> None:
 def _write_csv(path: str, header: list[str], blocks) -> int:
     """Write ``header`` and then each block's rows; return the number of rows.
 
-    A block is a tuple of equal-length columns of strings. Blocks are written
-    as they are drawn, so a generator of blocks streams the file.
+    A block is a tuple of equal-length field columns (see ``csvtext``).
+    Blocks are written as they are drawn, so a generator of blocks streams
+    the file.
     """
+    from .csvtext import join_rows
+
     rows = 0
 
     def write(fh):
         nonlocal rows
-        fh.write(",".join(header) + "\n")
+        out = fh.buffer  # rows are bytes; nothing goes through the text layer
+        out.write((",".join(header) + "\n").encode())
         for cols in blocks:
-            if cols[0]:  # an empty block writes no blank line
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            if len(cols[0]):  # an empty block writes no blank line
+                out.write(join_rows(cols))
                 rows += len(cols[0])
 
     _write_atomic(path, write)
@@ -122,24 +141,31 @@ def _summary(out: str, rows: int, started: float, seed: int) -> None:
 def _tap_blocks(dumps, times, freqs):
     """One block per (realization, instant): F offsets x N taps rows.
 
-    Each t and f string is formatted once, and each delay once per (t, tap).
+    Each t and f is formatted once, and each delay once per (t, tap).
     """
-    t_strs, f_strs = _floats(times), _floats(freqs)
+    t_fields, f_fields = _floats(times), _floats(freqs)
+    n_freqs = len(f_fields)
     for taps in dumps:
-        f_col = [f for f in f_strs for _ in taps.labels]
-        labels = taps.labels * len(f_strs)
-        for ti, t in enumerate(t_strs):
-            amps = taps.amplitudes[ti]
-            delays = _floats(taps.delays[ti]) * len(f_strs)
-            yield [t] * len(f_col), f_col, delays, _floats(amps.real), _floats(amps.imag), labels
+        n_taps = len(taps.labels)
+        f_col = np.repeat(f_fields, n_taps, axis=0)
+        labels = np.tile(_texts(taps.labels), (n_freqs, 1))
+        rows = len(f_col)
+        for ti, t in enumerate(t_fields):
+            amps = taps.amplitudes[ti].ravel()
+            fields = _floats(np.concatenate([taps.delays[ti], amps.real, amps.imag]))  # one call per block
+            delays = np.tile(fields[:n_taps], (n_freqs, 1))
+            re, im = fields[n_taps : n_taps + rows], fields[n_taps + rows :]
+            yield _repeated(t, rows), f_col, delays, re, im, labels
 
 
 def _ctf_blocks(frames):
     """One block per realization: the (t, f) grid in row-major order."""
     for r, frame in enumerate(frames):
-        t_col = [t for t in _floats(frame.times) for _ in frame.freq_offsets]
-        f_col = _floats(frame.freq_offsets) * len(frame.times)
-        yield t_col, f_col, _floats(frame.values.real), _floats(frame.values.imag), [str(r)] * len(t_col)
+        n_times, n_freqs = frame.values.shape
+        t_col = np.repeat(_floats(frame.times), n_freqs, axis=0)
+        f_col = np.tile(_floats(frame.freq_offsets), (n_times, 1))
+        index = _repeated(_texts([str(r)]), len(t_col))
+        yield t_col, f_col, _floats(frame.values.real), _floats(frame.values.imag), index
 
 
 def _cmd_simulate(args) -> int:
@@ -205,7 +231,7 @@ def _cmd_acf(args) -> int:
 
 
 def _pdp_block(profile: stats.PdpResult) -> tuple:
-    return _floats(profile.delays), _floats(profile.powers), profile.labels
+    return _floats(profile.delays), _floats(profile.powers), _texts(profile.labels)
 
 
 def _cmd_pdp(args) -> int:
@@ -228,10 +254,10 @@ def _cmd_pdp(args) -> int:
 
 def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
     return (
-        ["average_delay", "rms_delay_spread"],
+        _texts(["average_delay", "rms_delay_spread"]),
         _floats([ens.average_mean, ens.rms_spread_mean]),
         _floats([ens.average_std, ens.rms_spread_std]),
-        [str(ens.n)] * 2,
+        _texts([str(ens.n)] * 2),
     )
 
 
@@ -280,7 +306,7 @@ def _preset_blocks(statistic: str, results: dict) -> list:
         else:
             blocks.append(_delay_stat_block(result))  # table1's rows carry no curve column
             continue
-        blocks.append(([label] * len(block[0]), *block))
+        blocks.append((_repeated(_texts([label]), len(block[0])), *block))
     return blocks
 
 

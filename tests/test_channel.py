@@ -317,3 +317,19 @@ def test_skipped_zero_terms_leave_every_bit(
         assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(sp.rays, want.rays))
     assert all(np.array_equal(a, b) for a, b in zip(table.delays, want_table.delays))
     assert np.array_equal(table.los_delay, want_table.los_delay)
+
+
+def test_instants_past_the_built_span_are_rejected():
+    # fig3 drifts: at 0.9 s the floor built for 0.3 s no longer holds. table1
+    # does not drift, yet the instant, not the drift, must be what is named.
+    for name, horizon, t in (("fig3", 0.3, 0.9), ("table1", 1.0, 2.0)):
+        real = build_realization(preset_scenario(name), 0, horizon=horizon)
+        message = rf"instant {t!r} s is outside the realization's span \[0, {horizon!r}\] s"
+        with pytest.raises(ValueError, match=message):
+            tap_list(real, [0.0, t], [0.0])
+        with pytest.raises(ValueError, match=message):
+            component_table(real, [t])
+    real = build_realization(preset_scenario("table1"), 0, horizon=1.0)
+    with pytest.raises(ValueError, match="outside the realization's span"):
+        component_table(real, [-0.1])
+    component_table(real, [0.0, 1.0])  # both ends of the span evaluate

@@ -429,13 +429,13 @@ def test_columnar_writer_matches_rowwise_formatting(table):
     kinds, columns, bounds = table
     header = [f"{kind}{i}" for i, kind in enumerate(kinds)]
 
-    def as_strings(kind, values):
+    def as_fields(kind, values):
         if kind == "float":
             return cli._floats(np.array(values, dtype=float))
-        return list(map(str, values))
+        return cli._texts(list(map(str, values)))
 
     blocks = [
-        tuple(as_strings(kind, col[lo:hi]) for kind, col in zip(kinds, columns))
+        tuple(as_fields(kind, col[lo:hi]) for kind, col in zip(kinds, columns))
         for lo, hi in zip(bounds, bounds[1:])
     ]
     with tempfile.TemporaryDirectory() as tmp:
