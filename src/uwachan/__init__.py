@@ -1,4 +1,17 @@
 """Seeded simulator for non-stationary shallow-water acoustic channels."""
+import os
+
+# uwachan calls no BLAS (tests/test_blas.py), so OpenBLAS gets one thread
+# unless the user chose a count: starting its pool costs a short command about
+# a quarter of its CPU on two cores. OpenBLAS reads the variable once, when
+# numpy loads it, so it is removed again and no subprocess inherits it. No
+# effect if numpy is already loaded.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .channel import (
     ChannelRealization,
     CtfFrame,

@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="dump complex CTF samples (or taps) to CSV")
     _add_common(p)
-    p.add_argument("--realizations", type=int, help="number of draws to dump (default 1)")
+    p.add_argument(
+        "--realizations",
+        type=int,
+        help="number of draws to dump (default 1); the scenario's 'realizations' field, "
+        "the ensemble size of acf, delay-stats and preset, is not read here",
+    )
     p.add_argument("--taps", action="store_true", help="dump per-ray taps instead of CTF samples")
     p.set_defaults(func=_cmd_simulate)
 

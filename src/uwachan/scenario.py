@@ -428,10 +428,15 @@ def load_scenario(path: str) -> ScenarioConfig:
 def write_atomic(path: str, write) -> None:
     """Write a text file atomically: ``write(fh)`` fills a temp file next to
     ``path``, ``os.replace`` moves it there, and no temp file outlives the call.
+    The file gets the mode ``open(path, "w")`` would create, 0o666 less the
+    umask; a ``mkstemp`` file alone would stay 0600.
     """
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             write(fh)
         os.replace(tmp, path)
     finally:

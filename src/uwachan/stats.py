@@ -89,8 +89,8 @@ def _corr_realization(args):
     phasors = []  # per sub-path, (rows, R): delay phasors without initial phases
     for sp, a, d in zip(real.subpaths, a_subs, table.delays):
         phasor = np.exp(-1j * TAU * f_col * d)
-        # Elementwise products and sums, never BLAS (@, dot, matmul): these
-        # blocks are small, and a threaded BLAS burns more CPU than it saves.
+        # Elementwise products and sums, never BLAS: no module calls it
+        # (tests/test_blas.py), so importing uwachan gives OpenBLAS one thread.
         lagged = (phasor * np.conj(phasor[0])).mean(axis=1)
         exp_row = exp_row + class_weight(cfg, sp.path.kind) * a * a[0] * lagged
         phasors.append(phasor)

@@ -334,6 +334,23 @@ def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, mo
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"])
+def test_outputs_get_the_mode_the_umask_gives(scenario_file, tmp_path, umask, mode):
+    # A temp file from mkstemp is 0600, and the rename would keep that mode.
+    out, script, scenario = tmp_path / "pdp.csv", tmp_path / "plot.txt", tmp_path / "copy.json"
+    out.write_text("old\n")
+    out.chmod(0o600)  # an existing file is replaced, mode included
+    old = os.umask(umask)
+    try:
+        assert run(["pdp", "--scenario", scenario_file, "--out", str(out), "--meta",
+                    "--plot-script", str(script)]) == 0
+        dump_scenario(load_scenario(scenario_file), str(scenario))
+    finally:
+        os.umask(old)
+    for path in (out, tmp_path / "pdp.csv.meta.json", script, scenario):
+        assert oct(path.stat().st_mode & 0o777) == oct(mode), path.name
+
+
 def test_pdp_ray_mode(scenario_file, tmp_path):
     out = tmp_path / "rays.csv"
     assert run(["pdp", "--scenario", scenario_file, "--mode", "ray", "--realization", "1",
