@@ -72,7 +72,6 @@ from .stats import (
     delay_stats,
     ensemble_delay_stats,
     pdp,
-    tfcf,
 )
 
 __version__ = "1.0.0"

@@ -174,42 +174,55 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
 
 @dataclass(eq=False)
 class ComponentTable:
-    """Per-time geometry and per-(ray, time) delays; frequency-independent."""
+    """Geometry and ray delays of a run of K realizations on a time axis.
+
+    Frequency-independent. The specular geometry is the same for every
+    realization of the run; drift makes the direct path and the rays differ.
+    """
 
     times: np.ndarray  # (T,)
-    los_length: np.ndarray  # (T,)
-    los_delay: np.ndarray  # (T,)
-    clusters: list[geo.ClusterGeometry]  # fields (T, 1), one per sub-path
-    delays: list[np.ndarray]  # (T, R) per sub-path
+    los_length: np.ndarray  # (T, K)
+    los_delay: np.ndarray  # (T, K)
+    clusters: list[geo.ClusterGeometry]  # fields (T, 1, 1), one per sub-path
+    delays: list[np.ndarray]  # (T, K, R) per sub-path
 
 
-def component_table(real: ChannelRealization, times) -> ComponentTable:
+def _displacements(drifts: list[DriftState], tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each drift's (magnitude, bearing) at ``tt``, stacked to (T, K, 1)."""
+    magnitude, bearing = zip(*(drift.displacement(tt) for drift in drifts))
+    return np.stack(magnitude, axis=1)[..., np.newaxis], np.stack(bearing, axis=1)[..., np.newaxis]
+
+
+def component_table(run: list[ChannelRealization], times) -> ComponentTable:
     """Evaluate every component's geometry and ray delays on a time axis.
 
-    Every instant must lie in the realization's span, the only time its
-    build checked the rays against.
+    ``run`` holds K realizations of one scenario built over one span, and
+    every instant must lie in that span, the only time the build checked
+    the rays against. The specular geometry sits on a (T, 1, 1) time axis
+    and the run's ray draws are stacked to (K, R), so one evaluation per
+    sub-path gives the whole run's (T, K, R) ray delays.
     """
     tt = np.atleast_1d(np.asarray(times, dtype=float))
-    outside = ~((tt >= 0.0) & (tt <= real.span))
+    span = min(real.span for real in run)
+    outside = ~((tt >= 0.0) & (tt <= span))
     if outside.any():
         t = float(tt[outside][0])
-        raise ValueError(f"instant {t!r} s is outside the realization's span [0, {real.span!r}] s")
-    cfg = real.cfg
+        raise ValueError(f"instant {t!r} s is outside the realization's span [0, {span!r}] s")
+    cfg = run[0].cfg
     depth = cfg.geometry.water_depth
     c = cfg.geometry.sound_speed
-    # A column time axis: geometry comes out (T, 1) and broadcasts against
-    # each sub-path's (R,) ray draws into (T, R) legs.
-    t_col = tt[:, np.newaxis]
+    t_col = tt[:, np.newaxis, np.newaxis]
     state = geo.evolve(cfg.geometry, cfg.intentional, t_col)
-    drift_tx = real.drift_tx.displacement(t_col)
-    drift_rx = real.drift_rx.displacement(t_col)
-    los_length = geo.los_distance(state, drift_tx, drift_rx)[:, 0]
+    drift_tx = _displacements([real.drift_tx for real in run], tt)
+    drift_rx = _displacements([real.drift_rx for real in run], tt)
+    los_length = geo.los_distance(state, drift_tx, drift_rx)[..., 0]
     clusters = []
     delays = []
-    for sp in real.subpaths:
-        cluster = geo.macro_ray(state, depth, sp.path)
+    for subpaths in zip(*(real.subpaths for real in run)):
+        rays = geo.RayDraws(*(np.stack(field) for field in zip(*(sp.rays for sp in subpaths))))
+        cluster = geo.macro_ray(state, depth, subpaths[0].path)
         leg_tx, mid, leg_rx = geo.micro_ray_distances(
-            sp.rays, cluster, state, depth, drift_tx, drift_rx, cfg.surface, t_col
+            rays, cluster, state, depth, drift_tx, drift_rx, cfg.surface, t_col
         )
         clusters.append(cluster)
         delays.append((leg_tx + mid + leg_rx) / c)
@@ -222,27 +235,29 @@ def component_table(real: ChannelRealization, times) -> ComponentTable:
     )
 
 
-def subpath_gains(real: ChannelRealization, table: ComponentTable, freq_hz):
-    """Amplitude gains (a_los, [a per sub-path]) at absolute frequency(ies).
+def subpath_gains(run: list[ChannelRealization], table: ComponentTable, freq_hz: float):
+    """Amplitude gains ``(a_los, [a per sub-path])`` of a run at one absolute frequency.
 
-    ``freq_hz`` may be a scalar or a per-time array; every ray of a sub-path
-    shares its macro gain.
+    ``a_los`` is (T, K): drift moves each realization's direct path. Each
+    sub-path's gain is (T, 1), evaluated once for the run, because it
+    depends on the specular geometry alone; every ray of a sub-path
+    shares it.
     """
-    cfg = real.cfg
-    shape = table.times.shape
-    a_los = np.broadcast_to(prop.path_gain(PathKind.LOS, table.los_length, freq_hz), shape).astype(float)
+    cfg = run[0].cfg
+    a_los = prop.path_gain(PathKind.LOS, table.los_length, freq_hz)
     a_subs = []
-    for sp, cluster in zip(real.subpaths, table.clusters):
-        gain = prop.path_gain(
-            sp.path.kind,
-            cluster.distance[:, 0],
-            freq_hz,
-            incidence=cluster.incidence[:, 0],
-            bottom_bounces=sp.path.bottom_hops,
-            bottom=cfg.bottom,
-            water_sound_speed=cfg.geometry.sound_speed,
+    for sp, cluster in zip(run[0].subpaths, table.clusters):
+        a_subs.append(
+            prop.path_gain(
+                sp.path.kind,
+                cluster.distance[..., 0],
+                freq_hz,
+                incidence=cluster.incidence[..., 0],
+                bottom_bounces=sp.path.bottom_hops,
+                bottom=cfg.bottom,
+                water_sound_speed=cfg.geometry.sound_speed,
+            )
         )
-        a_subs.append(np.broadcast_to(gain, shape).astype(float))
     return a_los, a_subs
 
 
@@ -271,23 +286,23 @@ def ray_weight(cfg: ScenarioConfig, kind: PathKind) -> float:
     return math.sqrt(class_weight(cfg, kind) / _rays_in(cfg, kind))
 
 
-def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset) -> np.ndarray:
-    """Complex CTF along the table's time axis at baseband offset(s) Hz."""
+def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset: float) -> np.ndarray:
+    """Complex CTF along the time axis of ``real``'s own table (a run of one),
+    at one baseband offset Hz."""
     cfg = real.cfg
-    f_abs = cfg.signal.carrier_freq + np.asarray(freq_offset, dtype=float)
-    a_los, a_subs = subpath_gains(real, table, f_abs)
+    f_abs = cfg.signal.carrier_freq + float(freq_offset)
+    a_los, a_subs = subpath_gains([real], table, f_abs)
     out = ray_weight(cfg, PathKind.LOS) * a_los * np.exp(-1j * TAU * f_abs * table.los_delay)
-    f_col = np.broadcast_to(f_abs, table.times.shape)[:, np.newaxis]
     for sp, a, delays in zip(real.subpaths, a_subs, table.delays):
-        phasors = np.exp(1j * sp.phases[np.newaxis, :] - 1j * TAU * f_col * delays)
-        out = out + ray_weight(cfg, sp.path.kind) * a * phasors.sum(axis=1)
-    return out
+        phasors = np.exp(1j * sp.phases - 1j * TAU * f_abs * delays)
+        out = out + ray_weight(cfg, sp.path.kind) * a * phasors.sum(axis=-1)
+    return out[:, 0]
 
 
 def evaluate_ctf(real: ChannelRealization) -> CtfFrame:
     """The CTF over the scenario's full (time x frequency) grid."""
     cfg = real.cfg
-    table = component_table(real, cfg.signal.time_grid)
+    table = component_table([real], cfg.signal.time_grid)
     freqs = np.asarray(cfg.signal.freq_offsets, dtype=float)
     values = np.empty((table.times.size, freqs.size), dtype=complex)
     for fi, f in enumerate(freqs):
@@ -310,7 +325,9 @@ def tap_list(real: ChannelRealization, times, freq_offsets) -> Taps:
     serves the whole grid and one gain evaluation each offset.
     """
     cfg = real.cfg
-    table = component_table(real, times)
+    table = component_table([real], times)
+    los_delay = table.los_delay[:, 0]
+    delays = [d[:, 0] for d in table.delays]
     f_abs = cfg.signal.carrier_freq + np.atleast_1d(np.asarray(freq_offsets, dtype=float))
     n_rays = cfg.clusters.rays_per_path
     # Columns are evaluated per component (direct, then each sub-path) and
@@ -322,17 +339,17 @@ def tap_list(real: ChannelRealization, times, freq_offsets) -> Taps:
     labels = ["los"] + [f"{sp.path.label}#{n}" for sp in real.subpaths for n in range(n_rays)]
     amplitudes, powers = [], []  # per offset, (T, N)
     for f in f_abs:
-        a_los, a_subs = subpath_gains(real, table, f)
+        a_los, a_subs = subpath_gains([real], table, f)
         gains = np.repeat(np.column_stack([a_los, *a_subs]), per_tap, axis=1)
         phasors = np.column_stack(
-            [np.exp(-1j * TAU * f * table.los_delay)]
-            + [np.exp(1j * sp.phases - 1j * TAU * f * d) for sp, d in zip(real.subpaths, table.delays)]
+            [np.exp(-1j * TAU * f * los_delay)]
+            + [np.exp(1j * sp.phases - 1j * TAU * f * d) for sp, d in zip(real.subpaths, delays)]
         )
         amplitudes.append(amp_weights * gains * phasors)
         powers.append(power_weights * gains**2)
     keep = slice(0 if cfg.power.rice_k > 0 else 1, None)
     return Taps(
-        delays=np.column_stack([table.los_delay, *table.delays])[:, keep],
+        delays=np.column_stack([los_delay, *delays])[:, keep],
         amplitudes=np.stack(amplitudes, axis=1)[..., keep],
         powers=np.stack(powers, axis=1)[..., keep],
         labels=labels[keep],

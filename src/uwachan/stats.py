@@ -10,12 +10,13 @@ Two correlation estimators are computed side by side from the same ensemble:
 
 Agreement of the two is itself a correctness check and is part of the
 acceptance suite. All reductions run over per-realization arrays assembled by
-realization index, so results do not depend on worker count.
+realization index, so results do not depend on worker count or on how a
+curve's realizations are split into runs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from . import geometry as geo
 from . import propagation as prop
 from .channel import (
     ChannelRealization,
+    SubPath,
     build_realization,
     class_weight,
     component_table,
@@ -39,7 +41,6 @@ __all__ = [
     "acf",
     "acf_plan",
     "check_anchor",
-    "tfcf",
     "correlate",
     "PdpResult",
     "pdp",
@@ -57,7 +58,6 @@ class CorrelationResult:
     anchor_t: float
     anchor_f: float
     lags_t: np.ndarray
-    lags_f: np.ndarray
     n_realizations: int
     expectation: np.ndarray  # (L,) complex, raw ensemble values
     empirical: np.ndarray  # (L,) complex
@@ -70,48 +70,79 @@ class CorrelationResult:
     resamples: list[int]  # ray draws rejected while building each realization
 
 
+# Bound on the elements (rows x realizations x rays) of one sub-path's phasor
+# block: a correlation task evaluates a run of realizations in one block, and
+# a 16,384-element complex block is 256 KiB.
+_RUN_ELEMENTS = 16_384
+
+
+def _runs(n: int, per_realization: int) -> list[range]:
+    """Realizations 0..n-1 as consecutive runs whose blocks stay within ``_RUN_ELEMENTS``.
+
+    ``per_realization`` is one realization's share of a block (rows x rays).
+    The fewest runs that fit split ``n`` as evenly as they can, sizes
+    differing by at most one; a realization whose share alone exceeds the
+    bound is a run of its own.
+    """
+    count = -(-n // max(1, _RUN_ELEMENTS // per_realization))
+    size, extra = divmod(n, count)
+    return [range(i * size + min(i, extra), (i + 1) * size + min(i + 1, extra)) for i in range(count)]
+
+
 def _corr_realization(args):
-    (cfg, index, times, offsets, phase_draws) = args
-    real = build_realization(cfg, index, float(times.max()))
+    """Correlation rows of a run of consecutive realizations of one curve.
+
+    Returns ``(expectation rows, empirical rows, resamples)``: two (K, rows)
+    blocks and one rejection count per realization, in index order.
+    """
+    (cfg, indices, times, f, phase_draws) = args
+    run = [build_realization(cfg, index, float(times.max())) for index in indices]
     # Row 0 is the anchor that every row pairs against, E{H(row) H*(anchor)};
-    # its own product is the zero lag. One table covers every row, and a
-    # repeated instant is simply evaluated again.
-    table = component_table(real, times)
-    fabs = cfg.signal.carrier_freq + offsets
-    a_los, a_subs = subpath_gains(real, table, fabs)
-    f_col = fabs[:, np.newaxis]
+    # its own product is the zero lag. One table covers every row of the run,
+    # and a repeated instant is simply evaluated again.
+    table = component_table(run, times)
+    f_abs = cfg.signal.carrier_freq + f
+    a_los, a_subs = subpath_gains(run, table, f_abs)
 
     # One exp of the phase difference keeps the direct term's precision where
     # the phases themselves reach ~1e5 rad.
-    los_phase = fabs * table.los_delay
-    los = ray_weight(cfg, PathKind.LOS) * a_los * np.exp(-1j * TAU * fabs * table.los_delay)
+    los_phase = f_abs * table.los_delay
+    los = ray_weight(cfg, PathKind.LOS) * a_los * np.exp(-1j * TAU * f_abs * table.los_delay)
     exp_row = class_weight(cfg, PathKind.LOS) * a_los * a_los[0] * np.exp(-1j * TAU * (los_phase - los_phase[0]))
-    phasors = []  # per sub-path, (rows, R): delay phasors without initial phases
-    for sp, a, d in zip(real.subpaths, a_subs, table.delays):
-        phasor = np.exp(-1j * TAU * f_col * d)
+    # Empirical estimator: fully realized lag products, one transfer function
+    # per phase draw. Extra draws stratify the initial-phase dimension,
+    # shrinking the cross-ray product noise without touching the geometry
+    # ensemble; draw 0 uses the realization's own phases, so phase_draws=1 is
+    # the bare product.
+    h = [los.astype(complex) for _ in range(phase_draws)]
+    for subpaths, a, d in zip(zip(*(real.subpaths for real in run)), a_subs, table.delays):
+        kind = subpaths[0].path.kind
+        # (rows, K, R) delay phasors without initial phases; each block goes
+        # into both estimators before the next sub-path's is built.
+        phasor = np.exp(-1j * TAU * f_abs * d)
         # Elementwise products and sums, never BLAS: no module calls it
         # (tests/test_blas.py), so importing uwachan gives OpenBLAS one thread.
-        lagged = (phasor * np.conj(phasor[0])).mean(axis=1)
-        exp_row = exp_row + class_weight(cfg, sp.path.kind) * a * a[0] * lagged
-        phasors.append(phasor)
+        lagged = (phasor * np.conj(phasor[0])).mean(axis=-1)
+        exp_row = exp_row + class_weight(cfg, kind) * a * a[0] * lagged
+        weight = ray_weight(cfg, kind) * a
+        for p in range(phase_draws):
+            phases = np.stack([_phases(real, sp, p) for real, sp in zip(run, subpaths)])
+            h[p] = h[p] + weight * (np.exp(1j * phases) * phasor).sum(axis=-1)
+    emp = np.zeros(exp_row.shape, dtype=complex)
+    for hp in h:
+        emp += hp * np.conj(hp[0])
+    # C-order rows: the ensemble mean then adds realization after realization,
+    # the same bits whatever the runs; an F-order block would be summed pairwise.
+    return exp_row.T.copy(), (emp / phase_draws).T.copy(), [real.resample_count for real in run]
 
-    # Empirical estimator: fully realized lag products. Extra phase draws
-    # stratify the initial-phase dimension, shrinking the cross-ray product
-    # noise without touching the geometry ensemble; draw 0 reuses the
-    # realization's own phases so phase_draws=1 is the bare product.
-    emp = np.zeros(times.size, dtype=complex)
-    for p in range(phase_draws):
-        h = los.astype(complex)
-        for sp, a, phasor in zip(real.subpaths, a_subs, phasors):
-            if p == 0:
-                phases = sp.phases
-            else:
-                rng = stream_for(cfg.master_seed, index, f"phase-redraw/{p}/{sp.path.label}")
-                phases = rng.uniform(0.0, TAU, sp.phases.size)
-            rot = np.exp(1j * phases)[np.newaxis, :]
-            h = h + ray_weight(cfg, sp.path.kind) * a * (rot * phasor).sum(axis=1)
-        emp += h * np.conj(h[0])
-    return exp_row, emp / phase_draws, real.resample_count
+
+def _phases(real: ChannelRealization, sp: SubPath, draw: int) -> np.ndarray:
+    """Initial ray phases of one of ``real``'s sub-paths in phase draw ``draw``;
+    draw 0 is the realization's own."""
+    if draw == 0:
+        return sp.phases
+    rng = stream_for(real.cfg.master_seed, real.index, f"phase-redraw/{draw}/{sp.path.label}")
+    return rng.uniform(0.0, TAU, sp.phases.size)
 
 
 def check_anchor(t: float, f: float, lags=()) -> None:
@@ -134,8 +165,10 @@ def _ensemble_size(cfg: ScenarioConfig) -> int:
 
 
 def _collect_rows(worker, arglist, jobs):
-    # A fork-started pool launches all of its workers at the first submit,
-    # so never ask for more workers than there are tasks.
+    # A task is one realization (delay statistics) or one run of consecutive
+    # realizations of a curve (correlations). A fork-started pool launches
+    # all of its workers at the first submit, so never ask for more workers
+    # than there are tasks.
     workers = min(jobs, len(arglist))
     if workers <= 1:
         return [worker(args) for args in arglist]
@@ -150,42 +183,18 @@ def _collect_rows(worker, arglist, jobs):
 
 @dataclass(eq=False)
 class CorrelationPlan:
-    """One validated correlation curve: its lag axis and one task per realization."""
+    """One validated correlation curve: its lag axis and its runs of realizations."""
 
     anchor_t: float
     anchor_f: float
     lags_t: np.ndarray
-    lags_f: np.ndarray
-    tasks: list  # _corr_realization arguments, in realization-index order
-
-
-def _plan(
-    cfg: ScenarioConfig,
-    anchor_t: float,
-    anchor_f: float,
-    points_t: np.ndarray,
-    points_f: np.ndarray,
-    lags_t: np.ndarray,
-    lags_f: np.ndarray,
-    phase_draws: int,
-) -> CorrelationPlan:
-    # row 0 is the anchor: every point pairs against it, and it against
-    # itself gives the zero lag used for normalization
-    times = np.concatenate([[anchor_t], points_t])
-    if np.any(times < 0):
-        raise ValueError("correlation would evaluate the channel before t=0; reduce the lags")
-    geo.evolve(cfg.geometry, cfg.intentional, times)  # name the first instant the platforms cannot reach
-    if phase_draws < 1:
-        raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
-    offsets = np.concatenate([[anchor_f], points_f])
-    tasks = [(cfg, i, times, offsets, phase_draws) for i in range(_ensemble_size(cfg))]
-    return CorrelationPlan(anchor_t, anchor_f, lags_t, lags_f, tasks)
+    tasks: list  # _corr_realization arguments, one per run, in realization-index order
 
 
 def _reduce(plan: CorrelationPlan, rows: list) -> CorrelationResult:
-    n = len(rows)
-    exp_rows = np.array([r[0] for r in rows])
-    emp_rows = np.array([r[1] for r in rows])
+    exp_rows = np.concatenate([r[0] for r in rows])
+    emp_rows = np.concatenate([r[1] for r in rows])
+    n = len(exp_rows)
     r_exp = exp_rows.mean(axis=0)
     r_emp = emp_rows.mean(axis=0)
 
@@ -204,7 +213,6 @@ def _reduce(plan: CorrelationPlan, rows: list) -> CorrelationResult:
         anchor_t=plan.anchor_t,
         anchor_f=plan.anchor_f,
         lags_t=plan.lags_t,
-        lags_f=plan.lags_f,
         n_realizations=n,
         expectation=r_exp[1:],
         empirical=r_emp[1:],
@@ -214,7 +222,7 @@ def _reduce(plan: CorrelationPlan, rows: list) -> CorrelationResult:
         empirical_norm=np.abs(r_emp[1:]) / z_emp,
         expectation_stderr=se_exp[1:] / z_exp,
         empirical_stderr=se_emp[1:] / z_emp,
-        resamples=[r[2] for r in rows],
+        resamples=[count for r in rows for count in r[2]],
     )
 
 
@@ -222,7 +230,8 @@ def correlate(plans: list[CorrelationPlan], jobs: int = 1) -> list[CorrelationRe
     """Evaluate every curve in ``plans`` as one ensemble: one worker pool at most.
 
     Each curve's rows are taken back out in realization-index order, so a
-    curve's result does not depend on ``jobs`` or on the other curves.
+    curve's result does not depend on ``jobs``, on how its realizations are
+    split into runs, or on the other curves.
     """
     rows = _collect_rows(_corr_realization, [task for plan in plans for task in plan.tasks], jobs)
     results, start = [], 0
@@ -237,51 +246,29 @@ def acf_plan(cfg: ScenarioConfig, t: float, f: float, lags, phase_draws: int = 1
     """The :func:`acf` curve at ``(t, f)``, validated, for :func:`correlate`."""
     lags_t = np.asarray(lags, dtype=float)
     check_anchor(t, f, lags_t)
-    return _plan(cfg, t, f, t + lags_t, np.full_like(lags_t, float(f)), lags_t, np.zeros_like(lags_t), phase_draws)
+    # row 0 is the anchor: every point pairs against it, and it against
+    # itself gives the zero lag used for normalization
+    times = np.concatenate([[t], t + lags_t])
+    if np.any(times < 0):
+        raise ValueError("correlation would evaluate the channel before t=0; reduce the lags")
+    geo.evolve(cfg.geometry, cfg.intentional, times)  # name the first instant the platforms cannot reach
+    if phase_draws < 1:
+        raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")
+    runs = _runs(_ensemble_size(cfg), times.size * cfg.clusters.rays_per_path)
+    return CorrelationPlan(t, f, lags_t, [(cfg, run, times, f, phase_draws) for run in runs])
 
 
 def acf(cfg: ScenarioConfig, t: float, f: float, lags, jobs: int = 1, phase_draws: int = 1) -> CorrelationResult:
     """Temporal autocorrelation at instant ``t`` and baseband offset ``f``, over
     ``cfg.realizations`` realizations.
 
-    Lag products pair the channel at ``t + lag`` against ``t``, i.e. the
-    value at lag ``dt`` is the time-frequency correlation anchored at
-    ``t + dt`` with backward lag ``dt``; this keeps every evaluation at
-    nonnegative times so t=0 anchors work. ``phase_draws`` > 1 averages the
-    *empirical* estimator over extra initial-phase draws per realization;
-    the expectation estimator is unaffected by it.
+    Lag products pair the channel at ``t + lag`` against ``t``; this keeps
+    every evaluation at nonnegative times so t=0 anchors work.
+    ``phase_draws`` > 1 averages the *empirical* estimator over extra
+    initial-phase draws per realization; the expectation estimator is
+    unaffected by it.
     """
     return correlate([acf_plan(cfg, t, f, lags, phase_draws)], jobs)[0]
-
-
-def tfcf(
-    cfg: ScenarioConfig,
-    t: float,
-    f: float,
-    lags_t,
-    lags_f=0.0,
-    jobs: int = 1,
-    phase_draws: int = 1,
-) -> CorrelationResult:
-    """Time-frequency correlation E{H(t,f) H*(t-dt, f-df)} by Monte Carlo.
-
-    Positive time lags look backward from the anchor, so ``t - max(lags_t)``
-    must be >= 0; negative lags probe forward of the anchor.
-    """
-    lags_t = np.asarray(lags_t, dtype=float)
-    lags_f = np.broadcast_to(np.asarray(lags_f, dtype=float), lags_t.shape).copy()
-    check_anchor(t, f, np.concatenate([lags_t, lags_f]))
-    plan = _plan(cfg, t, f, t - lags_t, f - lags_f, lags_t, lags_f, phase_draws)
-    # The curve pairs the anchor against each point, the conjugate of the
-    # kernel's point-against-anchor product; magnitudes and errors are unchanged.
-    r = correlate([plan], jobs)[0]
-    return replace(
-        r,
-        expectation=r.expectation.conj(),
-        empirical=r.empirical.conj(),
-        expectation_zero=r.expectation_zero.conjugate(),
-        empirical_zero=r.empirical_zero.conjugate(),
-    )
 
 
 # ---------------------------------------------------------------------------

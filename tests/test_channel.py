@@ -86,7 +86,7 @@ def test_specular_single_bounce_delay_is_macro_delay():
     )
     real = build_realization(cfg, 0)
     assert real.subpaths[0].path.is_single_bounce
-    tau = component_table(real, [0.0]).delays[0][0, 0]
+    tau = component_table([real], [0.0]).delays[0][0, 0, 0]
     expected = math.hypot(2000.0, 70.0) / 1500.0
     assert tau == pytest.approx(expected, abs=1e-12)
 
@@ -99,7 +99,7 @@ def test_los_delay_measurement_geometry():
         signal=SignalConfig(carrier_freq=17000.0, time_grid=(0.0,)),
     )
     real = build_realization(cfg, 0)
-    assert component_table(real, [0.0]).los_delay[0] == pytest.approx(math.hypot(1500.0, 1.5) / 1440.0, rel=1e-12)
+    assert component_table([real], [0.0]).los_delay[0, 0] == pytest.approx(math.hypot(1500.0, 1.5) / 1440.0, rel=1e-12)
 
 
 def test_rays_never_beat_the_direct_path():
@@ -108,7 +108,7 @@ def test_rays_never_beat_the_direct_path():
     for name, horizon in (("table1", 1.0), ("fig3", 0.1)):
         real = build_realization(preset_scenario(name), 0, horizon=horizon)
         for t in np.linspace(0.0, horizon, 3):
-            table = component_table(real, [t])
+            table = component_table([real], [t])
             for delays in table.delays:
                 assert np.all(delays[0] >= table.los_delay[0] - 1e-9)
 
@@ -134,7 +134,7 @@ def test_floor_reserves_the_worst_case_drift():
     )
     horizon = 1.0
     real = build_realization(cfg, 0, horizon=horizon)
-    table = component_table(real, [0.0])
+    table = component_table([real], [0.0])
     margin = 4.0 * cfg.drift.v_max * horizon / cfg.geometry.sound_speed
     for delays in table.delays:
         assert np.all(delays[0] - table.los_delay[0] >= margin - 1e-12)
@@ -156,12 +156,12 @@ def test_ctf_los_only_limit():
     cfg = small_scenario(power=PowerConfig(rice_k=1e12))
     real = build_realization(cfg, 0)
     frame = evaluate_ctf(real)
-    table = component_table(real, cfg.signal.time_grid)
+    table = component_table([real], cfg.signal.time_grid)
     for fi, f in enumerate(cfg.signal.freq_offsets):
         from uwachan.channel import subpath_gains
 
-        a_los, _ = subpath_gains(real, table, cfg.signal.carrier_freq + f)
-        assert np.abs(frame.values[:, fi]) == pytest.approx(a_los, rel=1e-6)
+        a_los, _ = subpath_gains([real], table, cfg.signal.carrier_freq + f)
+        assert np.abs(frame.values[:, fi]) == pytest.approx(a_los[:, 0], rel=1e-6)
 
 
 def test_ctf_k_zero_has_no_direct_tap():
@@ -179,9 +179,9 @@ def test_grid_table_rows_equal_single_instant_tables():
     times = np.linspace(0.0, 4.0, 41)
     for index in range(3):
         real = build_realization(cfg, index, horizon=times[-1])
-        grid = component_table(real, times)
+        grid = component_table([real], times)
         for i, t in enumerate(times):
-            single = component_table(real, [t])
+            single = component_table([real], [t])
             assert np.array_equal(grid.los_delay[i : i + 1], single.los_delay)
             for grid_delays, single_delays in zip(grid.delays, single.delays):
                 assert np.array_equal(grid_delays[i : i + 1], single_delays)
@@ -201,7 +201,7 @@ def test_tap_list_counts_and_sum():
     taps = tap_list(real, [0.0], [1000.0])
     assert len(taps) == 1 + 4 * 50
     total = taps.amplitudes[0, 0].sum()
-    table = component_table(real, [0.0])
+    table = component_table([real], [0.0])
     h = ctf_values(real, table, 1000.0)[0]
     assert total == pytest.approx(h, rel=1e-12)
 
@@ -306,7 +306,7 @@ def test_skipped_zero_terms_leave_every_bit(
 
     def evaluate():
         real = build_realization(cfg, 0)
-        return real, component_table(real, times)
+        return real, component_table([real], times)
 
     real, table = evaluate()
     with pytest.MonkeyPatch.context() as mp:
@@ -328,8 +328,8 @@ def test_instants_past_the_built_span_are_rejected():
         with pytest.raises(ValueError, match=message):
             tap_list(real, [0.0, t], [0.0])
         with pytest.raises(ValueError, match=message):
-            component_table(real, [t])
+            component_table([real], [t])
     real = build_realization(preset_scenario("table1"), 0, horizon=1.0)
     with pytest.raises(ValueError, match="outside the realization's span"):
-        component_table(real, [-0.1])
-    component_table(real, [0.0, 1.0])  # both ends of the span evaluate
+        component_table([real], [-0.1])
+    component_table([real], [0.0, 1.0])  # both ends of the span evaluate

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from uwachan.stats import (
     delay_stats,
     ensemble_delay_stats,
     pdp,
-    tfcf,
 )
 from uwachan import stats
 from uwachan.channel import (
@@ -98,40 +98,6 @@ def test_acf_decays_under_motion():
     assert result.expectation_norm[1] < 0.9
 
 
-def test_acf_matches_tfcf_at_shifted_anchor():
-    cfg = moving_scenario(realizations=10)
-    lag = 0.04
-    forward = acf(cfg, 0.0, 0.0, [lag])
-    backward = tfcf(cfg, lag, 0.0, [lag])
-    assert forward.expectation[0] == pytest.approx(backward.expectation[0], rel=1e-12)
-    assert forward.empirical[0] == pytest.approx(backward.empirical[0], rel=1e-12)
-
-
-def test_tfcf_hermitian_symmetry():
-    cfg = moving_scenario(realizations=200)
-    anchor = 0.1
-    lags = np.array([0.03, -0.03])
-    result = tfcf(cfg, anchor, 0.0, lags)
-    fwd, rev = result.expectation
-    se = result.expectation_stderr * abs(result.expectation_zero)
-    tol = 3 * (se[0] + se[1]) + 1e-12
-    assert abs(fwd - np.conj(rev)) <= tol
-
-
-def test_tfcf_rejects_lags_before_time_origin():
-    with pytest.raises(ValueError, match="before t=0"):
-        tfcf(scenario(realizations=2), 0.01, 0.0, [0.02])
-
-
-def test_frequency_lag_changes_correlation():
-    cfg = scenario(
-        clusters=ClusterConfig(max_surface_hops=2, max_bottom_hops=2, rays_per_path=10), realizations=60
-    )
-    result = tfcf(cfg, 0.0, 0.0, [0.0, 0.0], lags_f=[0.0, 200.0])
-    assert result.expectation_norm[0] == 1.0
-    assert result.expectation_norm[1] < 0.999
-
-
 def test_phase_draws_reduce_estimator_gap():
     cfg = moving_scenario(power=PowerConfig(rice_k=0.0), realizations=60)
     lags = np.linspace(0.0, 0.1, 6)
@@ -172,14 +138,34 @@ def test_jobs_do_not_change_results():
 
 
 def test_pool_is_no_larger_than_the_task_list(recording_pool):
+    # A correlation task is a run of realizations. At this many rows one
+    # realization's phasor block is over half the bound, so each realization
+    # is a run, and a task, of its own.
     cfg = moving_scenario(realizations=3)
-    lags = [0.0, 0.01]
+    lags = np.linspace(0.0, 0.01, stats._RUN_ELEMENTS // cfg.clusters.rays_per_path)
     pooled = acf(cfg, 0.0, 0.0, lags, jobs=64)
     assert recording_pool == [3]
     assert np.array_equal(pooled.expectation, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation)
-    acf(dataclasses.replace(cfg, realizations=1), 0.0, 0.0, lags, jobs=64)  # one task runs in-process
+    acf(cfg, 0.0, 0.0, [0.0, 0.01], jobs=64)  # all three fit one run: one task runs in-process
+    acf(dataclasses.replace(cfg, realizations=1), 0.0, 0.0, lags, jobs=64)  # so does one realization
     ensemble_delay_stats(dataclasses.replace(cfg, realizations=2), mode="ray", jobs=8)
     assert recording_pool == [3, 2]
+
+
+def test_runs_split_realizations_evenly_within_the_bound():
+    budget = stats._RUN_ELEMENTS
+    for n in (1, 2, 3, 5, 16, 17, 100, 500):
+        for per in (1, 7, 1100, 7700, budget // 2, budget // 2 + 1, budget, budget + 1, 10 * budget):
+            runs = stats._runs(n, per)
+            assert [i for run in runs for i in run] == list(range(n)), (n, per)
+            assert all(len(run) * per <= budget or len(run) == 1 for run in runs), (n, per)
+            sizes = [len(run) for run in runs]
+            assert max(sizes) - min(sizes) <= 1, (n, per, sizes)
+            assert len(runs) == -(-n // max(1, budget // per)), (n, per)  # the fewest that fit
+            if per > budget:
+                assert sizes == [1] * n
+    # fig3: 22 rows x 50 rays fit 14 realizations in a block; 16 split 8 + 8, not 14 + 2
+    assert [len(run) for run in stats._runs(16, 22 * 50)] == [8, 8]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -196,6 +182,16 @@ def test_one_pass_equals_per_curve_acf(name, jobs):
         assert got.resamples == alone.resamples
 
 
+def run_of_one(real, times, fabs):
+    """One realization's table and gains in the shapes the reference below
+    was written for: ``los_delay`` (T,), ``delays`` (T, R) and gains (T,),
+    each row at its own absolute frequency."""
+    table = component_table([real], times)
+    a_los, a_subs = subpath_gains([real], table, fabs[:, np.newaxis])
+    squeezed = SimpleNamespace(los_delay=table.los_delay[:, 0], delays=[d[:, 0] for d in table.delays])
+    return squeezed, a_los[:, 0], [a[:, 0] for a in a_subs]
+
+
 def reference_corr_realization(args):
     """The correlation kernel as it was before any evaluation was shared.
 
@@ -209,10 +205,8 @@ def reference_corr_realization(args):
     lo_t, lo_f = np.full_like(times, times[0]), np.full_like(offsets, offsets[0])
     fabs_hi = cfg.signal.carrier_freq + hi_f
     fabs_lo = cfg.signal.carrier_freq + lo_f
-    tab_hi = component_table(real, hi_t)
-    tab_lo = component_table(real, lo_t)
-    a_los_hi, a_subs_hi = subpath_gains(real, tab_hi, fabs_hi)
-    a_los_lo, a_subs_lo = subpath_gains(real, tab_lo, fabs_lo)
+    tab_hi, a_los_hi, a_subs_hi = run_of_one(real, hi_t, fabs_hi)
+    tab_lo, a_los_lo, a_subs_lo = run_of_one(real, lo_t, fabs_lo)
     k = cfg.power.rice_k
     n_rays = cfg.clusters.rays_per_path
     w_los = math.sqrt(k / (k + 1.0))
@@ -267,11 +261,10 @@ OFFSETS = st.sampled_from([0.0, 250.0, -400.0])
 
 @st.composite
 def anchor_points(draw):
-    """(times, offsets) with the anchor in row 0; repeated instants and several offsets likely."""
+    """(times, offset) with the anchor in row 0; repeated instants likely."""
     size = draw(st.integers(1, 6))
     times = [draw(INSTANTS)] + draw(st.lists(INSTANTS, min_size=size, max_size=size))
-    offsets = [draw(OFFSETS)] + draw(st.lists(OFFSETS, min_size=size, max_size=size))
-    return np.array(times), np.array(offsets)
+    return np.array(times), draw(OFFSETS)
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,18 +288,53 @@ def test_kernel_matches_reference(
         clusters=ClusterConfig(max_surface_hops=hops, max_bottom_hops=hops, rays_per_path=rays),
         master_seed=seed,
     )
-    times, offsets = points
-    got, want = [], []
+    times, offset = points
     with unit_losses() if unit_gains else contextlib.nullcontext():
-        for index in range(realizations):
-            args = (cfg, index, times, offsets, phase_draws)
-            got.append(stats._corr_realization(args))
-            want.append(reference_corr_realization(args))
+        got = stats._corr_realization((cfg, range(realizations), times, offset, phase_draws))
+        want = [
+            reference_corr_realization((cfg, index, times, np.full_like(times, offset), phase_draws))
+            for index in range(realizations)
+        ]
     for estimator in (0, 1):
-        rows = np.array([r[estimator] for r in got])
+        rows = got[estimator]
         ref = np.array([r[estimator] for r in want])
         scale = abs(ref[:, 0].mean())
         assert np.abs(rows - ref).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drift=st.booleans(),
+    rice_k=st.sampled_from([0.0, 0.5, 5.0]),
+    amplitude=st.floats(0.1, 2.0),
+    rays=st.integers(1, 8),
+    hops=st.integers(1, 2),
+    seed=st.integers(0, 10_000),
+    realizations=st.integers(1, 5),
+    points=anchor_points(),
+    phase_draws=st.sampled_from([1, 3]),
+)
+def test_rows_do_not_depend_on_the_runs(
+    drift, rice_k, amplitude, rays, hops, seed, realizations, points, phase_draws
+):
+    # A curve's bytes must not depend on how its realizations are split into
+    # runs: each realization alone gives exactly its rows in a run of all.
+    cfg = moving_scenario(
+        drift=DriftConfig(v_min=0.05, v_max=0.1, change_freq=2.0) if drift else DriftConfig(),
+        power=PowerConfig(rice_k=rice_k),
+        surface=SurfaceMotionConfig(amplitude=amplitude, freq=0.5, travel_angle=math.pi / 2),
+        clusters=ClusterConfig(max_surface_hops=hops, max_bottom_hops=hops, rays_per_path=rays),
+        master_seed=seed,
+    )
+    times, offset = points
+    whole = stats._corr_realization((cfg, range(realizations), times, offset, phase_draws))
+    alone = [
+        stats._corr_realization((cfg, range(index, index + 1), times, offset, phase_draws))
+        for index in range(realizations)
+    ]
+    for estimator in (0, 1):
+        assert np.array_equal(whole[estimator], np.concatenate([r[estimator] for r in alone]))
+    assert whole[2] == [count for r in alone for count in r[2]]
 
 
 @settings(max_examples=60, deadline=None)
