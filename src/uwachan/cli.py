@@ -89,31 +89,6 @@ def _write_csv(path: str, header: list[str], blocks) -> int:
     return rows
 
 
-def _write_meta(out_path: str, cfg: ScenarioConfig, command: str, extra: dict) -> None:
-    meta = {
-        "command": command,
-        "version": __version__,
-        "scenario": scenario_to_dict(cfg),
-        **extra,
-    }
-    _write_atomic(out_path + ".meta.json", lambda fh: fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n"))
-
-
-def _resample_summary(counts: list[int]) -> dict:
-    """Sidecar summary of the ray draws rejected while building each realization."""
-    return {"mean": sum(counts) / len(counts), "max": max(counts)}
-
-
-def _write_plot_script(path: str, out_csv: str, description: list[str]) -> None:
-    lines = [
-        "# Plot companion (plain text). Feed the CSV below to any plotting tool.",
-        f"# data: {out_csv}",
-        *description,
-        "",
-    ]
-    _write_atomic(path, lambda fh: fh.write("\n".join(lines)))
-
-
 def _resolve_scenario(args) -> ScenarioConfig:
     """Preset defaults < scenario file < command-line flags."""
     preset = getattr(args, "preset", None)
@@ -128,10 +103,6 @@ def _resolve_scenario(args) -> ScenarioConfig:
         cfg = overlay(preset_scenario(preset), read_document(scenario_path))
     flags = {"master_seed": getattr(args, "seed", None), "realizations": getattr(args, "realizations", None)}
     return overlay(cfg, {key: value for key, value in flags.items() if value is not None})
-
-
-def _summary(out: str, rows: int, started: float, seed: int) -> None:
-    print(f"wrote {rows} rows to {out} in {time.perf_counter() - started:.2f}s (seed={seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +139,7 @@ def _ctf_blocks(frames):
         yield t_col, f_col, _floats(frame.values.real), _floats(frame.values.imag), index
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_scenario(args)
+def _cmd_simulate(args, cfg):
     n = args.realizations if args.realizations is not None else 1  # raw dumps default to one draw
     times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
     resamples = []
@@ -189,13 +158,7 @@ def _cmd_simulate(args) -> int:
         header = ["t_s", "f_offset_hz", "re", "im", "realization"]
         blocks = _ctf_blocks(evaluate_ctf(real) for real in realizations())
     written = _write_csv(args.out, header, blocks)
-    if args.meta:
-        summary = _resample_summary(resamples)
-        _write_meta(args.out, cfg, "simulate", {"realizations": n, "taps": bool(args.taps), "resamples": summary})
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, ["# x: t_s, y: 20*log10(hypot(re, im))"])
-    _summary(args.out, written, started, cfg.master_seed)
-    return 0
+    return written, {"realizations": n, "taps": bool(args.taps)}, resamples
 
 
 def _acf_lags(args) -> np.ndarray:
@@ -210,9 +173,7 @@ def _acf_block(lags, norm, values) -> tuple:
     return _floats(lags), _floats(norm), _floats(values.real), _floats(values.imag)
 
 
-def _cmd_acf(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_scenario(args)
+def _cmd_acf(args, cfg):
     lags = _acf_lags(args)
     result = stats.acf(cfg, args.t, args.f, lags, jobs=args.jobs)
     if args.estimator == "empirical":
@@ -221,35 +182,26 @@ def _cmd_acf(args) -> int:
         norm, values, se = result.expectation_norm, result.expectation, result.expectation_stderr
     block = (*_acf_block(result.lags_t, norm, values), _floats(se))
     written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], [block])
-    if args.meta:
-        extra = {"t": args.t, "f": args.f, "estimator": args.estimator, "max_se": float(se.max())}
-        _write_meta(args.out, cfg, "acf", {**extra, "resamples": _resample_summary(result.resamples)})
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, ["# x: lag_s, y: abs"])
-    _summary(args.out, written, started, cfg.master_seed)
-    return 0
+    fields = {"t": args.t, "f": args.f, "estimator": args.estimator, "max_se": float(se.max())}
+    return written, fields, result.resamples
 
 
 def _pdp_block(profile: stats.PdpResult) -> tuple:
     return _floats(profile.delays), _floats(profile.powers), _texts(profile.labels)
 
 
-def _cmd_pdp(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_scenario(args)
+def _cmd_pdp(args, cfg):
+    if args.mode != "ray" and args.realization is not None:
+        raise CliError("--realization needs --mode ray")
     stats.check_anchor(args.t, args.f)  # before a ray-mode build over the anchor's horizon
+    fields, source, resamples = {"t": args.t, "f": args.f, "mode": args.mode}, cfg, None
     if args.mode == "ray":
-        source = build_realization(cfg, args.realization, horizon=args.t)
-    else:
-        source = cfg
+        fields["realization"] = args.realization or 0
+        source = build_realization(cfg, fields["realization"], horizon=args.t)
+        resamples = [source.resample_count]
     profile = stats.pdp(source, args.t, args.f)
     written = _write_csv(args.out, ["delay_s", "power", "label"], [_pdp_block(profile)])
-    if args.meta:
-        _write_meta(args.out, cfg, "pdp", {"t": args.t, "f": args.f, "mode": args.mode})
-    if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, ["# stem plot; x: delay_s, y: 10*log10(power)"])
-    _summary(args.out, written, started, cfg.master_seed)
-    return 0
+    return written, fields, resamples
 
 
 def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
@@ -261,23 +213,15 @@ def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
     )
 
 
-def _cmd_delay_stats(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_scenario(args)
+def _cmd_delay_stats(args, cfg):
     ens = stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs)
     written = _write_csv(
         args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [_delay_stat_block(ens)]
     )
-    if args.meta:
-        extra = {"t": args.t, "f": args.f, "mode": args.mode}
-        if ens.resamples:  # cluster mode builds no realization
-            extra["resamples"] = _resample_summary(ens.resamples)
-        _write_meta(args.out, cfg, "delay-stats", extra)
-    _summary(args.out, written, started, cfg.master_seed)
-    return 0
+    return written, {"t": args.t, "f": args.f, "mode": args.mode}, ens.resamples  # none in cluster mode
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate() -> int:
     tol = presets.TABLE1_TARGETS["tolerance"]
     checks = presets.table1_check(presets.evaluate("table1", "table1"))
     for metric, value, target, passed in checks:
@@ -310,21 +254,55 @@ def _preset_blocks(statistic: str, results: dict) -> list:
     return blocks
 
 
-def _cmd_preset(args) -> int:
-    started = time.perf_counter()
-    cfg = _resolve_scenario(args)
+def _cmd_preset(args, cfg):
     statistic = presets.EXPERIMENTS[args.preset][0]
     results = presets.evaluate_curves(args.preset, cfg=cfg, jobs=args.jobs)
     written = _write_csv(args.out, _PRESET_HEADERS[statistic], _preset_blocks(statistic, results))
+    if statistic != "acf":  # fig5 and table1 are cluster-mode results: no draws, no standard error
+        return written, {}, None
+    max_se = {label: float(r.expectation_stderr.max()) for label, r in results.items()}
+    return written, {"max_se": max_se}, [n for r in results.values() for n in r.resamples]
+
+
+# ---------------------------------------------------------------------------
+# the step every CSV subcommand runs through
+
+
+# What each statistic's plot companion draws from its CSV columns.
+_PLOT_HINTS = {
+    "simulate": "x: t_s, y: 20*log10(hypot(re, im))",
+    "acf": "x: lag_s, y: abs",
+    "pdp": "stem plot; x: delay_s, y: 10*log10(power)",
+    "delay-stats": "x: metric, y: ensemble_mean_s, error bars: ensemble_std_s",
+}
+
+
+def _run(args) -> int:
+    """Resolve the scenario and run ``args.func``, which writes the CSV.
+
+    ``args.func(args, cfg)`` returns (rows written, sidecar fields, the ray
+    draws rejected while building each realization or None); this step then
+    writes the ``--meta`` sidecar, the ``--plot-script`` companion and the
+    summary line.
+    """
+    started = time.perf_counter()
+    cfg = _resolve_scenario(args)
+    written, fields, resamples = args.func(args, cfg)
+    command, hint = args.command, _PLOT_HINTS.get(args.command)
+    if command == "preset":
+        command, statistic = f"preset {args.preset}", presets.EXPERIMENTS[args.preset][0]
+        rows = "group rows by 'curve'" if _PRESET_HEADERS[statistic][0] == "curve" else _PLOT_HINTS[statistic]
+        hint = f"{command}; {rows}"
     if args.meta:
-        extra = {}
-        if statistic == "acf":
-            extra["resamples"] = _resample_summary([n for r in results.values() for n in r.resamples])
-            extra["max_se"] = {label: float(r.expectation_stderr.max()) for label, r in results.items()}
-        _write_meta(args.out, cfg, f"preset {args.preset}", extra)
+        if resamples:
+            fields["resamples"] = {"mean": sum(resamples) / len(resamples), "max": max(resamples)}
+        meta = {"command": command, "version": __version__, "scenario": scenario_to_dict(cfg), **fields}
+        text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        _write_atomic(args.out + ".meta.json", lambda fh: fh.write(text))
     if args.plot_script:
-        _write_plot_script(args.plot_script, args.out, [f"# preset {args.preset}; group rows by 'curve'"])
-    _summary(args.out, written, started, cfg.master_seed)
+        lines = ["# Plot companion (plain text). Feed the CSV below to any plotting tool.", f"# data: {args.out}"]
+        _write_atomic(args.plot_script, lambda fh: fh.write("\n".join([*lines, f"# {hint}", ""])))
+    print(f"wrote {written} rows to {args.out} in {time.perf_counter() - started:.2f}s (seed={cfg.master_seed})")
     return 0
 
 
@@ -332,13 +310,35 @@ def _cmd_preset(args) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", help="scenario JSON file")
-    parser.add_argument("--preset", help=f"named scenario: {', '.join(PRESET_NAMES)}")
-    parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--out", required=True, help="output CSV path")
-    parser.add_argument("--meta", action="store_true", help="write <out>.meta.json sidecar")
-    parser.add_argument("--plot-script", help="write a plain-text plotting companion")
+# Flags that several subcommands share, defined once: add_argument keyword arguments by flag.
+_FLAGS = {
+    "--scenario": {"help": "scenario JSON file"},
+    "--preset": {"help": f"named scenario: {', '.join(PRESET_NAMES)}"},
+    "--seed": {"type": int, "help": "override the master seed"},
+    "--out": {"required": True, "help": "output CSV path"},
+    "--meta": {"action": "store_true", "help": "write <out>.meta.json sidecar"},
+    "--plot-script": {"help": "write a plain-text plotting companion"},
+    "--realizations": {"type": int, "help": "override the ensemble size"},
+    "--jobs": {"type": int, "default": 1, "help": "worker processes (default 1)"},
+    "--t": {"type": float, "default": 0.0, "help": "anchor time, s"},
+    "--f": {"type": float, "default": 0.0, "help": "anchor baseband offset, Hz"},
+    "--mode": {
+        "choices": ("cluster", "ray"),
+        "default": "cluster",
+        "help": "profile of specular clusters or of drawn rays (default cluster)",
+    },
+}
+_OUTPUT = ("--out", "--meta", "--plot-script")
+_SCENARIO = ("--scenario", "--preset", "--seed", *_OUTPUT)
+
+
+def _subcommand(sub, name: str, func, flags, **kwargs) -> argparse.ArgumentParser:
+    """Subparser ``name`` with the shared ``flags``; ``main`` runs ``func`` through ``_run``."""
+    parser = sub.add_parser(name, **kwargs)
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="dump complex CTF samples (or taps) to CSV")
-    _add_common(p)
+    p = _subcommand(sub, "simulate", _cmd_simulate, _SCENARIO, help="dump complex CTF samples (or taps) to CSV")
     p.add_argument(
         "--realizations",
         type=int,
@@ -357,14 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         "the ensemble size of acf, delay-stats and preset, is not read here",
     )
     p.add_argument("--taps", action="store_true", help="dump per-ray taps instead of CTF samples")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("acf", help="temporal autocorrelation at an anchor")
-    _add_common(p)
-    p.add_argument("--realizations", type=int, help="override the ensemble size")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument("--t", type=float, default=0.0, help="anchor time, s")
-    p.add_argument("--f", type=float, default=0.0, help="anchor baseband offset, Hz")
+    ensemble = (*_SCENARIO, "--realizations", "--jobs", "--t", "--f")
+    p = _subcommand(sub, "acf", _cmd_acf, ensemble, help="temporal autocorrelation at an anchor")
     p.add_argument("--lag-max", type=float, default=0.1, help="largest lag, s")
     p.add_argument("--lag-count", type=int, default=21, help="number of lags incl. zero")
     p.add_argument(
@@ -373,30 +367,19 @@ def build_parser() -> argparse.ArgumentParser:
         default="expectation",
         help="which ensemble estimator to write",
     )
-    p.set_defaults(func=_cmd_acf)
 
-    p = sub.add_parser("pdp", help="power delay profile at an anchor")
-    _add_common(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--f", type=float, default=0.0)
-    p.add_argument("--mode", choices=("cluster", "ray"), default="cluster")
-    p.add_argument("--realization", type=int, default=0, help="realization index for ray mode")
-    p.set_defaults(func=_cmd_pdp)
+    anchor = (*_SCENARIO, "--t", "--f", "--mode")
+    p = _subcommand(sub, "pdp", _cmd_pdp, anchor, help="power delay profile at an anchor")
+    p.add_argument("--realization", type=int, help="realization index for --mode ray (default 0)")
 
-    p = sub.add_parser("delay-stats", help="ensemble average delay and RMS delay spread")
-    _add_common(p)
-    p.add_argument("--realizations", type=int, help="override the ensemble size")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--f", type=float, default=0.0)
-    p.add_argument("--mode", choices=("cluster", "ray"), default="cluster")
-    p.set_defaults(func=_cmd_delay_stats)
+    _subcommand(
+        sub, "delay-stats", _cmd_delay_stats, (*ensemble, "--mode"),
+        help="ensemble average delay and RMS delay spread",
+    )
+    sub.add_parser("validate", help="check the measurement-comparison delay moments")
 
-    p = sub.add_parser("validate", help="check the measurement-comparison delay moments")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser(
-        "preset",
+    p = _subcommand(
+        sub, "preset", _cmd_preset, ("--seed", "--realizations", "--jobs", *_OUTPUT),
         help="run a named experiment end to end",
         description=(
             "Run a named experiment end to end. fig5 and table1 are deterministic "
@@ -406,13 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("preset", metavar="name", help=f"one of: {', '.join(PRESET_NAMES)}")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--meta", action="store_true")
-    p.add_argument("--plot-script", help="write a plain-text plotting companion")
-    p.set_defaults(func=_cmd_preset)
     return parser
 
 
@@ -420,9 +396,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "validate":
+            return _cmd_validate()
         if getattr(args, "jobs", 1) < 1:
             raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.func(args)
+        return _run(args)
     except (CliError, ScenarioError, ValueError, OSError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

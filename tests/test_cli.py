@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -332,6 +333,84 @@ def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, mo
                 "--plot-script", str(tmp_path / "plot.txt")]) == 0
     assert sorted(replaced) == ["pdp.csv", "pdp.csv.meta.json", "plot.txt"]
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--preset", "table1"],
+        ["acf", "--preset", "table1", "--realizations", "2", "--lag-count", "3"],
+        ["pdp", "--preset", "table1"],
+        ["delay-stats", "--preset", "table1", "--realizations", "2"],
+        ["preset", "fig5"],
+        ["preset", "table1", "--realizations", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "preset" else argv[0],
+)
+def test_every_command_writes_a_plot_companion_naming_its_csv(tmp_path, argv):
+    out, script = tmp_path / "x.csv", tmp_path / "plot.txt"
+    assert run([*argv, "--out", str(out), "--plot-script", str(script)]) == 0
+    text = script.read_text()
+    assert f"# data: {out}\n" in text
+    # only a CSV with a curve column is grouped by it
+    assert ("group rows by 'curve'" in text) == out.read_text().startswith("curve,")
+
+
+def test_pdp_realization_needs_ray_mode(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["pdp", "--preset", "fig3", "--realization", "7", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "--realization needs --mode ray"
+    assert not out.exists()
+
+
+def test_ray_pdp_meta_records_its_realization(tmp_path):
+    cfg = preset_scenario("table1")
+    metas = {}
+    for k in (None, 0, 2):
+        out = tmp_path / f"{k}.csv"
+        flags = [] if k is None else ["--realization", str(k)]
+        assert run(["pdp", "--preset", "table1", "--mode", "ray", "--t", "0.5", *flags,
+                    "--out", str(out), "--meta"]) == 0
+        metas[k] = (tmp_path / f"{k}.csv.meta.json").read_text()
+    assert metas[None] == metas[0]  # ray mode draws realization 0 by default
+    assert metas[0] != metas[2]
+    for k in (0, 2):
+        meta = json.loads(metas[k])
+        count = build_realization(cfg, k, horizon=0.5).resample_count
+        assert meta["realization"] == k
+        assert meta["resamples"] == {"mean": count, "max": count}
+
+
+# Each subcommand's option strings (positionals by name, --help left out), and the flags that
+# several subcommands share.
+_PARSER_SURFACE = {
+    "simulate": {"--scenario", "--preset", "--seed", "--out", "--meta", "--plot-script", "--realizations",
+                 "--taps"},
+    "acf": {"--scenario", "--preset", "--seed", "--out", "--meta", "--plot-script", "--realizations", "--jobs",
+            "--t", "--f", "--lag-max", "--lag-count", "--estimator"},
+    "pdp": {"--scenario", "--preset", "--seed", "--out", "--meta", "--plot-script", "--t", "--f", "--mode",
+            "--realization"},
+    "delay-stats": {"--scenario", "--preset", "--seed", "--out", "--meta", "--plot-script", "--realizations",
+                    "--jobs", "--t", "--f", "--mode"},
+    "validate": set(),
+    "preset": {"preset", "--seed", "--realizations", "--jobs", "--out", "--meta", "--plot-script"},
+}
+_SHARED_FLAGS = {"--scenario", "--preset", "--seed", "--out", "--meta", "--plot-script", "--realizations", "--jobs",
+                 "--t", "--f", "--mode"}
+
+
+def test_parser_surface():
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands) == set(_PARSER_SURFACE)
+    for name, sub in commands.items():
+        actions = {
+            opt: a for a in sub._actions if not isinstance(a, argparse._HelpAction)
+            for opt in (a.option_strings or [a.dest])
+        }
+        assert set(actions) == _PARSER_SURFACE[name], name
+        for flag in _SHARED_FLAGS & set(actions):
+            assert actions[flag].help, (name, flag)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"])

@@ -527,15 +527,19 @@ def test_statistics_ignore_the_simulate_grid():
     assert a.resamples == b.resamples
 
 
-def test_ray_mode_equals_cluster_mode_at_the_cluster_limit():
-    # With no angle or mid-distance spread and a still surface, every ray of a
-    # sub-path runs along its specular reflection, so each realization's ray
-    # moments are the cluster moments (Table 1 scenario, 4e-13 relative here).
+@pytest.mark.parametrize("name", ["table1", "fig4-time", "fig3"])
+def test_ray_mode_equals_cluster_mode_at_the_cluster_limit(name):
+    # With no angle or mid-distance spread, no drift and a still surface, every
+    # ray of a sub-path runs along its specular reflection at t = 0, so each
+    # realization's ray moments are the cluster moments (4e-13 relative on
+    # Table 1 here; fig4-time and fig3 move their platforms, which t = 0 does
+    # not see).
     limit = {
         "clusters": {"angle_spread_surface": 0.0, "angle_spread_bottom": 0.0, "mid_distance_spread": 0.0},
+        "drift": {"v_min": 0.0, "v_max": 0.0},
         "surface": {"amplitude": 0.0},
     }
-    cfg = overlay(preset_scenario("table1"), limit)
+    cfg = overlay(preset_scenario(name), limit)
     ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), mode="ray")
     cluster = ensemble_delay_stats(overlay(cfg, {"realizations": 1}), mode="cluster")
     np.testing.assert_allclose(ray.average, cluster.average_mean, rtol=1e-11, atol=0.0)
