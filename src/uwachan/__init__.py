@@ -74,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"

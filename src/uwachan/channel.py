@@ -1,10 +1,10 @@
 """Channel realizations: ray population, time-varying delays, and the CTF.
 
 A realization is fully determined by (master_seed, realization index): drift
-paths, ray angle offsets, surface phases, mid-leg perturbations and initial
-phases are all drawn from dedicated streams at build time and frozen. Delay
-and gain evaluation afterwards is deterministic, and delays are computed once
-per (ray, time) and reused across frequencies.
+paths, ray points, surface phases and initial phases are all drawn from
+dedicated streams at build time and frozen. Delay and gain evaluation
+afterwards is deterministic, and delays are computed once per (ray, time)
+and reused across frequencies.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import geometry as geo
 from . import propagation as prop
 from .motion import DriftState, build_drift
 from .propagation import PathKind
-from .scenario import TAU, ScenarioConfig, SurfaceMotionConfig, stream_for
+from .scenario import TAU, ScenarioConfig, stream_for
 
 __all__ = [
     "SubPath",
@@ -50,7 +50,7 @@ class ChannelRealization:
 
     cfg: ScenarioConfig
     index: int
-    span: float  # s; the build checked [0, span], and only it can be evaluated
+    span: float  # s; the drift covers [0, span], and only it can be evaluated
     drift_tx: DriftState
     drift_rx: DriftState
     subpaths: tuple[SubPath, ...]
@@ -84,42 +84,15 @@ class Taps:
         return self.amplitudes.size
 
 
-def _worst_case_slack(path: geo.PathIndex, rays: geo.RayDraws, cfg: ScenarioConfig, span: float) -> np.ndarray:
-    """Largest possible shortening of each ray by surface/drift terms, meters.
-
-    Used when enforcing the floor "no ray shorter than the direct path": the
-    surface oscillation can subtract at most its amplitude times the ray's
-    projections (one shared phase on single-bounce surface paths), and each
-    drift projection mismatch against the direct path is bounded by twice the
-    largest displacement reachable within the horizon.
-    """
-    amp = cfg.surface.amplitude
-    slack = np.full(rays.aoa.shape, 4.0 * cfg.drift.v_max * span)
-    if amp > 0.0:
-        surface = geo.Boundary.SURFACE
-        proj_rx = np.abs(np.cos(rays.aoa - cfg.surface.travel_angle)) if path.last_boundary is surface else 0.0
-        if path.is_single_bounce:
-            # note: single-bounce departure angle varies with time; at build we
-            # only need a bound, and the shared phase couples the projections
-            slack += amp * proj_rx * 2.0
-        else:
-            proj_tx = np.abs(np.cos(rays.aod - cfg.surface.travel_angle)) if path.first_boundary is surface else 0.0
-            slack += amp * (proj_tx + proj_rx)
-    return slack
-
-
 def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = None) -> ChannelRealization:
     """Draw one complete channel realization.
 
     The realization covers ``[0, horizon]``, or the scenario's time grid
     when ``horizon`` is None (statistics pass their last anchor+lag
-    instant, ``simulate`` the grid). The drift and the floor's slack are
-    built over that span and nothing else, so a statistic does not depend
-    on a grid it never evaluates. Rays whose
-    frozen draws would make them shorter than the direct path anywhere on
-    the horizon are rejected and redrawn, like any other out-of-branch draw.
-    Each sub-path draws its rays as one batch on its own stream and, round
-    by round, redraws only the rejected ones; its initial phases come last.
+    instant, ``simulate`` the grid). The drift is built over that span and
+    nothing else, so a statistic does not depend on a grid it never
+    evaluates. Each sub-path draws its rays as one batch on its own stream,
+    from the specular geometry at t = 0; its initial phases come last.
     """
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
@@ -131,35 +104,14 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     drift_rx = build_drift(cfg.drift, span, stream_for(cfg.master_seed, index, "drift/rx"))
     state0 = geo.evolve(cfg.geometry, cfg.intentional, 0.0)
     depth = cfg.geometry.water_depth
-    los0 = geo.los_distance(state0)
-    still = SurfaceMotionConfig(amplitude=0.0, freq=0.0)
     n_rays = cfg.clusters.rays_per_path
     subpaths = []
     resamples = 0
     for path in geo.enumerate_paths(cfg.clusters):
-        cluster0 = geo.macro_ray(state0, depth, path)
         rng = stream_for(cfg.master_seed, index, f"path/{path.label}")
-        rays = geo.RayDraws(*(np.empty(n_rays) for _ in geo.RayDraws._fields))
-        pending = np.arange(n_rays)  # slots still waiting for an accepted ray
-        for _ in range(geo.MAX_TRIES):
-            if path.is_single_bounce:
-                batch, extra = geo.sample_micro_ray_sb(cluster0, state0, depth, cfg.clusters, rng, pending.size)
-            else:
-                batch, extra = geo.sample_micro_ray_mb(cluster0, cfg.clusters, rng, pending.size)
-            leg_tx, mid, leg_rx = geo.micro_ray_distances(
-                batch, cluster0, state0, depth, (0.0, 0.0), (0.0, 0.0), still, 0.0
-            )
-            ok = leg_tx + mid + leg_rx - _worst_case_slack(path, batch, cfg, span) >= los0 - 1e-9
-            for slots, drawn in zip(rays, batch):
-                slots[pending[ok]] = drawn[ok]
-            pending = pending[~ok]
-            resamples += extra + pending.size
-            if not pending.size:
-                break
-        else:
-            raise geo.GeometryError(
-                f"could not draw a ray of {path.label} at least as long as the direct path"
-            )
+        sampler = geo.sample_micro_ray_sb if path.is_single_bounce else geo.sample_micro_ray_mb
+        rays, extra = sampler(geo.macro_ray(state0, depth, path), state0, depth, cfg.clusters, rng, n_rays)
+        resamples += extra
         subpaths.append(SubPath(path=path, phases=rng.uniform(0.0, TAU, n_rays), rays=rays))
     return ChannelRealization(
         cfg=cfg,
@@ -197,10 +149,10 @@ def component_table(run: list[ChannelRealization], times) -> ComponentTable:
     """Evaluate every component's geometry and ray delays on a time axis.
 
     ``run`` holds K realizations of one scenario built over one span, and
-    every instant must lie in that span, the only time the build checked
-    the rays against. The specular geometry sits on a (T, 1, 1) time axis
-    and the run's ray draws are stacked to (K, R), so one evaluation per
-    sub-path gives the whole run's (T, K, R) ray delays.
+    every instant must lie in that span, the only time their drift and
+    platform geometry cover. The specular geometry sits on a (T, 1, 1) time
+    axis and the run's ray draws are stacked to (K, R), so one evaluation
+    per sub-path gives the whole run's (T, K, R) ray delays.
     """
     tt = np.atleast_1d(np.asarray(times, dtype=float))
     span = min(real.span for real in run)

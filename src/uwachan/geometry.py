@@ -6,10 +6,13 @@ incidence angles are measured from the boundary normal and lie in (0, pi/2).
 With these conventions the mean ray angles at a reflection point are exactly
 pi/2 -+ incidence (surface) and 3*pi/2 +- incidence (bottom).
 
-Per-ray random draws (angles, surface phases, mid-leg perturbation) are
-frozen when a ray is created. A multi-bounce ray keeps its departure and
-arrival angles fixed in absolute terms; a single-bounce ray keeps its
-arrival angle, and its departure angle is re-derived from it at each t.
+A diffuse ray is the points where it meets its first and its last boundary
+(one point for a single bounce). Its angles are drawn once, at t = 0, and
+turned into frozen fractions of the sub-path's specular horizontal runs:
+the first point sits at ``first * run_tx(t)`` from the Tx, the last at
+``last * run_rx(t)`` from the Rx, so scatterers move with their specular
+point. At every t each leg is a straight line between its end points, and
+a closed path from Tx to Rx is never shorter than the direct path.
 """
 from __future__ import annotations
 
@@ -41,9 +44,7 @@ __all__ = [
     "segment_lengths",
 ]
 
-_MIN_SIN = 1e-12
-# Draws of one ray slot before its sampler (or the build's floor check)
-# gives up with a GeometryError.
+# Draws of one ray slot before its sampler gives up with a GeometryError.
 MAX_TRIES = 1000
 
 
@@ -172,10 +173,10 @@ def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0))
 class ClusterGeometry:
     """Specular-reflection geometry of one sub-path at time t.
 
-    ``distance`` is the unfolded image-method path length, ``incidence`` the
-    boundary incidence angle, and the three legs split the path at the first
-    and last reflection clusters (``leg_mid`` is 0 for single bounces).
-    Fields are arrays shaped like the state's.
+    ``distance`` is the unfolded image-method path length and ``incidence``
+    the boundary incidence angle. ``run_tx`` is the horizontal run from the
+    Tx to the first reflection, ``run_rx`` the one from the last reflection
+    to the Rx. Fields are arrays shaped like the state's.
     """
 
     path: PathIndex
@@ -183,13 +184,12 @@ class ClusterGeometry:
     incidence: np.ndarray
     mean_aod: np.ndarray
     mean_aoa: np.ndarray
-    leg_tx: np.ndarray
-    leg_rx: np.ndarray
-    leg_mid: np.ndarray
+    run_tx: np.ndarray
+    run_rx: np.ndarray
 
 
 def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> ClusterGeometry:
-    """Image-method distance, incidence angle and leg split of a sub-path."""
+    """Image-method distance, incidence angle and outer horizontal runs of a sub-path."""
     h_t, h_r, dist = state.tx_depth, state.rx_depth, state.distance
     if path.kind is PathKind.DA:
         tx_sign = 1.0 if path.surface_hops == path.bottom_hops else -1.0
@@ -201,40 +201,38 @@ def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> Clus
         raise GeometryError(f"non-positive unfolded vertical extent for {path.label}")
     distance = np.hypot(dist, vertical)
     incidence = np.arctan2(dist, vertical)  # in (0, pi/2) for positive operands
-    cos_inc = np.cos(incidence)
+    slope = dist / vertical  # horizontal run per meter of depth crossed
     if path.first_boundary is Boundary.SURFACE:
         mean_aod = math.pi / 2 - incidence
-        leg_tx = (water_depth - h_t) / cos_inc
+        run_tx = (water_depth - h_t) * slope
     else:
         mean_aod = 3 * math.pi / 2 + incidence
-        leg_tx = h_t / cos_inc
+        run_tx = h_t * slope
     if path.last_boundary is Boundary.SURFACE:
         mean_aoa = math.pi / 2 + incidence
-        leg_rx = (water_depth - h_r) / cos_inc
+        run_rx = (water_depth - h_r) * slope
     else:
         mean_aoa = 3 * math.pi / 2 - incidence
-        leg_rx = h_r / cos_inc
-    leg_mid = np.zeros_like(distance) if path.is_single_bounce else distance - leg_tx - leg_rx
-    return ClusterGeometry(path, distance, incidence, mean_aod, mean_aoa, leg_tx, leg_rx, leg_mid)
+        run_rx = h_r * slope
+    return ClusterGeometry(path, distance, incidence, mean_aod, mean_aoa, run_tx, run_rx)
 
 
 class RayDraws(NamedTuple):
     """Frozen random draws of a batch of diffuse rays, one entry per ray.
 
-    Angles are drawn once, at ray birth, and reused across the whole time
-    grid; only the deterministic geometry terms evolve afterwards.
-    ``theta_first``/``theta_last`` are the surface-oscillation phases of the
-    first/last reflection cluster and are 0 when that cluster sits on the
-    (static) bottom. Single-bounce rays couple their departure angle to the
-    arrival angle through the reflection geometry, so ``aod`` is NaN there
-    and is re-derived from ``aoa`` at evaluation time.
+    ``first`` places each ray's first point at ``first * run_tx`` from the
+    Tx, ``last`` its last point at ``last * run_rx`` from the Rx; both are 1
+    on the specular path. ``theta_first``/``theta_last`` are the
+    surface-oscillation phases of those points and are 0 where the point
+    sits on the (static) bottom. A single-bounce ray has one point, placed
+    by ``first``; its ``last`` places the same point at t = 0, and its two
+    phases are one.
     """
 
-    aod: np.ndarray  # (n,) departure angles, rad; NaN for single-bounce rays
-    aoa: np.ndarray  # (n,) arrival angles, rad
+    first: np.ndarray  # (n,) fraction of the specular run from the Tx
+    last: np.ndarray  # (n,) fraction of the specular run from the Rx
     theta_first: np.ndarray  # (n,)
     theta_last: np.ndarray  # (n,)
-    delta_mid: np.ndarray  # (n,) log-perturbation of the inter-cluster leg; 0 for SB
 
 
 def _spread_for(boundary: Boundary, spreads: ClusterConfig) -> float:
@@ -242,8 +240,17 @@ def _spread_for(boundary: Boundary, spreads: ClusterConfig) -> float:
 
 
 def _angle_domain(boundary: Boundary) -> tuple[float, float]:
-    # Half-plane in which the corresponding sin() in the leg formulas stays > 0.
+    # Half-plane of the rays that reach the boundary from the platform.
     return (0.0, math.pi) if boundary is Boundary.SURFACE else (math.pi, TAU)
+
+
+def _fraction(angle, mean: float):
+    """A leg's horizontal run at ``angle`` over its specular run at ``mean``.
+
+    Both runs are the depth crossed times the cotangent, up to one sign, so
+    the fraction is cot(angle) / cot(mean), written to be exactly 1 at the mean.
+    """
+    return 1.0 + np.sin(mean - angle) / (np.sin(angle) * math.cos(mean))
 
 
 def _draw_in_branch(
@@ -275,52 +282,36 @@ def _surface_phases(rng: np.random.Generator, boundary: Boundary, n: int) -> np.
 
 def sample_micro_ray_mb(
     cluster: ClusterGeometry,
+    state: GeometryState,
+    water_depth: float,
     spreads: ClusterConfig,
     rng: np.random.Generator,
     n: int,
 ) -> tuple[RayDraws, int]:
     """Draw ``n`` multi-bounce rays around a cluster; returns (rays, resamples).
 
-    Draw order: departure angles, then arrival angles (each with its
-    redraws of out-of-branch entries), mid-leg perturbations, and the
-    surface phases of whichever clusters sit on the surface.
+    Takes the single-bounce sampler's arguments, so a build calls either
+    alike; the fractions depend on the angles alone. Draw order: departure
+    angles, then arrival angles (each with its redraws of out-of-branch
+    entries), then the surface phases of whichever points sit on the surface.
     """
     path = cluster.path
     if path.is_single_bounce:
         raise GeometryError(f"multi-bounce sampler called on single-bounce path {path.label}")
     failure = f"could not draw an in-branch angle for {path.label} after {MAX_TRIES} tries"
-    angles = []
+    fractions = []
     resamples = 0
     for mean, boundary in ((cluster.mean_aod, path.first_boundary), (cluster.mean_aoa, path.last_boundary)):
+        mean = float(mean)
         lo, hi = _angle_domain(boundary)
         angle, extra = _draw_in_branch(
-            rng, float(mean), _spread_for(boundary, spreads), n, lambda a: (lo < a) & (a < hi), failure
+            rng, mean, _spread_for(boundary, spreads), n, lambda a: (lo < a) & (a < hi), failure
         )
-        angles.append(angle)
+        fractions.append(_fraction(angle, mean))
         resamples += extra
-    delta_mid = rng.normal(0.0, spreads.mid_distance_spread, n)
     theta_first = _surface_phases(rng, path.first_boundary, n)
     theta_last = _surface_phases(rng, path.last_boundary, n)
-    return RayDraws(angles[0], angles[1], theta_first, theta_last, delta_mid), resamples
-
-
-def _sb_run(kind: PathKind, aoa, state: GeometryState, water_depth: float) -> np.ndarray:
-    """Horizontal run from the single scatterer to the Rx implied by ``aoa``."""
-    if kind is PathKind.DA:
-        return (water_depth - state.rx_depth) / np.tan(math.pi - aoa)
-    return state.rx_depth / np.tan(aoa - math.pi)
-
-
-def _sb_arrival_valid(path: PathIndex, aoa: np.ndarray, state: GeometryState, water_depth: float) -> np.ndarray:
-    # The single scatterer must sit on its boundary strictly between the
-    # platforms; otherwise the coupled departure angle leaves its branch.
-    if path.kind is PathKind.DA:
-        branch = (math.pi / 2 < aoa) & (aoa < math.pi)
-    else:
-        branch = (math.pi < aoa) & (aoa < 3 * math.pi / 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        run = _sb_run(path.kind, aoa, state, water_depth)
-    return branch & (0.0 < run) & (run < state.distance)
+    return RayDraws(fractions[0], fractions[1], theta_first, theta_last), resamples
 
 
 def sample_micro_ray_sb(
@@ -331,105 +322,65 @@ def sample_micro_ray_sb(
     rng: np.random.Generator,
     n: int,
 ) -> tuple[RayDraws, int]:
-    """Draw ``n`` single-bounce rays; departure angles are geometry-coupled.
+    """Draw ``n`` single-bounce rays; returns (rays, resamples).
 
-    Draw order: arrival angles with their redraws, then one surface phase
-    per ray on surface-reflected paths, shared by both legs.
+    Draw order: arrival angles, redrawn until the point lies on its boundary
+    strictly between the platforms at t = 0, then one surface phase per ray
+    on surface-reflected paths, shared by both legs. The point's fraction of
+    the Tx's run follows from its arrival fraction, since the two specular
+    runs add up to the range.
     """
     path = cluster.path
     if not path.is_single_bounce:
         raise GeometryError(f"single-bounce sampler called on multi-bounce path {path.label}")
+    mean = float(cluster.mean_aoa)
+    lo = math.pi / 2 if path.kind is PathKind.DA else math.pi
+
+    def valid(aoa):
+        run = _fraction(aoa, mean) * cluster.run_rx
+        return (lo < aoa) & (aoa < lo + math.pi / 2) & (0.0 < run) & (run < state.distance)
+
     aoa, resamples = _draw_in_branch(
         rng,
-        float(cluster.mean_aoa),
+        mean,
         _spread_for(path.last_boundary, spreads),
         n,
-        lambda a: _sb_arrival_valid(path, a, state, water_depth),
+        valid,
         f"could not draw an in-branch arrival angle for {path.label} after {MAX_TRIES} tries",
     )
+    last = _fraction(aoa, mean)
+    first = 1.0 + (1.0 - last) * (cluster.run_rx / cluster.run_tx)
     theta = _surface_phases(rng, path.last_boundary, n)  # one scatterer serves both legs
-    return RayDraws(np.full(n, math.nan), aoa, theta, theta, np.zeros(n)), resamples
+    return RayDraws(first, last, theta, theta), resamples
 
 
-def sb_departure_angle(kind: PathKind, aoa, state: GeometryState, water_depth: float) -> np.ndarray:
-    """Departure angle of a single-bounce ray implied by its arrival angle."""
-    run = _sb_run(kind, np.asarray(aoa, dtype=float), state, water_depth)
-    if kind is PathKind.DA:
-        return np.arctan2(water_depth - state.tx_depth, state.distance - run)
-    return TAU - np.arctan2(state.tx_depth, state.distance - run)
+def _length(dx, dz):
+    # The root of the summed squares, built in one buffer: several times
+    # faster than np.hypot here.
+    square = dx * dx
+    square += dz * dz
+    return np.sqrt(square, out=square)
 
 
-def segment_lengths(
-    rays: RayDraws,
-    cluster: ClusterGeometry,
-    aod,
-    state: GeometryState,
-    water_depth: float,
-    drift_tx,
-    drift_rx,
-    surface: SurfaceMotionConfig,
-    t,
-):
-    """Evaluate the three leg lengths of rays; broadcasts over all inputs.
+def segment_lengths(path: PathIndex, water_depth: float, tx, first, last, rx):
+    """Leg lengths (tx->first, first->last, last->rx) between a ray's points.
 
-    ``aod`` is the rays' departure angle (resolved for single bounces);
-    the arrival angles, surface phases and mid-leg perturbations come from
-    ``rays``, the path and the specular mid leg from ``cluster``. A surface
-    phase is ignored where its cluster is on the bottom (no
-    surface-oscillation term). ``drift_tx``/``drift_rx`` are
-    (magnitude, bearing) pairs of the platform drift displacement at ``t``.
-
-    A side's drift projection is added only where that side has drifted at
-    some instant, and the surface terms only for a moving surface
-    (``surface.amplitude`` != 0): a skipped term would add a signed zero to
-    a positive leg, so the legs are the same bits either way. Their shape
-    is then that of the terms present (state, angles, and drift or ``t``
-    where those terms enter).
+    Each argument after the depth is an (x, z) pair of arrays: the platforms
+    and the ray's first and last points, x along the Tx->Rx axis and z the
+    height above the bottom. A single bounce's two points are its one point
+    and its mid leg is 0. A multi-bounce mid leg is unfolded over its
+    intermediate bounces: its vertical extent is one depth per crossing plus
+    each surface point's rise above the surface.
     """
-    path = cluster.path
-    aoa = rays.aoa
-    dd_t, alpha_t = (np.asarray(v, dtype=float) for v in drift_tx)
-    dd_r, alpha_r = (np.asarray(v, dtype=float) for v in drift_rx)
-    moving = surface.amplitude != 0.0
-
-    if path.first_boundary is Boundary.SURFACE:
-        sin_t = np.sin(aod)
-        _guard_sin(sin_t, path)
-        leg_tx = (water_depth - state.tx_depth) / sin_t
-        if moving:
-            shift = surface_displacement(surface, rays.theta_first, t)
-            leg_tx = shift * np.cos(aod - surface.travel_angle) + leg_tx
-    else:
-        sin_t = np.sin(TAU - aod)
-        _guard_sin(sin_t, path)
-        leg_tx = state.tx_depth / sin_t
-    if dd_t.any():
-        leg_tx = leg_tx - dd_t * np.cos(alpha_t - aod)
-
-    if path.last_boundary is Boundary.SURFACE:
-        sin_r = np.sin(math.pi - aoa)
-        _guard_sin(sin_r, path)
-        leg_rx = (water_depth - state.rx_depth) / sin_r
-        if moving:
-            shift = surface_displacement(surface, rays.theta_last, t)
-            leg_rx = shift * np.cos(aoa - surface.travel_angle) + leg_rx
-    else:
-        sin_r = np.sin(aoa - math.pi)
-        _guard_sin(sin_r, path)
-        leg_rx = state.rx_depth / sin_r
-    if dd_r.any():
-        leg_rx = leg_rx - dd_r * np.cos(alpha_r - aoa)
-
+    leg_tx = _length(first[0] - tx[0], first[1] - tx[1])
+    leg_rx = _length(rx[0] - last[0], rx[1] - last[1])
     if path.is_single_bounce:
-        mid = np.zeros(np.broadcast(leg_tx, leg_rx).shape)
-    else:
-        mid = cluster.leg_mid * np.exp(rays.delta_mid)
-    return leg_tx, mid, leg_rx
-
-
-def _guard_sin(sin_values, path: PathIndex) -> None:
-    if (np.abs(sin_values) < _MIN_SIN).any():
-        raise GeometryError(f"degenerate grazing angle on {path.label}: |sin| < {_MIN_SIN}")
+        return leg_tx, np.zeros(np.broadcast(leg_tx, leg_rx).shape), leg_rx
+    rise = (path.surface_hops + path.bottom_hops - 1) * water_depth
+    for point, boundary in ((first, path.first_boundary), (last, path.last_boundary)):
+        if boundary is Boundary.SURFACE:
+            rise = rise + (point[1] - water_depth)
+    return leg_tx, _length(last[0] - first[0], rise), leg_rx
 
 
 def micro_ray_distances(
@@ -444,12 +395,40 @@ def micro_ray_distances(
 ):
     """Leg lengths (tx->first, first->last, last->rx) of a batch of rays at time t.
 
-    Each returned array has one entry per ray. Single-bounce departure
-    angles are re-derived from the arrival angles under ``state``.
+    Places the points on their boundaries at their fractions of the
+    specular runs under ``state``, moves surface points by the surface
+    displacement along ``surface.travel_angle``, and shifts each platform by
+    its drift, ``drift_tx``/``drift_rx`` being (magnitude, bearing) pairs at
+    ``t``; then :func:`segment_lengths` measures the legs. Each result has
+    one entry per ray, broadcast against the state, drift and ``t``.
+
+    A side's drift enters only where that side has drifted at some instant,
+    and the surface only when it moves (``surface.amplitude`` != 0): a
+    skipped term would add a signed zero to a coordinate, so the legs are
+    the same bits either way.
     """
     path = cluster.path
+    moving = surface.amplitude != 0.0
+
+    def on_boundary(boundary: Boundary, x, theta):
+        if boundary is Boundary.BOTTOM:
+            return x, 0.0
+        if not moving:
+            return x, water_depth
+        shift = surface_displacement(surface, theta, t)
+        return x + shift * math.cos(surface.travel_angle), water_depth + shift * math.sin(surface.travel_angle)
+
+    def platform(x, z, drift):
+        magnitude, bearing = (np.asarray(v, dtype=float) for v in drift)
+        if not magnitude.any():
+            return x, z
+        return x + magnitude * np.cos(bearing), z + magnitude * np.sin(bearing)
+
+    first = on_boundary(path.first_boundary, rays.first * cluster.run_tx, rays.theta_first)
     if path.is_single_bounce:
-        aod = sb_departure_angle(path.kind, rays.aoa, state, water_depth)
+        last = first
     else:
-        aod = rays.aod
-    return segment_lengths(rays, cluster, aod, state, water_depth, drift_tx, drift_rx, surface, t)
+        last = on_boundary(path.last_boundary, state.distance - rays.last * cluster.run_rx, rays.theta_last)
+    tx = platform(0.0, state.tx_depth, drift_tx)
+    rx = platform(state.distance, state.rx_depth, drift_rx)
+    return segment_lengths(path, water_depth, tx, first, last, rx)

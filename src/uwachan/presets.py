@@ -85,7 +85,6 @@ def _survey_base() -> dict:
             rays_per_path=50,
             angle_spread_surface=0.015,
             angle_spread_bottom=0.015,
-            mid_distance_spread=0.001,
         ),
         power=PowerConfig(rice_k=0.0, da_fraction=0.5, ua_fraction=0.5),
         bottom=BottomConfig(density_ratio=1.5, sound_speed=1600.0),
@@ -136,7 +135,6 @@ def preset_scenario(name: str) -> ScenarioConfig:
                     rays_per_path=50,
                     angle_spread_surface=0.02317,
                     angle_spread_bottom=0.02317,
-                    mid_distance_spread=0.001,
                 ),
                 power=PowerConfig(rice_k=1.44, da_fraction=0.5, ua_fraction=0.5),
                 bottom=BottomConfig(density_ratio=1.5, sound_speed=1.11 * 1440.0),

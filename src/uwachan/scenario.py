@@ -113,7 +113,6 @@ class ClusterConfig:
     rays_per_path: int = 50
     angle_spread_surface: float = 0.015  # rad, std of ray angles at the surface
     angle_spread_bottom: float = 0.015  # rad, std of ray angles at the bottom
-    mid_distance_spread: float = 0.001  # std of the log inter-cluster distance
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _check_clusters(c: ClusterConfig) -> None:
         isinstance(c.rays_per_path, int) and c.rays_per_path >= 1,
         f"rays_per_path must be an int >= 1, got {c.rays_per_path!r}",
     )
-    for name in ("angle_spread_surface", "angle_spread_bottom", "mid_distance_spread"):
+    for name in ("angle_spread_surface", "angle_spread_bottom"):
         _finite(getattr(c, name), f"clusters.{name}")
         _require(getattr(c, name) >= 0, f"clusters.{name} must be >= 0, got {getattr(c, name)}")
 

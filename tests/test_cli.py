@@ -609,6 +609,16 @@ def test_horizon_past_the_water_column_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fig3_correlates_at_a_30_s_anchor(tmp_path):
+    # Rays are closed paths, so no drift-dependent floor rejects every draw
+    # at late anchors: the build at a 30 s horizon is like one at 0.1 s.
+    out = tmp_path / "x.csv"
+    code = run(["acf", "--preset", "fig3", "--t", "30", "--realizations", "1", "--lag-count", "2",
+                "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize(
     "argv,pools",
     [

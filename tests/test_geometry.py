@@ -15,7 +15,6 @@ from uwachan.geometry import (
     micro_ray_distances,
     sample_micro_ray_mb,
     sample_micro_ray_sb,
-    sb_departure_angle,
 )
 from uwachan.propagation import PathKind
 from uwachan.scenario import (
@@ -105,7 +104,7 @@ def test_macro_ray_surface_single_bounce_values():
     assert cluster.path.last_boundary is Boundary.SURFACE
     assert cluster.mean_aod == pytest.approx(math.pi / 2 - cluster.incidence, rel=1e-12)
     assert cluster.mean_aoa == pytest.approx(math.pi / 2 + cluster.incidence, rel=1e-12)
-    assert cluster.leg_mid == 0.0
+    assert cluster.run_tx + cluster.run_rx == pytest.approx(2000.0, rel=1e-12)  # one point between
 
 
 def test_macro_ray_bottom_single_bounce_values():
@@ -118,20 +117,20 @@ def test_macro_ray_bottom_single_bounce_values():
 
 def test_macro_ray_multi_bounce_leg_split():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 1))
-    cos_inc = math.cos(cluster.incidence)
+    tan_inc = math.tan(cluster.incidence)
     assert cluster.path.first_boundary is Boundary.BOTTOM
-    assert cluster.leg_tx == pytest.approx(50.0 / cos_inc, rel=1e-12)
-    assert cluster.leg_rx == pytest.approx(20.0 / cos_inc, rel=1e-12)
-    assert cluster.leg_mid == pytest.approx(cluster.distance - cluster.leg_tx - cluster.leg_rx, rel=1e-12)
-    assert cluster.leg_mid > 0
+    assert cluster.run_tx == pytest.approx(50.0 * tan_inc, rel=1e-12)
+    assert cluster.run_rx == pytest.approx(20.0 * tan_inc, rel=1e-12)
+    # the mid leg crosses the full depth once, so it runs 100 * tan(incidence)
+    assert 2000.0 - cluster.run_tx - cluster.run_rx == pytest.approx(100.0 * tan_inc, rel=1e-12)
 
 
 def test_macro_ray_symmetric_single_bounce():
     geo = GeometryConfig(distance0=1500.0, water_depth=100.0, tx_depth0=60.0, rx_depth0=60.0)
     st = evolve(geo, STILL, 0.0)
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 0))
-    assert cluster.leg_tx == pytest.approx(cluster.leg_rx, rel=1e-12)
-    assert cluster.leg_mid == 0.0
+    assert cluster.run_tx == pytest.approx(cluster.run_rx, rel=1e-12)
+    assert cluster.run_tx == pytest.approx(750.0, rel=1e-12)
 
 
 def test_macro_distance_monotone_in_bounce_count():
@@ -190,41 +189,35 @@ def spreads(**overrides):
         rays_per_path=50,
         angle_spread_surface=0.015,
         angle_spread_bottom=0.015,
-        mid_distance_spread=0.001,
     )
     base.update(overrides)
     return ClusterConfig(**base)
 
 
-def one_ray(aod, aoa, theta_first, theta_last, delta_mid):
+def one_ray(first, last, theta_first, theta_last):
     """A batch holding a single ray with the given draws."""
-    return RayDraws(*(np.array([v], dtype=float) for v in (aod, aoa, theta_first, theta_last, delta_mid)))
+    return RayDraws(*(np.array([v], dtype=float) for v in (first, last, theta_first, theta_last)))
 
 
 def test_mb_sampler_zero_spread_hits_means():
-    cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 1))
-    cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0, mid_distance_spread=0.0)
-    rays, resamples = sample_micro_ray_mb(cluster, cfg, stream_for(1, 0, "t"), 5)
-    assert np.all(rays.aod == cluster.mean_aod)
-    assert np.all(rays.aoa == cluster.mean_aoa)
-    assert np.all(rays.delta_mid == 0.0)
+    st = state0()
+    cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
+    cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
+    rays, resamples = sample_micro_ray_mb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 5)
+    assert np.all(rays.first == 1.0)
+    assert np.all(rays.last == 1.0)
     assert resamples == 0
 
 
-def test_mb_sampler_zero_mid_spread_keeps_leg():
-    st = state0()
-    cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    cfg = spreads(mid_distance_spread=0.0)
-    rays, _ = sample_micro_ray_mb(cluster, cfg, stream_for(1, 0, "t"), 5)
-    _, mid, _ = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    assert mid == pytest.approx(np.full(5, cluster.leg_mid), rel=1e-15)
-
-
 def test_mb_sampler_statistics():
-    cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 2, 1))
+    # DA s2 b1 leaves the Tx upwards, so its departure angle is in (0, pi):
+    # cot(aod) = first * cot(mean) recovers it from the frozen fraction.
+    st = state0()
+    cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 2, 1))
     rng = stream_for(3, 0, "stats")
     cfg = spreads()
-    draws = sample_micro_ray_mb(cluster, cfg, rng, 100_000)[0].aod
+    first = sample_micro_ray_mb(cluster, st, 100.0, cfg, rng, 100_000)[0].first
+    draws = np.arctan2(1.0, first / math.tan(cluster.mean_aod))
     assert draws.shape == (100_000,)
     assert np.std(draws) == pytest.approx(0.015, rel=0.02)
     assert np.mean(draws) == pytest.approx(cluster.mean_aod, abs=3 * 0.015 / math.sqrt(100_000))
@@ -233,7 +226,7 @@ def test_mb_sampler_statistics():
 def test_mb_sampler_rejects_single_bounce_path():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 0))
     with pytest.raises(GeometryError, match="single-bounce"):
-        sample_micro_ray_mb(cluster, spreads(), stream_for(1, 0, "t"), 1)
+        sample_micro_ray_mb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"), 1)
 
 
 def test_sb_sampler_zero_spread_matches_specular():
@@ -242,9 +235,12 @@ def test_sb_sampler_zero_spread_matches_specular():
         cluster = macro_ray(st, 100.0, path)
         cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
         rays, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 3)
-        aod = sb_departure_angle(path.kind, rays.aoa, st, 100.0)
-        assert np.all(rays.aoa == cluster.mean_aoa)
-        assert aod == pytest.approx(np.full(3, cluster.mean_aod), abs=1e-9)
+        assert np.all(rays.last == 1.0) and np.all(rays.first == 1.0)
+        # the point is the specular one: each leg is its run over sin(incidence)
+        leg_tx, _, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
+        sin_inc = math.sin(cluster.incidence)
+        assert leg_tx == pytest.approx(np.full(3, cluster.run_tx / sin_inc), rel=1e-12)
+        assert leg_rx == pytest.approx(np.full(3, cluster.run_rx / sin_inc), rel=1e-12)
 
 
 def test_sb_da_shares_surface_phase():
@@ -281,11 +277,12 @@ def test_sb_sampler_rejects_multi_bounce_path():
 def test_specular_ray_reproduces_cluster_legs():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    rays = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, 0.3, 0.0)
+    rays = one_ray(1.0, 1.0, 0.0, 0.3)
     leg_tx, mid, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    assert leg_tx[0] == pytest.approx(cluster.leg_tx, rel=1e-12)
-    assert leg_rx[0] == pytest.approx(cluster.leg_rx, rel=1e-12)
-    assert mid[0] == pytest.approx(cluster.leg_mid, rel=1e-12)
+    cos_inc = math.cos(cluster.incidence)
+    assert leg_tx[0] == pytest.approx(50.0 / cos_inc, rel=1e-12)
+    assert leg_rx[0] == pytest.approx(20.0 / cos_inc, rel=1e-12)
+    assert mid[0] == pytest.approx(100.0 / cos_inc, rel=1e-12)
 
 
 def test_sb_rays_satisfy_image_identity():
@@ -306,9 +303,9 @@ def test_surface_oscillation_peak_projection():
     path = PathIndex(PathKind.DA, 1, 1)
     cluster = macro_ray(st, 100.0, path)
     surface = SurfaceMotionConfig(amplitude=2.0, freq=0.25, travel_angle=cluster.mean_aoa)
-    rays = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, math.pi / 2, 0.0)
+    rays = one_ray(1.0, 1.0, 0.0, math.pi / 2)
     _, _, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, surface, 0.0)
-    base = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, 0.0, 0.0)
+    base = one_ray(1.0, 1.0, 0.0, 0.0)
     _, _, leg_rx0 = micro_ray_distances(base, cluster, st, 100.0, NO_DRIFT, NO_DRIFT,
                                         SurfaceMotionConfig(amplitude=0.0, freq=0.25), 0.0)
     assert leg_rx[0] - leg_rx0[0] == pytest.approx(2.0, rel=1e-12)
@@ -317,15 +314,7 @@ def test_surface_oscillation_peak_projection():
 def test_drift_projection_shortens_first_leg():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    rays = one_ray(cluster.mean_aod, cluster.mean_aoa, 0.0, 0.0, 0.0)
+    rays = one_ray(1.0, 1.0, 0.0, 0.0)
     base, _, _ = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
     moved, _, _ = micro_ray_distances(rays, cluster, st, 100.0, (1.0, cluster.mean_aod), NO_DRIFT, NO_SURFACE, 0.0)
     assert moved[0] == pytest.approx(base[0] - 1.0, rel=1e-12)
-
-
-def test_degenerate_grazing_angle_reported():
-    st = state0()
-    cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
-    rays = one_ray(1e-14, cluster.mean_aoa, 0.0, 0.0, 0.0)  # aod -> sin 0
-    with pytest.raises(GeometryError, match="grazing"):
-        micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)

@@ -10,6 +10,7 @@ from uwachan.scenario import (
     BottomConfig,
     ClusterConfig,
     GeometryConfig,
+    IntentionalMotion,
     PowerConfig,
     ScenarioConfig,
     SignalConfig,
@@ -55,7 +56,6 @@ def _still_scenarios(draw):
                 rays_per_path=draw(st.integers(1, 6)),
                 angle_spread_surface=draw(spread),
                 angle_spread_bottom=draw(spread),
-                mid_distance_spread=draw(st.floats(0.0, 0.01)),
             ),
             power=PowerConfig(rice_k=draw(st.floats(0.0, 5.0))),
             signal=SignalConfig(carrier_freq=draw(st.floats(5000.0, 20000.0))),
@@ -82,6 +82,49 @@ def test_a_still_channel_repeats_with_the_surface_period(cfg, phase, offset):
     amplitudes = np.abs(tap_list(real, [t], [offset]).amplitudes).sum()
     bound = 2 * math.pi * (cfg.signal.carrier_freq + offset) * 1e-15 * amplitudes
     np.testing.assert_allclose(h[1:], [h[0], h[0]], rtol=0, atol=bound)
+
+
+@st.composite
+def _co_moving_scenarios(draw):
+    """Both platforms at one horizontal velocity; no drift and a still surface.
+
+    The heading is 0: a heading of pi is not horizontal in floating point
+    (sin(pi) is 1.2e-16), so it would also lift both platforms a little.
+    """
+    spread = st.floats(0.0, 0.05)
+    speed = draw(st.floats(0.1, 10.0))
+    return validate(
+        ScenarioConfig(
+            geometry=draw(_geometries()),
+            intentional=IntentionalMotion(tx_speed=speed, rx_speed=speed),
+            clusters=ClusterConfig(
+                max_surface_hops=draw(st.integers(1, 2)),
+                max_bottom_hops=draw(st.integers(1, 2)),
+                rays_per_path=draw(st.integers(1, 6)),
+                angle_spread_surface=draw(spread),
+                angle_spread_bottom=draw(spread),
+            ),
+            master_seed=draw(st.integers(0, 10_000)),
+        )
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_co_moving_scenarios(), horizon=st.floats(1.0, 100.0))
+def test_co_moving_platforms_keep_every_delay(cfg, horizon):
+    # Scatterers co-move: a ray's points sit at frozen fractions of its
+    # sub-path's specular runs, measured from the platforms, so platforms
+    # that move together carry every ray along and no delay changes.
+    # Scatterers fixed in the water would instead be passed by the platforms,
+    # and the rays would lengthen or shorten. Besides 1e-14 s, a delay may
+    # move by a few units in its last place: a near-grazing ray can run for
+    # 100 s, where one unit is 1.4e-14 s.
+    real = build_realization(cfg, 0, horizon=horizon)
+    table = component_table([real], np.linspace(0.0, horizon, 5))
+    for delays in [table.los_delay, *table.delays]:
+        np.testing.assert_allclose(
+            delays, np.broadcast_to(delays[0], delays.shape), rtol=4 * np.finfo(float).eps, atol=1e-14
+        )
 
 
 @st.composite

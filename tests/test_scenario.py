@@ -127,6 +127,16 @@ def test_scenario_json_round_trip(tmp_path):
     assert load_scenario(str(path)) == cfg
 
 
+def test_mid_distance_spread_is_rejected():
+    # A multi-bounce ray's two points fix its mid leg, so the old log-normal
+    # mid-leg spread is gone; a file that still sets it must not be read as
+    # if it applied.
+    data = scenario_to_dict(validate(survey_config()))
+    data["clusters"]["mid_distance_spread"] = 0.001
+    with pytest.raises(ScenarioError, match="mid_distance_spread"):
+        scenario_from_dict(data)
+
+
 def test_unknown_keys_rejected():
     data = scenario_to_dict(validate(survey_config()))
     data["geometry"]["typo_field"] = 1.0

@@ -514,7 +514,7 @@ def test_ensemble_delay_stats_ray_mode_varies():
 def test_statistics_ignore_the_simulate_grid():
     # The ACF and the ray-mode delay moments evaluate their own instants; the
     # time grid only tells `simulate` where to sample, so extending it must
-    # not move the drift, the floor's slack or any draw of their ensembles.
+    # not move the drift or any draw of their ensembles.
     short = overlay(preset_scenario("fig3"), {"realizations": 4})
     long = overlay(short, {"signal": {"time_grid": [0.0, 1.5, 3.0]}})
     lags = np.linspace(0.0, 0.1, 21)
@@ -529,21 +529,24 @@ def test_statistics_ignore_the_simulate_grid():
 
 @pytest.mark.parametrize("name", ["table1", "fig4-time", "fig3"])
 def test_ray_mode_equals_cluster_mode_at_the_cluster_limit(name):
-    # With no angle or mid-distance spread, no drift and a still surface, every
-    # ray of a sub-path runs along its specular reflection at t = 0, so each
-    # realization's ray moments are the cluster moments (4e-13 relative on
-    # Table 1 here; fig4-time and fig3 move their platforms, which t = 0 does
-    # not see).
+    # With no angle spread, no drift and a still surface, every ray of a
+    # sub-path runs along its specular reflection at every instant, because
+    # its points follow the specular points as the platforms move. So each
+    # realization's ray moments are the cluster moments, at t = 0 and along
+    # fig4-time's closing range (2,000 m to 1,100 m by 60 s) and fig3's
+    # rising receiver.
     limit = {
-        "clusters": {"angle_spread_surface": 0.0, "angle_spread_bottom": 0.0, "mid_distance_spread": 0.0},
+        "clusters": {"angle_spread_surface": 0.0, "angle_spread_bottom": 0.0},
         "drift": {"v_min": 0.0, "v_max": 0.0},
         "surface": {"amplitude": 0.0},
     }
     cfg = overlay(preset_scenario(name), limit)
-    ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), mode="ray")
-    cluster = ensemble_delay_stats(overlay(cfg, {"realizations": 1}), mode="cluster")
-    np.testing.assert_allclose(ray.average, cluster.average_mean, rtol=1e-11, atol=0.0)
-    np.testing.assert_allclose(ray.rms_spread, cluster.rms_spread_mean, rtol=1e-11, atol=0.0)
+    anchors = {"table1": (0.0,), "fig4-time": (0.0, 10.0, 60.0), "fig3": (0.0, 10.0)}[name]
+    for t in anchors:
+        ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), t, mode="ray")
+        cluster = ensemble_delay_stats(overlay(cfg, {"realizations": 1}), t, mode="cluster")
+        np.testing.assert_allclose(ray.average, cluster.average_mean, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(ray.rms_spread, cluster.rms_spread_mean, rtol=1e-11, atol=0.0)
 
 
 def test_unknown_delay_stats_mode_is_rejected_before_any_build(monkeypatch):
