@@ -140,9 +140,9 @@ class ComponentTable:
 
 
 def _displacements(drifts: list[DriftState], tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each drift's (magnitude, bearing) at ``tt``, stacked to (T, K, 1)."""
-    magnitude, bearing = zip(*(drift.displacement(tt) for drift in drifts))
-    return np.stack(magnitude, axis=1)[..., np.newaxis], np.stack(bearing, axis=1)[..., np.newaxis]
+    """Each drift's (dx, dz) at ``tt``, stacked to (T, K, 1)."""
+    dx, dz = zip(*(drift.displacement(tt) for drift in drifts))
+    return np.stack(dx, axis=1)[..., np.newaxis], np.stack(dz, axis=1)[..., np.newaxis]
 
 
 def component_table(run: list[ChannelRealization], times) -> ComponentTable:

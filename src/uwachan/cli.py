@@ -201,6 +201,8 @@ def _cmd_pdp(args, cfg):
         resamples = [source.resample_count]
     profile = stats.pdp(source, args.t, args.f)
     written = _write_csv(args.out, ["delay_s", "power", "label"], [_pdp_block(profile)])
+    p50, p99 = np.percentile(profile.delays, [50, 99])
+    fields["excess_delay"] = {"p50": float(p50), "p99": float(p99), "max": float(profile.delays.max())}
     return written, fields, resamples
 
 

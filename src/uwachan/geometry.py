@@ -113,19 +113,17 @@ def enumerate_paths(clusters: ClusterConfig) -> tuple[PathIndex, ...]:
 
 @dataclass(frozen=True, eq=False)
 class GeometryState:
-    """Horizontal range, platform heights, and the direct-path angle at time t.
+    """Horizontal range and platform heights at time t.
 
     ``tx_depth``/``rx_depth`` are heights above the bottom, despite their
     names: the bottom is at 0 and the surface at the water depth, so a
-    heading of pi/2 moves a platform up. The direct path departs at
-    ``aod_los`` and arrives at ``aod_los + pi``. Fields are arrays shaped
-    like t (0-d for a scalar t).
+    heading of pi/2 moves a platform up. Fields are arrays shaped like t
+    (0-d for a scalar t).
     """
 
     distance: np.ndarray
     tx_depth: np.ndarray
     rx_depth: np.ndarray
-    aod_los: np.ndarray
 
 
 def _first(tt: np.ndarray, bad: np.ndarray) -> float:
@@ -149,24 +147,24 @@ def evolve(geometry: GeometryConfig, motion: IntentionalMotion, t) -> GeometrySt
         breach = (depth <= 0) | (depth >= geometry.water_depth)
         if breach.any():
             raise GeometryError(f"{name} breaches the water column by t={_first(tt, breach)!r}")
-    aod_los = np.arctan2(rx_depth - tx_depth, distance)
-    return GeometryState(distance, tx_depth, rx_depth, aod_los)
+    return GeometryState(distance, tx_depth, rx_depth)
+
+
+def _platforms(state: GeometryState, drift_tx, drift_rx):
+    """The Tx and the Rx as (x, z) points: placed by ``state``, then shifted
+    by their (dx, dz) drifts. x runs along the Tx->Rx axis from the Tx's
+    undrifted position, z up from the bottom."""
+    (dx_tx, dz_tx), (dx_rx, dz_rx) = drift_tx, drift_rx
+    return (dx_tx, state.tx_depth + dz_tx), (state.distance + dx_rx, state.rx_depth + dz_rx)
 
 
 def los_distance(state: GeometryState, drift_tx=(0.0, 0.0), drift_rx=(0.0, 0.0)) -> np.ndarray:
-    """Direct-path length with first-order drift projections removed.
+    """Direct-path length: the exact distance between the drifted platforms.
 
-    ``drift_tx``/``drift_rx`` are (displacement m, bearing rad) pairs; the
-    approximation assumes displacements small against the range.
+    ``drift_tx``/``drift_rx`` are (dx, dz) displacements in m.
     """
-    dd_t, alpha_t = drift_tx
-    dd_r, alpha_r = drift_rx
-    base = np.hypot(state.distance, state.rx_depth - state.tx_depth)
-    return (
-        base
-        - dd_t * np.cos(np.asarray(alpha_t) - state.aod_los)
-        - dd_r * np.cos(state.aod_los + math.pi - np.asarray(alpha_r))
-    )
+    tx, rx = _platforms(state, drift_tx, drift_rx)
+    return np.hypot(rx[0] - tx[0], rx[1] - tx[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,13 +395,13 @@ def micro_ray_distances(
 
     Places the points on their boundaries at their fractions of the
     specular runs under ``state``, moves surface points by the surface
-    displacement along ``surface.travel_angle``, and shifts each platform by
-    its drift, ``drift_tx``/``drift_rx`` being (magnitude, bearing) pairs at
-    ``t``; then :func:`segment_lengths` measures the legs. Each result has
-    one entry per ray, broadcast against the state, drift and ``t``.
+    displacement along ``surface.travel_angle``, and places the platforms
+    as :func:`los_distance` does, ``drift_tx``/``drift_rx`` being their
+    (dx, dz) displacements at ``t``; then :func:`segment_lengths` measures
+    the legs. Each result has one entry per ray, broadcast against the
+    state, drift and ``t``.
 
-    A side's drift enters only where that side has drifted at some instant,
-    and the surface only when it moves (``surface.amplitude`` != 0): a
+    The surface enters only when it moves (``surface.amplitude`` != 0): a
     skipped term would add a signed zero to a coordinate, so the legs are
     the same bits either way.
     """
@@ -418,17 +416,10 @@ def micro_ray_distances(
         shift = surface_displacement(surface, theta, t)
         return x + shift * math.cos(surface.travel_angle), water_depth + shift * math.sin(surface.travel_angle)
 
-    def platform(x, z, drift):
-        magnitude, bearing = (np.asarray(v, dtype=float) for v in drift)
-        if not magnitude.any():
-            return x, z
-        return x + magnitude * np.cos(bearing), z + magnitude * np.sin(bearing)
-
     first = on_boundary(path.first_boundary, rays.first * cluster.run_tx, rays.theta_first)
     if path.is_single_bounce:
         last = first
     else:
         last = on_boundary(path.last_boundary, state.distance - rays.last * cluster.run_rx, rays.theta_last)
-    tx = platform(0.0, state.tx_depth, drift_tx)
-    rx = platform(state.distance, state.rx_depth, drift_rx)
+    tx, rx = _platforms(state, drift_tx, drift_rx)
     return segment_lengths(path, water_depth, tx, first, last, rx)

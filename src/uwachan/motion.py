@@ -53,10 +53,9 @@ class DriftState:
         return self.change_interval * len(self.speeds)
 
     def displacement(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Magnitude (m) and bearing (rad) of the displacement at time(s) t.
-
-        Both are arrays shaped like t (0-d for a scalar t). The bearing is
-        reported as 0 where the magnitude is zero.
+        """Displacement (dx, dz) in m at time(s) t: x along the Tx->Rx
+        axis and z up, as in the geometry. Both are arrays shaped like t
+        (0-d for a scalar t).
         """
         tt = np.asarray(t, dtype=float)
         if np.any(tt < -1e-12) or np.any(tt > self.horizon + 1e-9):
@@ -67,9 +66,7 @@ class DriftState:
         k = np.clip((tt / self.change_interval).astype(int), 0, len(self.speeds) - 1)
         local = np.clip(tt - k * self.change_interval, 0.0, self.change_interval)
         vec = self.cumulative[k] + local[..., np.newaxis] * self.velocity[k]
-        magnitude = np.hypot(vec[..., 0], vec[..., 1])
-        bearing = np.where(magnitude > 0.0, np.arctan2(vec[..., 1], vec[..., 0]) % TAU, 0.0)
-        return magnitude, bearing
+        return vec[..., 0], vec[..., 1]
 
 
 def build_drift(cfg: DriftConfig, horizon: float, rng: np.random.Generator) -> DriftState:

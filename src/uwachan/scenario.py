@@ -363,10 +363,9 @@ def _section_from_dict(cls, name: str, data: dict):
         if field.type in ("int",):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ScenarioError(f"{name}.{field.name} must be an integer, got {value!r}")
-        elif isinstance(value, list):
-            bad = [v for v in value if not _is_number(v)]
-            if bad:
-                raise ScenarioError(f"{name}.{field.name} must list numbers, got {bad[0]!r}")
+        elif field.type.startswith("tuple"):
+            if not isinstance(value, list) or not all(map(_is_number, value)):
+                raise ScenarioError(f"{name}.{field.name} must be a list of numbers, got {value!r}")
             kwargs[field.name] = tuple(float(v) for v in value)
         elif _is_number(value):
             kwargs[field.name] = float(value)

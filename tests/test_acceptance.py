@@ -81,19 +81,24 @@ def test_ray_mode_table1_delay_medians():
     )
 
 
+def worst_margins(margin, se):
+    """The smallest ``margin`` over a curve's lags, and the smallest in units of ``se``."""
+    return float(margin.min()), float((margin / se).min())
+
+
 def test_criterion_2_direct_component_and_amplitude_ordering(fig3_curves):
     k5, k0, a2 = fig3_curves["k5_a1"], fig3_curves["k0_a1"], fig3_curves["k5_a2"]
 
     def worst_margin(hi, lo):
         se = np.sqrt(hi.expectation_stderr**2 + lo.expectation_stderr**2)
-        return float((hi.expectation_norm - lo.expectation_norm + 3 * se)[1:].min())
+        return worst_margins((hi.expectation_norm - lo.expectation_norm + 3 * se)[1:], se[1:])
 
-    m_rice = worst_margin(k5, k0)
-    m_amp = worst_margin(k5, a2)
+    (m_rice, se_rice), (m_amp, se_amp) = worst_margin(k5, k0), worst_margin(k5, a2)
     report(
         "criterion 2 (correlation orderings, 3-SE margin)",
         m_rice >= 0.0 and m_amp >= 0.0,
-        f"K=5 vs K=0 worst margin {m_rice:+.4f}; A=1 vs A=2 worst margin {m_amp:+.4f}",
+        f"K=5 vs K=0 worst margin {m_rice:+.4f} ({se_rice:+.2f} SE); "
+        f"A=1 vs A=2 worst margin {m_amp:+.4f} ({se_amp:+.2f} SE)",
     )
 
 
@@ -128,11 +133,14 @@ def test_criterion_4_first_arrival_dominates_profiles():
 
 def test_criterion_5_estimator_cross_validation(fig4_curves):
     r = fig4_curves["t0"]
-    gap = float(np.abs(r.expectation_norm - r.empirical_norm).max())
+    gaps = np.abs(r.expectation_norm - r.empirical_norm)
+    gap = float(gaps.max())
+    # in units of the two estimators' standard errors combined as if independent
+    _, margin_se = worst_margins(0.05 - gaps, np.hypot(r.expectation_stderr, r.empirical_stderr))
     report(
         "criterion 5 (expectation vs empirical ACF within 0.05)",
         gap <= 0.05,
-        f"max gap {gap:.4f} over {r.lags_t.size} lags, n={r.n_realizations}",
+        f"max gap {gap:.4f} over {r.lags_t.size} lags (worst margin {margin_se:+.2f} SE), n={r.n_realizations}",
     )
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uwachan import channel, geometry
 from uwachan.channel import (
@@ -154,8 +154,8 @@ def _moving_scenarios(draw):
 @given(case=_moving_scenarios())
 def test_rays_are_closed_paths_over_random_scenarios(case):
     # A ray runs from the Tx through its boundary points to the Rx, so at
-    # every instant it is at least as long as the direct path, whose
-    # first-order drift length is never above the exact one. With a still
+    # every instant it is at least as long as the direct path, the straight
+    # line between the same drifted platforms. With a still
     # surface and no drift its points lie on the boundaries between the
     # platforms' own positions, so it is also at least as long as its
     # specular (image-method) path.
@@ -169,6 +169,27 @@ def test_rays_are_closed_paths_over_random_scenarios(case):
         assert np.all(lengths >= table.los_length[..., np.newaxis] * (1 - 1e-9))
         if still:
             assert np.all(lengths >= cluster.distance * (1 - 1e-9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_moving_scenarios())
+def test_los_length_is_the_distance_between_the_drifted_platforms(case):
+    # Each platform sits where its intentional motion put it, shifted by its
+    # own drift: the direct path is the exact distance between the two.
+    cfg, horizon = case
+    run = [build_realization(cfg, index, horizon=horizon) for index in range(2)]
+    times = np.linspace(0.0, horizon, 7)
+    table = component_table(run, times)
+    for i, t in enumerate(times):
+        state = geometry.evolve(cfg.geometry, cfg.intentional, t)
+        for k, real in enumerate(run):
+            tx_dx, tx_dz = real.drift_tx.displacement(t)
+            rx_dx, rx_dz = real.drift_rx.displacement(t)
+            exact = math.hypot(
+                float(state.distance) + float(rx_dx) - float(tx_dx),
+                float(state.rx_depth) + float(rx_dz) - float(state.tx_depth) - float(tx_dz),
+            )
+            assert table.los_length[i, k] == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def _surface_legs(path) -> int:
@@ -266,10 +287,51 @@ def test_grid_table_rows_equal_single_instant_tables():
                 assert np.array_equal(grid_delays[i : i + 1], single_delays)
 
 
-def test_static_channel_is_time_invariant():
-    cfg = small_scenario()  # no intentional motion, no drift, no surface
+@settings(max_examples=40, deadline=None)
+@given(
+    hops=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    rays=st.integers(1, 8),
+    rice_k=st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+    spreads=st.tuples(st.floats(0.0, 0.05), st.floats(0.0, 0.05)),
+    headings=st.tuples(st.floats(0.0, TAU), st.floats(0.0, TAU)),
+    change_freq=st.floats(0.5, 5.0),
+    surface=st.one_of(
+        st.builds(SurfaceMotionConfig, amplitude=st.just(0.0), freq=st.floats(0.0, 3.0)),
+        st.builds(SurfaceMotionConfig, amplitude=st.floats(0.1, 2.0), freq=st.just(0.0), travel_angle=st.floats(0.0, TAU)),
+    ),
+    step=st.floats(0.01, 2.0),
+    instants=st.integers(2, 6),
+    seed=st.integers(0, 10_000),
+)
+@example(  # small_scenario() itself
+    hops=(1, 1), rays=8, rice_k=1.0, spreads=(0.015, 0.015), headings=(0.0, 0.0), change_freq=1.0,
+    surface=SurfaceMotionConfig(), step=0.5, instants=3, seed=11,
+)
+def test_static_channel_is_time_invariant(
+    hops, rays, rice_k, spreads, headings, change_freq, surface, step, instants, seed
+):
+    # Nothing moves: platforms at zero speed whatever their headings, no
+    # drift whatever its redraw rate, and a surface either still or frozen
+    # at a displacement (no frequency), so every CTF row is row 0, bit for bit.
+    cfg = small_scenario(
+        intentional=IntentionalMotion(tx_heading=headings[0], rx_heading=headings[1]),
+        drift=DriftConfig(change_freq=change_freq),
+        surface=surface,
+        clusters=ClusterConfig(
+            max_surface_hops=hops[0],
+            max_bottom_hops=hops[1],
+            rays_per_path=rays,
+            angle_spread_surface=spreads[0],
+            angle_spread_bottom=spreads[1],
+        ),
+        power=PowerConfig(rice_k=rice_k),
+        signal=SignalConfig(
+            carrier_freq=15000.0, freq_offsets=(0.0, 1000.0), time_grid=tuple(step * i for i in range(instants))
+        ),
+        master_seed=seed,
+    )
     frame = evaluate_ctf(build_realization(cfg, 0))
-    assert np.allclose(frame.values, frame.values[0, :], rtol=0, atol=0)
+    assert np.array_equal(frame.values, np.broadcast_to(frame.values[0], frame.values.shape))
 
 
 def test_tap_list_counts_and_sum():
@@ -343,8 +405,8 @@ def reference_micro_ray_distances(rays, cluster, state, water_depth, drift_tx, d
         return x + shift * math.cos(surface.travel_angle), water_depth + shift * math.sin(surface.travel_angle)
 
     def platform(x, z, drift):
-        magnitude, bearing = (np.asarray(v, dtype=float) for v in drift)
-        return x + magnitude * np.cos(bearing), z + magnitude * np.sin(bearing)
+        dx, dz = drift
+        return x + dx, z + dz
 
     first = on_boundary(path.first_boundary, rays.first * cluster.run_tx, rays.theta_first)
     if path.is_single_bounce:

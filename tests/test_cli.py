@@ -219,6 +219,16 @@ def test_non_numeric_list_element_names_the_field(tmp_path, capsys, value, overl
     assert "signal.freq_offsets" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_scalar_for_a_list_field_is_machine_readable_error(tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    data = scenario_to_dict(preset_scenario("table1"))
+    data["signal"]["freq_offsets"] = 5
+    path.write_text(json.dumps(data))
+    assert run(["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "signal.freq_offsets must be a list of numbers, got 5"}
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_bad_scenario_key_fails(tmp_path, capsys):
     path = tmp_path / "bad.json"
     data = scenario_to_dict(preset_scenario("table1"))
@@ -379,6 +389,22 @@ def test_ray_pdp_meta_records_its_realization(tmp_path):
         count = build_realization(cfg, k, horizon=0.5).resample_count
         assert meta["realization"] == k
         assert meta["resamples"] == {"mean": count, "max": count}
+
+
+@pytest.mark.parametrize("mode", ["cluster", "ray"])
+def test_pdp_meta_reports_the_excess_delay_tail(tmp_path, mode):
+    # The profile's delays are excess delays: the CSV's delay_s column,
+    # relative to the first arrival.
+    out = tmp_path / "pdp.csv"
+    assert run(["pdp", "--preset", "table1", "--mode", mode, "--t", "0.5", "--out", str(out), "--meta"]) == 0
+    delays = np.array([float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]])
+    meta = json.loads((tmp_path / "pdp.csv.meta.json").read_text())
+    assert meta["excess_delay"] == {
+        "p50": float(np.percentile(delays, 50)),
+        "p99": float(np.percentile(delays, 99)),
+        "max": float(delays.max()),
+    }
+    assert delays.min() == 0.0 and meta["excess_delay"]["p99"] < meta["excess_delay"]["max"]
 
 
 # Each subcommand's option strings (positionals by name, --help left out), and the flags that

@@ -54,9 +54,10 @@ def test_evolve_static_is_constant():
 def test_evolve_symmetric_depths_give_flat_angles():
     geo = GeometryConfig(distance0=1000.0, water_depth=100.0, tx_depth0=40.0, rx_depth0=40.0)
     st = evolve(geo, STILL, 1.0)
-    assert st.aod_los == 0.0
-    # the direct path arrives at pi: an Rx drift along +x lengthens it
-    assert los_distance(st, drift_rx=(1.0, 0.0)) == pytest.approx(1001.0, rel=1e-15)
+    # the direct path is flat: an Rx drift along +x lengthens it by the
+    # drift, a vertical drift only at second order
+    assert los_distance(st, drift_rx=(1.0, 0.0)) == 1001.0
+    assert los_distance(st, drift_tx=(0.0, 1.0)) == math.hypot(1000.0, 1.0)
 
 
 def test_evolve_is_exactly_linear_in_time():
@@ -84,12 +85,15 @@ def test_los_distance_pythagoras():
 
 
 def test_los_distance_drift_projections():
+    # exact lengths: a unit drift along the direct path shortens it by 1 m,
+    # one across it lengthens it to hypot(base, 1), 1.2e-7 relative here
     st = state0()
     base = los_distance(st)
-    along = los_distance(st, drift_tx=(1.0, st.aod_los))
+    aod = math.atan2(30.0, 2000.0)
+    along = los_distance(st, drift_tx=(math.cos(aod), math.sin(aod)))
     assert along == pytest.approx(base - 1.0, rel=1e-12)
-    perpendicular = los_distance(st, drift_tx=(1.0, st.aod_los + math.pi / 2))
-    assert perpendicular == pytest.approx(base, rel=1e-12)
+    perpendicular = los_distance(st, drift_tx=(-math.sin(aod), math.cos(aod)))
+    assert perpendicular == pytest.approx(math.hypot(base, 1.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -316,5 +320,6 @@ def test_drift_projection_shortens_first_leg():
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
     rays = one_ray(1.0, 1.0, 0.0, 0.0)
     base, _, _ = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    moved, _, _ = micro_ray_distances(rays, cluster, st, 100.0, (1.0, cluster.mean_aod), NO_DRIFT, NO_SURFACE, 0.0)
+    toward_first_point = (math.cos(cluster.mean_aod), math.sin(cluster.mean_aod))
+    moved, _, _ = micro_ray_distances(rays, cluster, st, 100.0, toward_first_point, NO_DRIFT, NO_SURFACE, 0.0)
     assert moved[0] == pytest.approx(base[0] - 1.0, rel=1e-12)

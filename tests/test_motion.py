@@ -16,9 +16,7 @@ def rng():
 def test_zero_speed_drift_never_moves():
     state = build_drift(DriftConfig(v_min=0.0, v_max=0.0, change_freq=1.0), 10.0, rng())
     for t in (0.0, 0.4, 3.7, 10.0):
-        dd, alpha = state.displacement(t)
-        assert dd == 0.0
-        assert alpha == 0.0
+        assert state.displacement(t) == (0.0, 0.0)
 
 
 def test_interval_layout_matches_change_freq():
@@ -34,9 +32,9 @@ def test_forced_equal_bearings_gives_linear_displacement():
     v, bearing = 0.25, 1.1
     state = DriftState.from_draws(1.0, [v] * 6, [bearing] * 6)
     for t in (0.5, 2.0, 4.75, 6.0):
-        dd, alpha = state.displacement(t)
-        assert dd == pytest.approx(v * t, rel=1e-12)
-        assert alpha == pytest.approx(bearing, abs=1e-12)
+        dx, dz = state.displacement(t)
+        assert dx == pytest.approx(v * t * math.cos(bearing), rel=1e-12)
+        assert dz == pytest.approx(v * t * math.sin(bearing), rel=1e-12)
 
 
 def test_displacement_at_origin_is_zero():
@@ -46,22 +44,22 @@ def test_displacement_at_origin_is_zero():
 
 def test_single_interval_integral():
     state = DriftState.from_draws(1.0, [0.1], [0.0])
-    dd, alpha = state.displacement(1.0)
-    assert dd == pytest.approx(0.1, rel=1e-12)
-    assert alpha == 0.0
+    dx, dz = state.displacement(1.0)
+    assert dx == pytest.approx(0.1, rel=1e-12)
+    assert dz == 0.0
 
 
 def test_opposite_bearings_cancel():
     state = DriftState.from_draws(1.0, [0.3, 0.3], [0.2, 0.2 + math.pi])
-    dd, _ = state.displacement(2.0)
-    assert dd == pytest.approx(0.0, abs=1e-15)
+    dx, dz = state.displacement(2.0)
+    assert math.hypot(dx, dz) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_displacement_is_continuous():
     state = build_drift(DriftConfig(v_min=0.0, v_max=0.5, change_freq=3.0), 4.0, rng())
     times = np.linspace(0.0, 4.0, 1201)
-    dd, _ = state.displacement(times)
-    steps = np.abs(np.diff(dd))
+    dx, dz = state.displacement(times)
+    steps = np.hypot(np.diff(dx), np.diff(dz))
     assert steps.max() <= 0.5 * (times[1] - times[0]) + 1e-12
 
 
@@ -71,10 +69,10 @@ def test_speed_scaling_scales_displacement():
     base = DriftState.from_draws(1.0, speeds, bearings)
     doubled = DriftState.from_draws(1.0, [2 * v for v in speeds], bearings)
     for t in (0.7, 1.5, 2.9):
-        dd1, a1 = base.displacement(t)
-        dd2, a2 = doubled.displacement(t)
-        assert dd2 == pytest.approx(2 * dd1, rel=1e-12)
-        assert a2 == pytest.approx(a1, abs=1e-12)
+        dx1, dz1 = base.displacement(t)
+        dx2, dz2 = doubled.displacement(t)
+        assert dx2 == pytest.approx(2 * dx1, rel=1e-12)
+        assert dz2 == pytest.approx(2 * dz1, rel=1e-12)
 
 
 def test_outside_horizon_rejected():

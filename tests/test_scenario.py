@@ -137,6 +137,15 @@ def test_mid_distance_spread_is_rejected():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["freq_offsets", "time_grid"])
+@pytest.mark.parametrize("value", [5, 0.5, None], ids=["int", "float", "null"])
+def test_scalar_for_a_list_field_names_the_field(field, value):
+    data = scenario_to_dict(validate(survey_config()))
+    data["signal"][field] = value
+    with pytest.raises(ScenarioError, match=rf"signal\.{field} must be a list of numbers, got {value!r}"):
+        scenario_from_dict(data)
+
+
 def test_unknown_keys_rejected():
     data = scenario_to_dict(validate(survey_config()))
     data["geometry"]["typo_field"] = 1.0
