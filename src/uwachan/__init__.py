@@ -74,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "2.1.0"
+__version__ = "3.0.0"

@@ -27,6 +27,7 @@ __all__ = [
     "build_realization",
     "component_table",
     "subpath_gains",
+    "specular_gain",
     "class_weight",
     "ray_weight",
     "ctf_values",
@@ -110,7 +111,7 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     for path in geo.enumerate_paths(cfg.clusters):
         rng = stream_for(cfg.master_seed, index, f"path/{path.label}")
         sampler = geo.sample_micro_ray_sb if path.is_single_bounce else geo.sample_micro_ray_mb
-        rays, extra = sampler(geo.macro_ray(state0, depth, path), state0, depth, cfg.clusters, rng, n_rays)
+        rays, extra = sampler(geo.macro_ray(state0, depth, path), state0, cfg.clusters, rng, n_rays)
         resamples += extra
         subpaths.append(SubPath(path=path, phases=rng.uniform(0.0, TAU, n_rays), rays=rays))
     return ChannelRealization(
@@ -197,20 +198,25 @@ def subpath_gains(run: list[ChannelRealization], table: ComponentTable, freq_hz:
     """
     cfg = run[0].cfg
     a_los = prop.path_gain(PathKind.LOS, table.los_length, freq_hz)
-    a_subs = []
-    for sp, cluster in zip(run[0].subpaths, table.clusters):
-        a_subs.append(
-            prop.path_gain(
-                sp.path.kind,
-                cluster.distance[..., 0],
-                freq_hz,
-                incidence=cluster.incidence[..., 0],
-                bottom_bounces=sp.path.bottom_hops,
-                bottom=cfg.bottom,
-                water_sound_speed=cfg.geometry.sound_speed,
-            )
-        )
+    a_subs = [
+        specular_gain(cfg, sp.path, cluster.distance[..., 0], cluster.incidence[..., 0], freq_hz)
+        for sp, cluster in zip(run[0].subpaths, table.clusters)
+    ]
     return a_los, a_subs
+
+
+def specular_gain(cfg: ScenarioConfig, path: geo.PathIndex, distance, incidence, freq_hz):
+    """Amplitude gain of a sub-path's specular reflection, given its unfolded
+    ``distance`` and boundary ``incidence`` arrays, at an absolute frequency."""
+    return prop.path_gain(
+        path.kind,
+        distance,
+        freq_hz,
+        incidence=incidence,
+        bottom_bounces=path.bottom_hops,
+        bottom=cfg.bottom,
+        water_sound_speed=cfg.geometry.sound_speed,
+    )
 
 
 def class_weight(cfg: ScenarioConfig, kind: PathKind) -> float:

@@ -7,8 +7,9 @@ With these conventions the mean ray angles at a reflection point are exactly
 pi/2 -+ incidence (surface) and 3*pi/2 +- incidence (bottom).
 
 A diffuse ray is the points where it meets its first and its last boundary
-(one point for a single bounce). Its angles are drawn once, at t = 0, and
-turned into frozen fractions of the sub-path's specular horizontal runs:
+(one point for a single bounce). Its angles are drawn once, at t = 0, so
+that every point lies strictly between the platforms, and turned into
+frozen fractions of the sub-path's specular horizontal runs:
 the first point sits at ``first * run_tx(t)`` from the Tx, the last at
 ``last * run_rx(t)`` from the Rx, so scatterers move with their specular
 point. At every t each leg is a straight line between its end points, and
@@ -233,15 +234,6 @@ class RayDraws(NamedTuple):
     theta_last: np.ndarray  # (n,)
 
 
-def _spread_for(boundary: Boundary, spreads: ClusterConfig) -> float:
-    return spreads.angle_spread_surface if boundary is Boundary.SURFACE else spreads.angle_spread_bottom
-
-
-def _angle_domain(boundary: Boundary) -> tuple[float, float]:
-    # Half-plane of the rays that reach the boundary from the platform.
-    return (0.0, math.pi) if boundary is Boundary.SURFACE else (math.pi, TAU)
-
-
 def _fraction(angle, mean: float):
     """A leg's horizontal run at ``angle`` over its specular run at ``mean``.
 
@@ -251,27 +243,50 @@ def _fraction(angle, mean: float):
     return 1.0 + np.sin(mean - angle) / (np.sin(angle) * math.cos(mean))
 
 
-def _draw_in_branch(
-    rng: np.random.Generator, mean: float, sigma: float, n: int, valid, failure: str
-) -> tuple[np.ndarray, int]:
-    """``n`` normal draws, redrawing only the entries ``valid`` rejects.
+def _between_platforms(mean: float, boundary: Boundary, limit: float) -> tuple[float, float]:
+    """The open interval of angles about ``mean`` whose point on ``boundary``
+    lies strictly between the platforms: its fraction is in (0, ``limit``).
 
-    Returns (values, resamples), one resample per rejected draw; raises
-    GeometryError(``failure``) when an entry is still rejected after
-    ``MAX_TRIES`` draws.
+    ``limit`` is the range over the specular run. The fraction is 0 at the
+    vertical and ``limit`` where cot(angle) = limit * cot(mean), and cot is
+    monotonic on the quadrant between them. ``base`` is where the
+    boundary's half-plane of angles starts.
     """
-    values = rng.normal(mean, sigma, n)
-    pending = np.flatnonzero(~valid(values))
+    base = 0.0 if boundary is Boundary.SURFACE else math.pi
+    vertical = base + math.pi / 2
+    edge = base + math.atan2(1.0, limit / math.tan(mean - base))
+    return (edge, vertical) if edge < vertical else (vertical, edge)
+
+
+def _draw_fractions(
+    rng: np.random.Generator, spreads: ClusterConfig, n: int, path: PathIndex, mean, boundary: Boundary, limit
+) -> tuple[np.ndarray, int]:
+    """``n`` fractions of a specular run whose points on ``boundary`` lie
+    strictly between the platforms, ``limit`` being the range over that run.
+
+    Draws normal angles about ``mean`` and redraws only those outside
+    :func:`_between_platforms`. Returns (fractions, resamples), one resample
+    per rejected draw; raises GeometryError when an entry is still outside
+    after ``MAX_TRIES`` draws.
+    """
+    mean = float(mean)
+    sigma = spreads.angle_spread_surface if boundary is Boundary.SURFACE else spreads.angle_spread_bottom
+    lo, hi = _between_platforms(mean, boundary, float(limit))
+    angles = rng.normal(mean, sigma, n)
+    pending = np.flatnonzero(~((lo < angles) & (angles < hi)))
     resamples = 0
     for _ in range(MAX_TRIES - 1):
         if not pending.size:
             break
         resamples += pending.size
-        values[pending] = rng.normal(mean, sigma, pending.size)
-        pending = pending[~valid(values[pending])]
+        redrawn = rng.normal(mean, sigma, pending.size)
+        angles[pending] = redrawn
+        pending = pending[~((lo < redrawn) & (redrawn < hi))]
     if pending.size:
-        raise GeometryError(failure)
-    return values, resamples
+        raise GeometryError(
+            f"could not draw a point between the platforms for {path.label} after {MAX_TRIES} tries"
+        )
+    return _fraction(angles, mean), resamples
 
 
 def _surface_phases(rng: np.random.Generator, boundary: Boundary, n: int) -> np.ndarray:
@@ -281,7 +296,6 @@ def _surface_phases(rng: np.random.Generator, boundary: Boundary, n: int) -> np.
 def sample_micro_ray_mb(
     cluster: ClusterGeometry,
     state: GeometryState,
-    water_depth: float,
     spreads: ClusterConfig,
     rng: np.random.Generator,
     n: int,
@@ -289,33 +303,27 @@ def sample_micro_ray_mb(
     """Draw ``n`` multi-bounce rays around a cluster; returns (rays, resamples).
 
     Takes the single-bounce sampler's arguments, so a build calls either
-    alike; the fractions depend on the angles alone. Draw order: departure
-    angles, then arrival angles (each with its redraws of out-of-branch
-    entries), then the surface phases of whichever points sit on the surface.
+    alike. Draw order: departure angles, then arrival angles, each redrawn
+    until its point lies on its boundary strictly between the platforms at
+    t = 0, then the surface phases of whichever points sit on the surface.
     """
     path = cluster.path
     if path.is_single_bounce:
         raise GeometryError(f"multi-bounce sampler called on single-bounce path {path.label}")
-    failure = f"could not draw an in-branch angle for {path.label} after {MAX_TRIES} tries"
-    fractions = []
-    resamples = 0
-    for mean, boundary in ((cluster.mean_aod, path.first_boundary), (cluster.mean_aoa, path.last_boundary)):
-        mean = float(mean)
-        lo, hi = _angle_domain(boundary)
-        angle, extra = _draw_in_branch(
-            rng, mean, _spread_for(boundary, spreads), n, lambda a: (lo < a) & (a < hi), failure
-        )
-        fractions.append(_fraction(angle, mean))
-        resamples += extra
+    first, first_redraws = _draw_fractions(
+        rng, spreads, n, path, cluster.mean_aod, path.first_boundary, state.distance / cluster.run_tx
+    )
+    last, last_redraws = _draw_fractions(
+        rng, spreads, n, path, cluster.mean_aoa, path.last_boundary, state.distance / cluster.run_rx
+    )
     theta_first = _surface_phases(rng, path.first_boundary, n)
     theta_last = _surface_phases(rng, path.last_boundary, n)
-    return RayDraws(fractions[0], fractions[1], theta_first, theta_last), resamples
+    return RayDraws(first, last, theta_first, theta_last), first_redraws + last_redraws
 
 
 def sample_micro_ray_sb(
     cluster: ClusterGeometry,
     state: GeometryState,
-    water_depth: float,
     spreads: ClusterConfig,
     rng: np.random.Generator,
     n: int,
@@ -331,22 +339,9 @@ def sample_micro_ray_sb(
     path = cluster.path
     if not path.is_single_bounce:
         raise GeometryError(f"single-bounce sampler called on multi-bounce path {path.label}")
-    mean = float(cluster.mean_aoa)
-    lo = math.pi / 2 if path.kind is PathKind.DA else math.pi
-
-    def valid(aoa):
-        run = _fraction(aoa, mean) * cluster.run_rx
-        return (lo < aoa) & (aoa < lo + math.pi / 2) & (0.0 < run) & (run < state.distance)
-
-    aoa, resamples = _draw_in_branch(
-        rng,
-        mean,
-        _spread_for(path.last_boundary, spreads),
-        n,
-        valid,
-        f"could not draw an in-branch arrival angle for {path.label} after {MAX_TRIES} tries",
+    last, resamples = _draw_fractions(
+        rng, spreads, n, path, cluster.mean_aoa, path.last_boundary, state.distance / cluster.run_rx
     )
-    last = _fraction(aoa, mean)
     first = 1.0 + (1.0 - last) * (cluster.run_rx / cluster.run_tx)
     theta = _surface_phases(rng, path.last_boundary, n)  # one scatterer serves both legs
     return RayDraws(first, last, theta, theta), resamples

@@ -29,6 +29,7 @@ from .channel import (
     class_weight,
     component_table,
     ray_weight,
+    specular_gain,
     subpath_gains,
     tap_list,
 )
@@ -315,15 +316,7 @@ def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpR
             labels.append("los")
         for path in geo.enumerate_paths(cfg.clusters):
             cluster = geo.macro_ray(state, cfg.geometry.water_depth, path)
-            a = prop.path_gain(
-                path.kind,
-                cluster.distance,
-                f_abs,
-                incidence=cluster.incidence,
-                bottom_bounces=path.bottom_hops,
-                bottom=cfg.bottom,
-                water_sound_speed=cfg.geometry.sound_speed,
-            )
+            a = specular_gain(cfg, path, cluster.distance, cluster.incidence, f_abs)
             delays.append(cluster.distance / c)
             powers.append(class_weight(cfg, path.kind) * a * a)
             labels.append(path.label)

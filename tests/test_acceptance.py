@@ -61,9 +61,10 @@ def test_criterion_1_measurement_delay_moments():
 
 
 def test_ray_mode_table1_delay_medians():
-    # Ray mode draws every diffuse ray, so a few near-grazing rays with long
-    # paths carry the ensemble mean of the RMS spread; the median is the
-    # typical realization. Gate: medians within 25% of the measurement.
+    # Ray mode draws every diffuse ray. A few long rays still lift the
+    # ensemble mean of the RMS spread above its median (4.490 against
+    # 2.661 ms at seed 1, 500 realizations), so the median is the typical
+    # realization. Gate: medians within 25% of the measurement.
     cfg = overlay(preset_scenario("table1"), {"realizations": REALIZATIONS})
     ens = uc.ensemble_delay_stats(cfg, mode="ray", jobs=JOBS)
     rows = [
@@ -220,7 +221,7 @@ def test_criterion_9_geometry_oracles():
     for path in (uc.PathIndex(uc.PathKind.DA, 1, 0), uc.PathIndex(uc.PathKind.UA, 0, 1)):
         cluster = uc.macro_ray(state, 100.0, path)
         rays, _ = uc.sample_micro_ray_sb(
-            cluster, state, 100.0, clusters, uc.stream_for(1, 0, "acc9"), clusters.rays_per_path
+            cluster, state, clusters, uc.stream_for(1, 0, "acc9"), clusters.rays_per_path
         )
         leg_tx, mid, leg_rx = uc.micro_ray_distances(
             rays, cluster, state, 100.0, (0.0, 0.0), (0.0, 0.0),

@@ -635,6 +635,22 @@ def test_horizon_past_the_water_column_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sampler_giving_up_is_one_line_error_naming_the_sub_path(scenario_file, tmp_path, capsys):
+    # A spread this wide almost never draws a surface point between the
+    # platforms, so the first surface sub-path gives up after its tries.
+    path = tmp_path / "wide.json"
+    data = scenario_to_dict(load_scenario(scenario_file))
+    data["clusters"]["angle_spread_surface"] = 1e6
+    path.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error.startswith("could not draw") and "da_s1_b0" in error
+    assert not out.exists()
+
+
 def test_fig3_correlates_at_a_30_s_anchor(tmp_path):
     # Rays are closed paths, so no drift-dependent floor rejects every draw
     # at late anchors: the build at a 30 s horizon is like one at 0.1 s.

@@ -207,7 +207,7 @@ def test_mb_sampler_zero_spread_hits_means():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
     cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
-    rays, resamples = sample_micro_ray_mb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 5)
+    rays, resamples = sample_micro_ray_mb(cluster, st, cfg, stream_for(1, 0, "t"), 5)
     assert np.all(rays.first == 1.0)
     assert np.all(rays.last == 1.0)
     assert resamples == 0
@@ -220,7 +220,7 @@ def test_mb_sampler_statistics():
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 2, 1))
     rng = stream_for(3, 0, "stats")
     cfg = spreads()
-    first = sample_micro_ray_mb(cluster, st, 100.0, cfg, rng, 100_000)[0].first
+    first = sample_micro_ray_mb(cluster, st, cfg, rng, 100_000)[0].first
     draws = np.arctan2(1.0, first / math.tan(cluster.mean_aod))
     assert draws.shape == (100_000,)
     assert np.std(draws) == pytest.approx(0.015, rel=0.02)
@@ -230,7 +230,7 @@ def test_mb_sampler_statistics():
 def test_mb_sampler_rejects_single_bounce_path():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 0))
     with pytest.raises(GeometryError, match="single-bounce"):
-        sample_micro_ray_mb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"), 1)
+        sample_micro_ray_mb(cluster, state0(), spreads(), stream_for(1, 0, "t"), 1)
 
 
 def test_sb_sampler_zero_spread_matches_specular():
@@ -238,7 +238,7 @@ def test_sb_sampler_zero_spread_matches_specular():
     for path in (PathIndex(PathKind.DA, 1, 0), PathIndex(PathKind.UA, 0, 1)):
         cluster = macro_ray(st, 100.0, path)
         cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
-        rays, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 3)
+        rays, _ = sample_micro_ray_sb(cluster, st, cfg, stream_for(1, 0, "t"), 3)
         assert np.all(rays.last == 1.0) and np.all(rays.first == 1.0)
         # the point is the specular one: each leg is its run over sin(incidence)
         leg_tx, _, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
@@ -249,7 +249,7 @@ def test_sb_sampler_zero_spread_matches_specular():
 
 def test_sb_da_shares_surface_phase():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 0))
-    rays, _ = sample_micro_ray_sb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"), 50)
+    rays, _ = sample_micro_ray_sb(cluster, state0(), spreads(), stream_for(1, 0, "t"), 50)
     assert np.all((rays.theta_first >= 0.0) & (rays.theta_first < 2 * math.pi))
     assert np.unique(rays.theta_first).size == 50  # one phase per ray ...
     assert np.array_equal(rays.theta_first, rays.theta_last)  # ... shared by both legs
@@ -258,7 +258,7 @@ def test_sb_da_shares_surface_phase():
 def test_sb_ua_has_no_surface_phase_and_static_delay():
     st = state0()
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.UA, 0, 1))
-    rays, _ = sample_micro_ray_sb(cluster, st, 100.0, spreads(), stream_for(1, 0, "t"), 5)
+    rays, _ = sample_micro_ray_sb(cluster, st, spreads(), stream_for(1, 0, "t"), 5)
     assert np.all(rays.theta_first == 0.0) and np.all(rays.theta_last == 0.0)
     surface = SurfaceMotionConfig(amplitude=2.0, freq=0.5)  # moving surface must not matter
     lengths = np.array([
@@ -271,7 +271,7 @@ def test_sb_ua_has_no_surface_phase_and_static_delay():
 def test_sb_sampler_rejects_multi_bounce_path():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.DA, 1, 1))
     with pytest.raises(GeometryError, match="multi-bounce"):
-        sample_micro_ray_sb(cluster, state0(), 100.0, spreads(), stream_for(1, 0, "t"), 1)
+        sample_micro_ray_sb(cluster, state0(), spreads(), stream_for(1, 0, "t"), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,7 @@ def test_sb_rays_satisfy_image_identity():
     for path in (PathIndex(PathKind.DA, 1, 0), PathIndex(PathKind.UA, 0, 1)):
         cluster = macro_ray(st, 100.0, path)
         cfg = spreads(angle_spread_surface=0.0, angle_spread_bottom=0.0)
-        rays, _ = sample_micro_ray_sb(cluster, st, 100.0, cfg, stream_for(1, 0, "t"), 3)
+        rays, _ = sample_micro_ray_sb(cluster, st, cfg, stream_for(1, 0, "t"), 3)
         leg_tx, mid, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
         assert np.all(mid == 0.0)
         assert leg_tx + leg_rx == pytest.approx(np.full(3, cluster.distance), abs=1e-9)
