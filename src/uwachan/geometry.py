@@ -1,15 +1,12 @@
 """Time-varying propagation geometry.
 
-Angle conventions: ray departure/arrival angles are measured
-counter-clockwise from the horizontal Tx->Rx axis, in [0, 2*pi); boundary
-incidence angles are measured from the boundary normal and lie in (0, pi/2).
-With these conventions the mean ray angles at a reflection point are exactly
-pi/2 -+ incidence (surface) and 3*pi/2 +- incidence (bottom).
+Boundary incidence angles are measured from the boundary normal and lie in
+(0, pi/2).
 
 A diffuse ray is the points where it meets its first and its last boundary
-(one point for a single bounce). Its angles are drawn once, at t = 0, so
-that every point lies strictly between the platforms, and turned into
-frozen fractions of the sub-path's specular horizontal runs:
+(one point for a single bounce). Each point's incidence is drawn once, at
+t = 0, so that the point lies strictly between the platforms, and turned
+into a frozen fraction of the sub-path's specular horizontal run:
 the first point sits at ``first * run_tx(t)`` from the Tx, the last at
 ``last * run_rx(t)`` from the Rx, so scatterers move with their specular
 point. At every t each leg is a straight line between its end points, and
@@ -181,8 +178,6 @@ class ClusterGeometry:
     path: PathIndex
     distance: np.ndarray
     incidence: np.ndarray
-    mean_aod: np.ndarray
-    mean_aoa: np.ndarray
     run_tx: np.ndarray
     run_rx: np.ndarray
 
@@ -201,19 +196,9 @@ def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> Clus
     distance = np.hypot(dist, vertical)
     incidence = np.arctan2(dist, vertical)  # in (0, pi/2) for positive operands
     slope = dist / vertical  # horizontal run per meter of depth crossed
-    if path.first_boundary is Boundary.SURFACE:
-        mean_aod = math.pi / 2 - incidence
-        run_tx = (water_depth - h_t) * slope
-    else:
-        mean_aod = 3 * math.pi / 2 + incidence
-        run_tx = h_t * slope
-    if path.last_boundary is Boundary.SURFACE:
-        mean_aoa = math.pi / 2 + incidence
-        run_rx = (water_depth - h_r) * slope
-    else:
-        mean_aoa = 3 * math.pi / 2 - incidence
-        run_rx = h_r * slope
-    return ClusterGeometry(path, distance, incidence, mean_aod, mean_aoa, run_tx, run_rx)
+    run_tx = (water_depth - h_t if path.first_boundary is Boundary.SURFACE else h_t) * slope
+    run_rx = (water_depth - h_r if path.last_boundary is Boundary.SURFACE else h_r) * slope
+    return ClusterGeometry(path, distance, incidence, run_tx, run_rx)
 
 
 class RayDraws(NamedTuple):
@@ -234,59 +219,39 @@ class RayDraws(NamedTuple):
     theta_last: np.ndarray  # (n,)
 
 
-def _fraction(angle, mean: float):
-    """A leg's horizontal run at ``angle`` over its specular run at ``mean``.
-
-    Both runs are the depth crossed times the cotangent, up to one sign, so
-    the fraction is cot(angle) / cot(mean), written to be exactly 1 at the mean.
-    """
-    return 1.0 + np.sin(mean - angle) / (np.sin(angle) * math.cos(mean))
-
-
-def _between_platforms(mean: float, boundary: Boundary, limit: float) -> tuple[float, float]:
-    """The open interval of angles about ``mean`` whose point on ``boundary``
-    lies strictly between the platforms: its fraction is in (0, ``limit``).
-
-    ``limit`` is the range over the specular run. The fraction is 0 at the
-    vertical and ``limit`` where cot(angle) = limit * cot(mean), and cot is
-    monotonic on the quadrant between them. ``base`` is where the
-    boundary's half-plane of angles starts.
-    """
-    base = 0.0 if boundary is Boundary.SURFACE else math.pi
-    vertical = base + math.pi / 2
-    edge = base + math.atan2(1.0, limit / math.tan(mean - base))
-    return (edge, vertical) if edge < vertical else (vertical, edge)
-
-
 def _draw_fractions(
-    rng: np.random.Generator, spreads: ClusterConfig, n: int, path: PathIndex, mean, boundary: Boundary, limit
+    rng: np.random.Generator, spreads: ClusterConfig, n: int, path: PathIndex, incidence, boundary: Boundary, limit
 ) -> tuple[np.ndarray, int]:
     """``n`` fractions of a specular run whose points on ``boundary`` lie
     strictly between the platforms, ``limit`` being the range over that run.
 
-    Draws normal angles about ``mean`` and redraws only those outside
-    :func:`_between_platforms`. Returns (fractions, resamples), one resample
-    per rejected draw; raises GeometryError when an entry is still outside
-    after ``MAX_TRIES`` draws.
+    Draws each point's incidence psi normal about the specular ``incidence``
+    theta; the point's horizontal run is the specular one times
+    tan(psi) / tan(theta), which is in (0, ``limit``) exactly when psi is in
+    (0, atan(limit * tan(theta))). Redraws only the draws outside that
+    interval. Returns (fractions, resamples), one resample per rejected
+    draw; raises GeometryError when an entry is still outside after
+    ``MAX_TRIES`` draws.
     """
-    mean = float(mean)
+    theta = float(incidence)
     sigma = spreads.angle_spread_surface if boundary is Boundary.SURFACE else spreads.angle_spread_bottom
-    lo, hi = _between_platforms(mean, boundary, float(limit))
-    angles = rng.normal(mean, sigma, n)
-    pending = np.flatnonzero(~((lo < angles) & (angles < hi)))
+    edge = math.atan(float(limit) * math.tan(theta))
+    psi = rng.normal(theta, sigma, n)
+    pending = np.flatnonzero(~((0.0 < psi) & (psi < edge)))
     resamples = 0
     for _ in range(MAX_TRIES - 1):
         if not pending.size:
             break
         resamples += pending.size
-        redrawn = rng.normal(mean, sigma, pending.size)
-        angles[pending] = redrawn
-        pending = pending[~((lo < redrawn) & (redrawn < hi))]
+        redrawn = rng.normal(theta, sigma, pending.size)
+        psi[pending] = redrawn
+        pending = pending[~((0.0 < redrawn) & (redrawn < edge))]
     if pending.size:
         raise GeometryError(
             f"could not draw a point between the platforms for {path.label} after {MAX_TRIES} tries"
         )
-    return _fraction(angles, mean), resamples
+    # tan(psi) / tan(theta), written to be exactly 1 at psi = theta
+    return 1.0 + np.sin(psi - theta) / (np.cos(psi) * math.sin(theta)), resamples
 
 
 def _surface_phases(rng: np.random.Generator, boundary: Boundary, n: int) -> np.ndarray:
@@ -303,18 +268,19 @@ def sample_micro_ray_mb(
     """Draw ``n`` multi-bounce rays around a cluster; returns (rays, resamples).
 
     Takes the single-bounce sampler's arguments, so a build calls either
-    alike. Draw order: departure angles, then arrival angles, each redrawn
-    until its point lies on its boundary strictly between the platforms at
-    t = 0, then the surface phases of whichever points sit on the surface.
+    alike. Draw order: the first points' incidences, then the last points',
+    each redrawn until its point lies on its boundary strictly between the
+    platforms at t = 0, then the surface phases of whichever points sit on
+    the surface.
     """
     path = cluster.path
     if path.is_single_bounce:
         raise GeometryError(f"multi-bounce sampler called on single-bounce path {path.label}")
     first, first_redraws = _draw_fractions(
-        rng, spreads, n, path, cluster.mean_aod, path.first_boundary, state.distance / cluster.run_tx
+        rng, spreads, n, path, cluster.incidence, path.first_boundary, state.distance / cluster.run_tx
     )
     last, last_redraws = _draw_fractions(
-        rng, spreads, n, path, cluster.mean_aoa, path.last_boundary, state.distance / cluster.run_rx
+        rng, spreads, n, path, cluster.incidence, path.last_boundary, state.distance / cluster.run_rx
     )
     theta_first = _surface_phases(rng, path.first_boundary, n)
     theta_last = _surface_phases(rng, path.last_boundary, n)
@@ -330,17 +296,17 @@ def sample_micro_ray_sb(
 ) -> tuple[RayDraws, int]:
     """Draw ``n`` single-bounce rays; returns (rays, resamples).
 
-    Draw order: arrival angles, redrawn until the point lies on its boundary
-    strictly between the platforms at t = 0, then one surface phase per ray
-    on surface-reflected paths, shared by both legs. The point's fraction of
-    the Tx's run follows from its arrival fraction, since the two specular
-    runs add up to the range.
+    Draw order: the points' incidences, redrawn until the point lies on its
+    boundary strictly between the platforms at t = 0, then one surface phase
+    per ray on surface-reflected paths, shared by both legs. The incidence
+    places the point by its fraction of the Rx's run; its fraction of the
+    Tx's run follows, since the two specular runs add up to the range.
     """
     path = cluster.path
     if not path.is_single_bounce:
         raise GeometryError(f"single-bounce sampler called on multi-bounce path {path.label}")
     last, resamples = _draw_fractions(
-        rng, spreads, n, path, cluster.mean_aoa, path.last_boundary, state.distance / cluster.run_rx
+        rng, spreads, n, path, cluster.incidence, path.last_boundary, state.distance / cluster.run_rx
     )
     first = 1.0 + (1.0 - last) * (cluster.run_rx / cluster.run_tx)
     theta = _surface_phases(rng, path.last_boundary, n)  # one scatterer serves both legs
@@ -361,14 +327,14 @@ def segment_lengths(path: PathIndex, water_depth: float, tx, first, last, rx):
     Each argument after the depth is an (x, z) pair of arrays: the platforms
     and the ray's first and last points, x along the Tx->Rx axis and z the
     height above the bottom. A single bounce's two points are its one point
-    and its mid leg is 0. A multi-bounce mid leg is unfolded over its
-    intermediate bounces: its vertical extent is one depth per crossing plus
-    each surface point's rise above the surface.
+    and its mid leg is the scalar 0.0. A multi-bounce mid leg is unfolded
+    over its intermediate bounces: its vertical extent is one depth per
+    crossing plus each surface point's rise above the surface.
     """
     leg_tx = _length(first[0] - tx[0], first[1] - tx[1])
     leg_rx = _length(rx[0] - last[0], rx[1] - last[1])
     if path.is_single_bounce:
-        return leg_tx, np.zeros(np.broadcast(leg_tx, leg_rx).shape), leg_rx
+        return leg_tx, 0.0, leg_rx
     rise = (path.surface_hops + path.bottom_hops - 1) * water_depth
     for point, boundary in ((first, path.first_boundary), (last, path.last_boundary)):
         if boundary is Boundary.SURFACE:
@@ -393,8 +359,8 @@ def micro_ray_distances(
     displacement along ``surface.travel_angle``, and places the platforms
     as :func:`los_distance` does, ``drift_tx``/``drift_rx`` being their
     (dx, dz) displacements at ``t``; then :func:`segment_lengths` measures
-    the legs. Each result has one entry per ray, broadcast against the
-    state, drift and ``t``.
+    the legs. Each leg has one entry per ray, broadcast against the state,
+    drift and ``t``; a single bounce's mid leg is the scalar 0.0.
 
     The surface enters only when it moves (``surface.amplitude`` != 0): a
     skipped term would add a signed zero to a coordinate, so the legs are

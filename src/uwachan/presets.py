@@ -146,32 +146,29 @@ def preset_scenario(name: str) -> ScenarioConfig:
     raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
 
 
-def evaluate_curves(
-    name: str, labels=None, cfg: ScenarioConfig | None = None, jobs: int = 1, phase_draws: int = 1
-) -> dict:
+def evaluate_curves(name: str, labels=None, cfg: ScenarioConfig | None = None, jobs: int = 1) -> dict:
     """``{label: result}`` for the curves of an experiment (default: every curve, in order).
 
     Each curve's changes are overlaid on ``cfg`` (default: the preset's),
     whose ``realizations`` sets the ensemble size. ACF curves run as one
-    ensemble, with one worker pool of at most ``jobs`` workers, and average
-    the empirical estimator over ``phase_draws`` phase draws. The PDP and
-    delay-stats experiments are deterministic cluster profiles and use neither.
+    ensemble, with one worker pool of at most ``jobs`` workers. The PDP and
+    delay-stats experiments are deterministic cluster profiles and use no pool.
     """
     statistic, lags, curves = EXPERIMENTS[name]
     base = preset_scenario(name) if cfg is None else cfg
     chosen = curves if labels is None else {label: curves[label] for label in labels}
     anchors = {label: (t, overlay(base, changes)) for label, (t, changes) in chosen.items()}
     if statistic == "acf":
-        plans = [stats.acf_plan(c, t, 0.0, lags, phase_draws) for t, c in anchors.values()]
+        plans = [stats.acf_plan(c, t, 0.0, lags) for t, c in anchors.values()]
         return dict(zip(anchors, stats.correlate(plans, jobs)))
     if statistic == "pdp":
         return {label: stats.pdp(c, t, 0.0) for label, (t, c) in anchors.items()}
     return {label: stats.ensemble_delay_stats(c, t, 0.0) for label, (t, c) in anchors.items()}
 
 
-def evaluate(name: str, label: str, cfg: ScenarioConfig | None = None, jobs: int = 1, phase_draws: int = 1):
+def evaluate(name: str, label: str, cfg: ScenarioConfig | None = None, jobs: int = 1):
     """One curve of an experiment: :func:`evaluate_curves` for ``label`` alone."""
-    return evaluate_curves(name, (label,), cfg, jobs, phase_draws)[label]
+    return evaluate_curves(name, (label,), cfg, jobs)[label]
 
 
 def table1_check(ens: stats.EnsembleDelayStats) -> list[tuple[str, float, float, bool]]:

@@ -111,8 +111,8 @@ class ClusterConfig:
     max_surface_hops: int = 1  # most surface contacts of a surface-final path
     max_bottom_hops: int = 1  # most bottom contacts of a bottom-final path
     rays_per_path: int = 50
-    angle_spread_surface: float = 0.015  # rad, std of ray angles at the surface
-    angle_spread_bottom: float = 0.015  # rad, std of ray angles at the bottom
+    angle_spread_surface: float = 0.015  # rad, std of a surface point's incidence
+    angle_spread_bottom: float = 0.015  # rad, std of a bottom point's incidence
 
 
 @dataclass(frozen=True)

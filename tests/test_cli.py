@@ -3,7 +3,9 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +329,12 @@ def test_every_sidecar_records_the_version(tmp_path, argv):
     out = tmp_path / "x.csv"
     assert run([*argv, "--out", str(out), "--meta"]) == 0
     assert json.loads((tmp_path / "x.csv.meta.json").read_text())["version"] == uwachan.__version__
+
+
+def test_package_version_matches_pyproject():
+    # read with a regex, since tomllib needs Python 3.11
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.MULTILINE) == [uwachan.__version__]
 
 
 def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, monkeypatch):

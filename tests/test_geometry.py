@@ -106,8 +106,6 @@ def test_macro_ray_surface_single_bounce_values():
     assert cluster.incidence == pytest.approx(math.atan2(2000.0, 70.0), abs=1e-12)
     assert cluster.path.first_boundary is Boundary.SURFACE
     assert cluster.path.last_boundary is Boundary.SURFACE
-    assert cluster.mean_aod == pytest.approx(math.pi / 2 - cluster.incidence, rel=1e-12)
-    assert cluster.mean_aoa == pytest.approx(math.pi / 2 + cluster.incidence, rel=1e-12)
     assert cluster.run_tx + cluster.run_rx == pytest.approx(2000.0, rel=1e-12)  # one point between
 
 
@@ -115,8 +113,6 @@ def test_macro_ray_bottom_single_bounce_values():
     cluster = macro_ray(state0(), 100.0, PathIndex(PathKind.UA, 0, 1))
     assert cluster.distance == pytest.approx(math.hypot(2000.0, 130.0), abs=1e-9)
     assert cluster.path.first_boundary is Boundary.BOTTOM
-    assert cluster.mean_aod == pytest.approx(3 * math.pi / 2 + cluster.incidence, rel=1e-12)
-    assert cluster.mean_aoa == pytest.approx(3 * math.pi / 2 - cluster.incidence, rel=1e-12)
 
 
 def test_macro_ray_multi_bounce_leg_split():
@@ -213,18 +209,38 @@ def test_mb_sampler_zero_spread_hits_means():
     assert resamples == 0
 
 
-def test_mb_sampler_statistics():
-    # DA s2 b1 leaves the Tx upwards, so its departure angle is in (0, pi):
-    # cot(aod) = first * cot(mean) recovers it from the frozen fraction.
-    st = state0()
-    cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 2, 1))
-    rng = stream_for(3, 0, "stats")
-    cfg = spreads()
-    first = sample_micro_ray_mb(cluster, st, cfg, rng, 100_000)[0].first
-    draws = np.arctan2(1.0, first / math.tan(cluster.mean_aod))
-    assert draws.shape == (100_000,)
-    assert np.std(draws) == pytest.approx(0.015, rel=0.02)
-    assert np.mean(draws) == pytest.approx(cluster.mean_aod, abs=3 * 0.015 / math.sqrt(100_000))
+@pytest.mark.parametrize(
+    "path,end",
+    [
+        (PathIndex(PathKind.DA, 1, 1), "first"),  # bottom first point
+        (PathIndex(PathKind.DA, 1, 1), "last"),  # surface last point
+        (PathIndex(PathKind.UA, 1, 1), "first"),  # surface first point
+        (PathIndex(PathKind.UA, 1, 1), "last"),  # bottom last point
+        (PathIndex(PathKind.DA, 1, 0), "last"),  # surface single bounce
+        (PathIndex(PathKind.UA, 0, 1), "last"),  # bottom single bounce
+    ],
+    ids=lambda v: v.label if isinstance(v, PathIndex) else v,
+)
+def test_sampler_draws_incidence_about_specular(path, end):
+    # A point's run is its specular run times tan(psi) / tan(incidence), so
+    # atan(fraction * tan(incidence)) recovers the drawn incidence psi, on
+    # either boundary and at either end. 100 m of range keeps the interval
+    # (0, atan(limit * tan(incidence))) many spreads from the specular
+    # incidence, where the cut leaves the normal's moments as they are.
+    # Unequal spreads check that each point takes its own boundary's.
+    n, cfg = 100_000, spreads(angle_spread_surface=0.015, angle_spread_bottom=0.01)
+    boundary = path.first_boundary if end == "first" else path.last_boundary
+    sigma = cfg.angle_spread_surface if boundary is Boundary.SURFACE else cfg.angle_spread_bottom
+    st = evolve(GeometryConfig(distance0=100.0, water_depth=100.0, tx_depth0=50.0, rx_depth0=80.0), STILL, 0.0)
+    cluster = macro_ray(st, 100.0, path)
+    inc = float(cluster.incidence)
+    run = cluster.run_tx if end == "first" else cluster.run_rx
+    assert min(inc, math.atan(float(st.distance / run) * math.tan(inc)) - inc) > 10 * sigma
+    sampler = sample_micro_ray_sb if path.is_single_bounce else sample_micro_ray_mb
+    rays, _ = sampler(cluster, st, cfg, stream_for(3, 0, "stats"), n)
+    psi = np.arctan(getattr(rays, end) * math.tan(inc))
+    assert np.mean(psi) == pytest.approx(inc, abs=3 * sigma / math.sqrt(n))
+    assert np.std(psi) == pytest.approx(sigma, rel=0.02)
 
 
 def test_mb_sampler_rejects_single_bounce_path():
@@ -306,7 +322,8 @@ def test_surface_oscillation_peak_projection():
     st = state0()
     path = PathIndex(PathKind.DA, 1, 1)
     cluster = macro_ray(st, 100.0, path)
-    surface = SurfaceMotionConfig(amplitude=2.0, freq=0.25, travel_angle=cluster.mean_aoa)
+    # from the Rx up to its surface point: incidence off the upward vertical, toward the Tx
+    surface = SurfaceMotionConfig(amplitude=2.0, freq=0.25, travel_angle=math.pi / 2 + cluster.incidence)
     rays = one_ray(1.0, 1.0, 0.0, math.pi / 2)
     _, _, leg_rx = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, surface, 0.0)
     base = one_ray(1.0, 1.0, 0.0, 0.0)
@@ -320,6 +337,7 @@ def test_drift_projection_shortens_first_leg():
     cluster = macro_ray(st, 100.0, PathIndex(PathKind.DA, 1, 1))
     rays = one_ray(1.0, 1.0, 0.0, 0.0)
     base, _, _ = micro_ray_distances(rays, cluster, st, 100.0, NO_DRIFT, NO_DRIFT, NO_SURFACE, 0.0)
-    toward_first_point = (math.cos(cluster.mean_aod), math.sin(cluster.mean_aod))
+    # from the Tx down to its bottom point: incidence off the downward vertical, toward the Rx
+    toward_first_point = (math.sin(cluster.incidence), -math.cos(cluster.incidence))
     moved, _, _ = micro_ray_distances(rays, cluster, st, 100.0, toward_first_point, NO_DRIFT, NO_SURFACE, 0.0)
     assert moved[0] == pytest.approx(base[0] - 1.0, rel=1e-12)
