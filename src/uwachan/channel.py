@@ -1,10 +1,12 @@
 """Channel realizations: ray population, time-varying delays, and the CTF.
 
-A realization is fully determined by (master_seed, realization index): drift
-paths, ray points, surface phases and initial phases are all drawn from
-dedicated streams at build time and frozen. Delay and gain evaluation
-afterwards is deterministic, and delays are computed once per (ray, time)
-and reused across frequencies.
+A realization is fully determined by (master_seed, realization index): ray
+points, surface phases and initial phases are drawn from dedicated streams
+at build time and frozen, and each platform's drift path is drawn from its
+own stream where it is evaluated, as far as the latest instant asked for.
+A longer reach extends the same path, so a realization is the same channel
+whatever instants it is evaluated at. Delays are computed once per
+(ray, time) and reused across frequencies.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import propagation as prop
-from .motion import DriftState, build_drift
+from .motion import build_drift
 from .propagation import PathKind
 from .scenario import TAU, ScenarioConfig, stream_for
 
@@ -47,13 +49,10 @@ class SubPath:
 
 @dataclass(eq=False)
 class ChannelRealization:
-    """All frozen randomness of one channel draw."""
+    """The frozen ray draws of one channel draw; its drift is drawn where evaluated."""
 
     cfg: ScenarioConfig
     index: int
-    span: float  # s; the drift covers [0, span], and only it can be evaluated
-    drift_tx: DriftState
-    drift_rx: DriftState
     subpaths: tuple[SubPath, ...]
     resample_count: int
 
@@ -85,24 +84,15 @@ class Taps:
         return self.amplitudes.size
 
 
-def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = None) -> ChannelRealization:
-    """Draw one complete channel realization.
+def build_realization(cfg: ScenarioConfig, index: int) -> ChannelRealization:
+    """Draw the rays of one channel realization.
 
-    The realization covers ``[0, horizon]``, or the scenario's time grid
-    when ``horizon`` is None (statistics pass their last anchor+lag
-    instant, ``simulate`` the grid). The drift is built over that span and
-    nothing else, so a statistic does not depend on a grid it never
-    evaluates. Each sub-path draws its rays as one batch on its own stream,
-    from the specular geometry at t = 0; its initial phases come last.
+    Each sub-path draws its rays as one batch on its own stream, from the
+    specular geometry at t = 0; its initial phases come last. Nothing here
+    depends on the instants the realization is later evaluated at.
     """
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
-    span = max(max(cfg.signal.time_grid) if horizon is None else horizon, 1e-9)
-    # Intentional motion is linear in t, so its geometry is valid on [0, span]
-    # when it is valid at both ends: check that before drawing any drift.
-    geo.evolve(cfg.geometry, cfg.intentional, np.array([0.0, span]))
-    drift_tx = build_drift(cfg.drift, span, stream_for(cfg.master_seed, index, "drift/tx"))
-    drift_rx = build_drift(cfg.drift, span, stream_for(cfg.master_seed, index, "drift/rx"))
     state0 = geo.evolve(cfg.geometry, cfg.intentional, 0.0)
     depth = cfg.geometry.water_depth
     n_rays = cfg.clusters.rays_per_path
@@ -117,9 +107,6 @@ def build_realization(cfg: ScenarioConfig, index: int, horizon: float | None = N
     return ChannelRealization(
         cfg=cfg,
         index=index,
-        span=span,
-        drift_tx=drift_tx,
-        drift_rx=drift_rx,
         subpaths=tuple(subpaths),
         resample_count=resamples,
     )
@@ -140,34 +127,37 @@ class ComponentTable:
     delays: list[np.ndarray]  # (T, K, R) per sub-path
 
 
-def _displacements(drifts: list[DriftState], tt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each drift's (dx, dz) at ``tt``, stacked to (T, K, 1)."""
-    dx, dz = zip(*(drift.displacement(tt) for drift in drifts))
+def _displacements(run: list[ChannelRealization], platform: str, tt: np.ndarray):
+    """Each realization's drift (dx, dz) of ``platform`` ("tx" or "rx") at ``tt``, stacked to (T, K, 1).
+
+    Each path is drawn from its realization's own stream over [0, max(tt)].
+    """
+    cfg, reach = run[0].cfg, float(tt.max())
+    streams = (stream_for(cfg.master_seed, real.index, f"drift/{platform}") for real in run)
+    dx, dz = zip(*(build_drift(cfg.drift, reach, rng).displacement(tt) for rng in streams))
     return np.stack(dx, axis=1)[..., np.newaxis], np.stack(dz, axis=1)[..., np.newaxis]
 
 
 def component_table(run: list[ChannelRealization], times) -> ComponentTable:
     """Evaluate every component's geometry and ray delays on a time axis.
 
-    ``run`` holds K realizations of one scenario built over one span, and
-    every instant must lie in that span, the only time their drift and
-    platform geometry cover. The specular geometry sits on a (T, 1, 1) time
-    axis and the run's ray draws are stacked to (K, R), so one evaluation
-    per sub-path gives the whole run's (T, K, R) ray delays.
+    ``run`` holds K realizations of one scenario, and every instant must be
+    finite and >= 0. The platform geometry is checked at every instant
+    before any drift is drawn. The specular geometry sits on a (T, 1, 1)
+    time axis and the run's ray draws are stacked to (K, R), so one
+    evaluation per sub-path gives the whole run's (T, K, R) ray delays.
     """
     tt = np.atleast_1d(np.asarray(times, dtype=float))
-    span = min(real.span for real in run)
-    outside = ~((tt >= 0.0) & (tt <= span))
-    if outside.any():
-        t = float(tt[outside][0])
-        raise ValueError(f"instant {t!r} s is outside the realization's span [0, {span!r}] s")
+    bad = ~(np.isfinite(tt) & (tt >= 0.0))
+    if bad.any():
+        raise ValueError(f"instant {float(tt[bad][0])!r} s must be finite and >= 0")
     cfg = run[0].cfg
     depth = cfg.geometry.water_depth
     c = cfg.geometry.sound_speed
     t_col = tt[:, np.newaxis, np.newaxis]
     state = geo.evolve(cfg.geometry, cfg.intentional, t_col)
-    drift_tx = _displacements([real.drift_tx for real in run], tt)
-    drift_rx = _displacements([real.drift_rx for real in run], tt)
+    drift_tx = _displacements(run, "tx", tt)
+    drift_rx = _displacements(run, "rx", tt)
     los_length = geo.los_distance(state, drift_tx, drift_rx)[..., 0]
     clusters = []
     delays = []

@@ -140,7 +140,7 @@ def _ctf_blocks(frames):
 
 
 def _cmd_simulate(args, cfg):
-    n = args.realizations if args.realizations is not None else 1  # raw dumps default to one draw
+    n = cfg.realizations
     times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
     resamples = []
 
@@ -193,11 +193,10 @@ def _pdp_block(profile: stats.PdpResult) -> tuple:
 def _cmd_pdp(args, cfg):
     if args.mode != "ray" and args.realization is not None:
         raise CliError("--realization needs --mode ray")
-    stats.check_anchor(args.t, args.f)  # before a ray-mode build over the anchor's horizon
     fields, source, resamples = {"t": args.t, "f": args.f, "mode": args.mode}, cfg, None
     if args.mode == "ray":
         fields["realization"] = args.realization or 0
-        source = build_realization(cfg, fields["realization"], horizon=args.t)
+        source = build_realization(cfg, fields["realization"])
         resamples = [source.resample_count]
     profile = stats.pdp(source, args.t, args.f)
     written = _write_csv(args.out, ["delay_s", "power", "label"], [_pdp_block(profile)])
@@ -350,12 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "simulate", _cmd_simulate, _SCENARIO, help="dump complex CTF samples (or taps) to CSV")
-    p.add_argument(
-        "--realizations",
-        type=int,
-        help="number of draws to dump (default 1); the scenario's 'realizations' field, "
-        "the ensemble size of acf, delay-stats and preset, is not read here",
+    p = _subcommand(
+        sub, "simulate", _cmd_simulate, (*_SCENARIO, "--realizations"),
+        help="dump complex CTF samples (or taps) to CSV",
     )
     p.add_argument("--taps", action="store_true", help="dump per-ray taps instead of CTF samples")
 

@@ -63,7 +63,9 @@ class DriftState:
                 f"drift displacement requested at t outside the built horizon "
                 f"[0, {self.horizon}]"
             )
-        k = np.clip((tt / self.change_interval).astype(int), 0, len(self.speeds) - 1)
+        # An instant on an interval boundary belongs to the interval it ends,
+        # so a path built to reach t never reads the interval starting at t.
+        k = np.clip(np.ceil(tt / self.change_interval).astype(int) - 1, 0, len(self.speeds) - 1)
         local = np.clip(tt - k * self.change_interval, 0.0, self.change_interval)
         vec = self.cumulative[k] + local[..., np.newaxis] * self.velocity[k]
         return vec[..., 0], vec[..., 1]
@@ -72,20 +74,21 @@ class DriftState:
 def build_drift(cfg: DriftConfig, horizon: float, rng: np.random.Generator) -> DriftState:
     """Draw a drift-velocity path covering [0, horizon].
 
-    Uses ceil(horizon * change_freq) intervals of exactly
-    1 / change_freq seconds; per-interval speed ~ U[v_min, v_max] and
-    bearing ~ U[0, 2*pi). A still drift (``v_max`` 0) draws nothing: one
-    all-zero interval spans those intervals, so it covers the same time
-    with one entry, and no other stream draws from the drift's.
+    Uses ceil(horizon / interval) intervals of exactly interval =
+    1 / change_freq seconds, at least one. Each draws its (speed, bearing)
+    pair in turn, speed ~ U[v_min, v_max] and bearing ~ U[0, 2*pi), so a
+    longer horizon extends the same path. A still drift (``v_max`` 0)
+    draws nothing: one all-zero interval spans those intervals, so it
+    covers the same time with one entry, and no other stream draws from
+    the drift's.
     """
-    if horizon <= 0:
-        raise ValueError(f"drift horizon must be > 0, got {horizon}")
+    if not horizon >= 0:
+        raise ValueError(f"drift horizon must be >= 0, got {horizon}")
     interval = 1.0 / cfg.change_freq
-    n = max(1, math.ceil(horizon * cfg.change_freq - 1e-12))
+    n = max(1, math.ceil(horizon / interval))
     if cfg.v_max == 0.0:
         return DriftState.from_draws(interval * n, [0.0], [0.0])
-    speeds = rng.uniform(cfg.v_min, cfg.v_max, n)
-    bearings = rng.uniform(0.0, TAU, n)
+    speeds, bearings = rng.uniform((cfg.v_min, 0.0), (cfg.v_max, TAU), (n, 2)).T.copy()
     return DriftState.from_draws(interval, speeds, bearings)
 
 

@@ -256,6 +256,7 @@ def _check_signal(s: SignalConfig) -> None:
     _require(len(s.time_grid) >= 1, "time_grid must not be empty")
     for t in s.time_grid:
         _finite(t, "signal.time_grid element")
+    _require(min(s.time_grid) >= 0, f"signal.time_grid must not be negative, got {min(s.time_grid)!r} s")
     if len(s.time_grid) >= 2:
         steps = np.diff(np.asarray(s.time_grid, dtype=float))
         _require(bool(np.all(steps > 0)), f"time_grid must be strictly increasing, got {s.time_grid}")

@@ -97,7 +97,7 @@ def _corr_realization(args):
     blocks and one rejection count per realization, in index order.
     """
     (cfg, indices, times, f, phase_draws) = args
-    run = [build_realization(cfg, index, float(times.max())) for index in indices]
+    run = [build_realization(cfg, index) for index in indices]
     # Row 0 is the anchor that every row pairs against, E{H(row) H*(anchor)};
     # its own product is the zero lag. One table covers every row of the run,
     # and a repeated instant is simply evaluated again.
@@ -384,7 +384,7 @@ class EnsembleDelayStats:
 
 def _delay_worker(args):
     cfg, index, t, f = args
-    real = build_realization(cfg, index, horizon=t)
+    real = build_realization(cfg, index)
     stats = delay_stats(pdp(real, t, f))
     return stats.average, stats.rms_spread, real.resample_count
 

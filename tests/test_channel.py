@@ -14,7 +14,7 @@ from uwachan.channel import (
 )
 from uwachan.presets import preset_scenario
 from uwachan.propagation import PathKind
-from uwachan.motion import surface_displacement
+from uwachan.motion import build_drift, surface_displacement
 from uwachan.scenario import (
     ClusterConfig,
     DriftConfig,
@@ -24,6 +24,7 @@ from uwachan.scenario import (
     ScenarioConfig,
     SignalConfig,
     SurfaceMotionConfig,
+    stream_for,
     validate,
 )
 
@@ -104,7 +105,7 @@ def test_rays_never_beat_the_direct_path():
     # table1: surface motion of 2 m amplitude, no drift; fig3: 1 m amplitude
     # plus drift up to 0.12 m/s
     for name, horizon in (("table1", 1.0), ("fig3", 0.1)):
-        real = build_realization(preset_scenario(name), 0, horizon=horizon)
+        real = build_realization(preset_scenario(name), 0)
         for t in np.linspace(0.0, horizon, 3):
             table = component_table([real], [t])
             for delays in table.delays:
@@ -150,6 +151,11 @@ def _moving_scenarios(draw):
     return cfg, horizon
 
 
+def _drift(cfg, index, platform, reach):
+    """Realization ``index``'s drift path of ``platform``, drawn as far as ``reach``."""
+    return build_drift(cfg.drift, reach, stream_for(cfg.master_seed, index, f"drift/{platform}"))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_moving_scenarios())
 def test_rays_are_closed_paths_over_random_scenarios(case):
@@ -160,7 +166,7 @@ def test_rays_are_closed_paths_over_random_scenarios(case):
     # platforms' own positions, so it is also at least as long as its
     # specular (image-method) path.
     cfg, horizon = case
-    real = build_realization(cfg, 0, horizon=horizon)
+    real = build_realization(cfg, 0)
     table = component_table([real], np.linspace(0.0, horizon, 7))
     c = cfg.geometry.sound_speed
     still = cfg.drift.v_max == 0.0 and cfg.surface.amplitude == 0.0
@@ -211,14 +217,14 @@ def test_los_length_is_the_distance_between_the_drifted_platforms(case):
     # Each platform sits where its intentional motion put it, shifted by its
     # own drift: the direct path is the exact distance between the two.
     cfg, horizon = case
-    run = [build_realization(cfg, index, horizon=horizon) for index in range(2)]
+    run = [build_realization(cfg, index) for index in range(2)]
     times = np.linspace(0.0, horizon, 7)
     table = component_table(run, times)
     for i, t in enumerate(times):
         state = geometry.evolve(cfg.geometry, cfg.intentional, t)
         for k, real in enumerate(run):
-            tx_dx, tx_dz = real.drift_tx.displacement(t)
-            rx_dx, rx_dz = real.drift_rx.displacement(t)
+            tx_dx, tx_dz = _drift(cfg, k, "tx", horizon).displacement(t)
+            rx_dx, rx_dz = _drift(cfg, k, "rx", horizon).displacement(t)
             exact = math.hypot(
                 float(state.distance) + float(rx_dx) - float(tx_dx),
                 float(state.rx_depth) + float(rx_dz) - float(state.tx_depth) - float(tx_dz),
@@ -255,7 +261,7 @@ def test_preset_ray_lengths_change_no_faster_than_the_motion(name, horizon):
     surface_speed = TAU * cfg.surface.freq * cfg.surface.amplitude
     times = np.linspace(0.0, horizon - dt, 101)
     for index in range(5):
-        real = build_realization(cfg, index, horizon=horizon)
+        real = build_realization(cfg, index)
         now, later = component_table([real], times), component_table([real], times + dt)
         for sp, d0, d1 in zip(real.subpaths, now.delays, later.delays):
             rate = np.abs(d1 - d0) * cfg.geometry.sound_speed / dt
@@ -263,33 +269,43 @@ def test_preset_ray_lengths_change_no_faster_than_the_motion(name, horizon):
 
 
 def test_fig3_builds_for_a_minute():
-    # No drift-dependent floor limits the horizon: fig3's Rx rises 60 m and
+    # No drift-dependent floor limits the reach: fig3's Rx sinks 60 m and
     # its drift runs for 60 s, and every ray stays a closed path.
-    real = build_realization(preset_scenario("fig3"), 0, horizon=60.0)
+    real = build_realization(preset_scenario("fig3"), 0)
     table = component_table([real], [0.0, 30.0, 60.0])
     for delays in table.delays:
         assert np.all(delays >= table.los_delay[..., np.newaxis])
 
 
-def test_still_drift_is_one_interval():
-    # table1 has no drift, so a long horizon must not allocate one interval
-    # per 1/change_freq seconds of it.
-    real = build_realization(preset_scenario("table1"), 0, horizon=1e4)
-    assert real.drift_tx.speeds.size == 1
-    assert real.drift_rx.speeds.size == 1
-    assert real.drift_tx.displacement(1e4)[0] == 0.0
+def test_still_drift_is_one_interval(monkeypatch):
+    # table1 has no drift, so evaluating it at 1e4 s must not allocate one
+    # interval per 1/change_freq seconds of the reach.
+    drifts = []
+
+    def recording(*args):
+        drifts.append(build_drift(*args))
+        return drifts[-1]
+
+    monkeypatch.setattr(channel, "build_drift", recording)
+    real = build_realization(preset_scenario("table1"), 0)
+    table = component_table([real], [0.0, 1e4])
+    assert len(drifts) == 2  # one per platform
+    assert all(drift.speeds.size == 1 for drift in drifts)
+    assert drifts[0].displacement(1e4)[0] == 0.0
+    assert table.los_length[0, 0] == table.los_length[1, 0]
 
 
 def test_horizon_geometry_is_checked_before_drift_is_drawn(monkeypatch):
     # fig3's platforms leave the valid geometry long before 1e6 s (the Rx
-    # leaves the water column at 80 s), so the build must fail on that
+    # leaves the water column at 80 s), so the evaluation must fail on that
     # without drawing a million drift intervals per side first.
     def no_drift(*args):
-        raise AssertionError("drift drawn before the horizon's geometry was checked")
+        raise AssertionError("drift drawn before the instants' geometry was checked")
 
+    real = build_realization(preset_scenario("fig3"), 0)
     monkeypatch.setattr(channel, "build_drift", no_drift)
     with pytest.raises(geometry.GeometryError):
-        build_realization(preset_scenario("fig3"), 0, horizon=1e6)
+        component_table([real], [0.0, 1e6])
 
 
 def test_ctf_los_only_limit():
@@ -318,13 +334,29 @@ def test_grid_table_rows_equal_single_instant_tables():
     cfg = preset_scenario("fig3")  # drift, surface motion and intentional motion
     times = np.linspace(0.0, 4.0, 41)
     for index in range(3):
-        real = build_realization(cfg, index, horizon=times[-1])
+        real = build_realization(cfg, index)
         grid = component_table([real], times)
         for i, t in enumerate(times):
             single = component_table([real], [t])
             assert np.array_equal(grid.los_delay[i : i + 1], single.los_delay)
             for grid_delays, single_delays in zip(grid.delays, single.delays):
                 assert np.array_equal(grid_delays[i : i + 1], single_delays)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_moving_scenarios())
+def test_a_longer_reach_leaves_every_row(case):
+    # The drift is drawn as far as the table reaches, and a longer reach
+    # extends the same path: a table that stops at T and one that goes on to
+    # 3T agree bit for bit on the instants up to T.
+    cfg, horizon = case
+    run = [build_realization(cfg, index) for index in range(2)]
+    short = np.linspace(0.0, horizon / 3, 7)
+    longer = np.concatenate([short, np.linspace(horizon / 3, horizon, 13)[1:]])
+    near, far = component_table(run, short), component_table(run, longer)
+    assert np.array_equal(near.los_length, far.los_length[:7])
+    for near_delays, far_delays in zip(near.delays, far.delays):
+        assert np.array_equal(near_delays, far_delays[:7])
 
 
 @settings(max_examples=40, deadline=None)
@@ -494,16 +526,17 @@ def test_skipped_zero_terms_leave_every_bit(
 
 
 def test_instants_past_the_built_span_are_rejected():
-    # fig3 drifts: at 0.9 s the drift built for 0.3 s does not reach. table1
-    # does not drift, yet the instant, not the drift, must be what is named.
-    for name, horizon, t in (("fig3", 0.3, 0.9), ("table1", 1.0, 2.0)):
-        real = build_realization(preset_scenario(name), 0, horizon=horizon)
-        message = rf"instant {t!r} s is outside the realization's span \[0, {horizon!r}\] s"
+    # A realization has no span: any instant >= 0 evaluates, and one before
+    # t = 0 (or not finite) is rejected by name, on a drifting scenario (fig3)
+    # and on one without drift (table1).
+    for name, t in (("fig3", -0.9), ("table1", -2.0)):
+        real = build_realization(preset_scenario(name), 0)
+        message = rf"instant {t!r} s must be finite and >= 0"
         with pytest.raises(ValueError, match=message):
             tap_list(real, [0.0, t], [0.0])
         with pytest.raises(ValueError, match=message):
             component_table([real], [t])
-    real = build_realization(preset_scenario("table1"), 0, horizon=1.0)
-    with pytest.raises(ValueError, match="outside the realization's span"):
-        component_table([real], [-0.1])
-    component_table([real], [0.0, 1.0])  # both ends of the span evaluate
+    real = build_realization(preset_scenario("table1"), 0)
+    with pytest.raises(ValueError, match=r"instant nan s must be finite"):
+        component_table([real], [0.0, math.nan])
+    component_table([real], [0.0, 1.0, 1e3])  # no instant >= 0 is out of reach

@@ -98,11 +98,12 @@ def test_simulate_streams_one_realization_at_a_time(scenario_file, tmp_path, mon
 
 
 def test_tap_dump_row_count(scenario_file, tmp_path):
+    # without --realizations, simulate dumps the scenario's 6 realizations
     out = tmp_path / "taps.csv"
     assert run(["simulate", "--scenario", scenario_file, "--taps", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "t_s,f_offset_hz,delay_s,re,im,path"
-    assert len(lines) == 1 + 3 * 2 * (1 + 4 * 5)
+    assert len(lines) == 1 + 6 * 3 * 2 * (1 + 4 * 5)
 
 
 def test_acf_jobs_do_not_change_bytes(scenario_file, tmp_path):
@@ -394,7 +395,7 @@ def test_ray_pdp_meta_records_its_realization(tmp_path):
     assert metas[0] != metas[2]
     for k in (0, 2):
         meta = json.loads(metas[k])
-        count = build_realization(cfg, k, horizon=0.5).resample_count
+        count = build_realization(cfg, k).resample_count
         assert meta["realization"] == k
         assert meta["resamples"] == {"mean": count, "max": count}
 
@@ -632,7 +633,7 @@ def test_geometry_error_names_the_instant_on_one_line(tmp_path, capsys):
 
 
 def test_horizon_past_the_water_column_is_one_line_error(tmp_path, capsys):
-    # fig3's Rx leaves the water column at 80 s, before any ray is drawn for the horizon
+    # fig3's Rx leaves the water column at 80 s: named before any ray or drift is drawn
     out = tmp_path / "x.csv"
     code = run(["acf", "--preset", "fig3", "--t", "100", "--realizations", "1", "--lag-count", "2",
                 "--out", str(out)])
@@ -661,7 +662,7 @@ def test_sampler_giving_up_is_one_line_error_naming_the_sub_path(scenario_file, 
 
 def test_fig3_correlates_at_a_30_s_anchor(tmp_path):
     # Rays are closed paths, so no drift-dependent floor rejects every draw
-    # at late anchors: the build at a 30 s horizon is like one at 0.1 s.
+    # at late anchors: a realization evaluated at 30 s is the one built for 0 s.
     out = tmp_path / "x.csv"
     code = run(["acf", "--preset", "fig3", "--t", "30", "--realizations", "1", "--lag-count", "2",
                 "--out", str(out)])
@@ -698,13 +699,13 @@ def test_ensemble_meta_reports_resamples(tmp_path, argv):
         assert run([*argv, "--jobs", jobs, "--out", str(tmp_path / name), "--meta"]) == 0
         metas.append((tmp_path / f"{name}.meta.json").read_bytes())
     assert metas[0] == metas[1] == metas[2]
-    # every command builds its realizations over a 0.1 s horizon (the largest lag, or the anchor)
+    # a realization's rays, and so its resamples, do not depend on the instants evaluated
     cfg = preset_scenario("fig3")
     if argv[0] != "preset":
         ensembles = [(cfg, 3)]
     else:
         ensembles = [(overlay(cfg, changes), 2) for _, changes in EXPERIMENTS["fig3"][2].values()]
-    counts = [build_realization(c, r, horizon=0.1).resample_count for c, n in ensembles for r in range(n)]
+    counts = [build_realization(c, r).resample_count for c, n in ensembles for r in range(n)]
     meta = json.loads(metas[0])
     assert meta["resamples"] == {"mean": sum(counts) / len(counts), "max": max(counts)}
     assert meta["version"] == uwachan.__version__

@@ -71,7 +71,7 @@ def test_a_still_channel_repeats_with_the_surface_period(cfg, phase, offset):
     # one and two surface periods later equals the one at t.
     period = 1.0 / cfg.surface.freq
     t = phase * period
-    real = build_realization(cfg, 0, horizon=t + 2 * period)
+    real = build_realization(cfg, 0)
     table = component_table([real], [t, t + period, t + 2 * period])
     for delays in [table.los_delay, *table.delays]:
         np.testing.assert_allclose(delays[1:], np.broadcast_to(delays[0], delays[1:].shape), rtol=0, atol=1e-15)
@@ -120,7 +120,7 @@ def test_co_moving_platforms_keep_every_delay(cfg, horizon):
     # move by a few units in its last place. Every ray point lies between
     # the platforms, so delays here stay under a few seconds (3.7 s at most
     # over 300 random draws, where one unit is 4.4e-16 s).
-    real = build_realization(cfg, 0, horizon=horizon)
+    real = build_realization(cfg, 0)
     table = component_table([real], np.linspace(0.0, horizon, 5))
     for delays in [table.los_delay, *table.delays]:
         np.testing.assert_allclose(

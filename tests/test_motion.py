@@ -75,6 +75,21 @@ def test_speed_scaling_scales_displacement():
         assert dz2 == pytest.approx(2 * dz1, rel=1e-12)
 
 
+def test_a_longer_horizon_extends_the_same_path():
+    # A path drawn further starts with the same draws and gives the same
+    # displacement, bit for bit, at every instant the shorter one covers,
+    # its last instant included when that falls on an interval boundary.
+    for change_freq in (1.0, 3.0, 10.0):
+        cfg = DriftConfig(v_min=0.1, v_max=0.5, change_freq=change_freq)
+        for t in (0.0, 0.1, 0.3, 0.7, 1.0, 2.0 / 3.0, 1.0 / 3.0 * 5, 2.5, 7.0):
+            near, far = build_drift(cfg, t, rng()), build_drift(cfg, 3 * t, rng())
+            assert np.array_equal(near.speeds, far.speeds[: near.speeds.size])
+            assert np.array_equal(near.bearings, far.bearings[: near.bearings.size])
+            times = np.linspace(0.0, t, 11)
+            for a, b in zip(near.displacement(times), far.displacement(times)):
+                assert np.array_equal(a, b), (change_freq, t)
+
+
 def test_outside_horizon_rejected():
     state = build_drift(DriftConfig(v_min=0.1, v_max=0.2, change_freq=1.0), 2.0, rng())
     with pytest.raises(ValueError, match="horizon"):
@@ -102,5 +117,10 @@ def test_surface_displacement_periodicity():
 
 
 def test_build_drift_requires_positive_horizon():
-    with pytest.raises(ValueError):
-        build_drift(DriftConfig(change_freq=1.0), 0.0, rng())
+    with pytest.raises(ValueError, match="horizon"):
+        build_drift(DriftConfig(v_max=0.1, change_freq=1.0), -1.0, rng())
+    # an evaluation at t = 0 alone reaches one interval
+    for v_max in (0.0, 0.1):
+        state = build_drift(DriftConfig(v_max=v_max, change_freq=1.0), 0.0, rng())
+        assert state.speeds.size == 1
+        assert state.displacement(0.0) == (0.0, 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -78,6 +79,17 @@ def test_time_grid_must_be_uniform():
     cfg = survey_config(signal=SignalConfig(carrier_freq=15000.0, time_grid=(0.0, 0.0)))
     with pytest.raises(ScenarioError, match="strictly increasing"):
         validate(cfg)
+
+
+def test_negative_time_grid_is_rejected_at_load(tmp_path):
+    # A grid reaching before t = 0 would load, then fail in the first
+    # evaluation of a simulate run; the file is rejected instead.
+    data = scenario_to_dict(validate(survey_config()))
+    data["signal"]["time_grid"] = [-1.0, 0.0]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=r"signal\.time_grid must not be negative, got -1\.0 s"):
+        load_scenario(str(path))
 
 
 def test_carrier_plus_offset_positive():

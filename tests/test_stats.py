@@ -200,7 +200,7 @@ def reference_corr_realization(args):
     blocks per sub-path. Kept as the oracle for the kernel.
     """
     (cfg, index, times, offsets, phase_draws) = args
-    real = build_realization(cfg, index, float(times.max()))
+    real = build_realization(cfg, index)
     hi_t, hi_f = times, offsets
     lo_t, lo_f = np.full_like(times, times[0]), np.full_like(offsets, offsets[0])
     fabs_hi = cfg.signal.carrier_freq + hi_f
@@ -525,6 +525,18 @@ def test_statistics_ignore_the_simulate_grid():
     assert np.array_equal(a.average, b.average)
     assert np.array_equal(a.rms_spread, b.rms_spread)
     assert a.resamples == b.resamples
+
+
+def test_acf_does_not_depend_on_how_far_it_reaches():
+    # A realization is its (seed, index): fig3's drift changes velocity every
+    # second, and lags out to 1.8 s reach two intervals further than lags out
+    # to 0.9 s, yet the lags both curves share must be the same numbers.
+    cfg = overlay(preset_scenario("fig3"), {"realizations": 16})
+    lags = np.arange(19) * 0.1
+    short, long = acf(cfg, 0.0, 0.0, lags[:10]), acf(cfg, 0.0, 0.0, lags)
+    for field in ("expectation", "empirical", "expectation_stderr", "empirical_stderr"):
+        assert np.array_equal(getattr(short, field), getattr(long, field)[:10]), field
+    assert short.resamples == long.resamples
 
 
 @pytest.mark.parametrize("name", ["table1", "fig4-time", "fig3"])
