@@ -16,6 +16,8 @@ curve's realizations are split into runs.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,19 +169,74 @@ def _ensemble_size(cfg: ScenarioConfig) -> int:
 
 def _collect_rows(worker, arglist, jobs):
     # A task is one realization (delay statistics) or one run of consecutive
-    # realizations of a curve (correlations). A fork-started pool launches
-    # all of its workers at the first submit, so never ask for more workers
-    # than there are tasks.
+    # realizations of a curve (correlations). Each forked worker runs one
+    # contiguous share of the tasks, so never fork more workers than there
+    # are tasks. A direct fork imports and starts no executor, and `os` and
+    # `pickle` are loaded with numpy already, so forking costs no start-up.
     workers = min(jobs, len(arglist))
     if workers <= 1:
         return [worker(args) for args in arglist]
-    # Imported here: multiprocessing costs every command's start-up, and
-    # most commands never start a pool.
-    from concurrent.futures import ProcessPoolExecutor
+    size, extra = divmod(len(arglist), workers)
+    children, stop = [], 0  # (pid, read end of its pipe), in share order
+    try:
+        for k in range(workers):
+            start, stop = stop, stop + size + (k < extra)
+            read_fd, write_fd = os.pipe()
+            reader = open(read_fd, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(worker, arglist[start:stop], write_fd)  # never returns
+            finally:
+                os.close(write_fd)
+            children.append((pid, reader))
+        rows = []
+        while children:
+            pid, reader = children[0]
+            with reader:
+                data = reader.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise RuntimeError(
+                    f"ensemble worker exited with status {os.waitstatus_to_exitcode(status)} "
+                    "without returning its rows"
+                )
+            error, share_rows = pickle.loads(data)
+            if error is not None:
+                raise error
+            rows.extend(share_rows)
+        return rows
+    finally:
+        # Left only after an error or an interrupt: stop and reap each worker.
+        for pid, reader in children:
+            reader.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
-    chunk = max(1, len(arglist) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arglist, chunksize=chunk))
+
+def _run_share(worker, share, write_fd):
+    """In a forked worker: run ``share``, send ``(error, rows)`` down the pipe, exit.
+
+    Whatever happens, the worker leaves through ``os._exit``, so it never
+    returns into its caller's stack (the CLI, a test runner). An exception
+    that will not pickle is sent as a ``RuntimeError`` with its ``repr``.
+    """
+    status = 1
+    try:
+        try:
+            data = pickle.dumps((None, [worker(args) for args in share]))
+        except BaseException as exc:
+            try:
+                data = pickle.dumps((exc, None))
+                pickle.loads(data)
+            except BaseException:
+                data = pickle.dumps((RuntimeError(repr(exc)), None))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 @dataclass(eq=False)
@@ -228,7 +285,7 @@ def _reduce(plan: CorrelationPlan, rows: list) -> CorrelationResult:
 
 
 def correlate(plans: list[CorrelationPlan], jobs: int = 1) -> list[CorrelationResult]:
-    """Evaluate every curve in ``plans`` as one ensemble: one worker pool at most.
+    """Evaluate every curve in ``plans`` as one ensemble: workers forked once at most.
 
     Each curve's rows are taken back out in realization-index order, so a
     curve's result does not depend on ``jobs``, on how its realizations are

@@ -1,11 +1,11 @@
-import concurrent.futures
 import contextlib
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from uwachan import propagation
+from uwachan import propagation, stats
 
 
 @contextlib.contextmanager
@@ -26,25 +26,33 @@ def unit_losses():
 
 @pytest.fixture()
 def recording_pool(monkeypatch):
-    """Replace the worker pool: record each pool's size and run its tasks in-process.
+    """Record how many workers each ``stats._collect_rows`` call forks.
 
-    Returns the list of recorded sizes, one entry per pool started.
+    The workers really fork: a spy wraps ``os.fork`` and counts the children
+    the parent starts. Returns the list of counts, one entry per call that
+    forked at all.
     """
     sizes = []
+    real_fork, real_collect = os.fork, stats._collect_rows
+    forks = 0
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        nonlocal forks
+        pid = real_fork()
+        if pid:
+            forks += 1
+        return pid
 
-        def __enter__(self):
-            return self
+    def recording_collect(worker, arglist, jobs):
+        nonlocal forks
+        forks = 0
+        try:
+            return real_collect(worker, arglist, jobs)
+        finally:
+            if forks:
+                sizes.append(forks)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    # stats._collect_rows imports the pool class from here when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # the callers look _collect_rows up in the module when they run
+    monkeypatch.setattr(stats, "_collect_rows", recording_collect)
     return sizes

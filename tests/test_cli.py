@@ -766,3 +766,45 @@ def test_importing_the_cli_does_not_load_multiprocessing():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_forking_command_loads_no_executor(tmp_path):
+    import subprocess, sys
+
+    import uwachan
+
+    src = os.path.dirname(os.path.dirname(uwachan.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = tmp_path / "x.csv"
+    code = (
+        "import sys, uwachan.cli\n"
+        f"code = uwachan.cli.main(['preset', 'fig3', '--jobs', '2', '--realizations', '2', '--out', {str(out)!r}])\n"
+        "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert out.exists()
+
+
+def test_worker_error_under_jobs_is_the_serial_error(scenario_file, tmp_path, capsys):
+    # The wide-spread scenario of the sampler test above: every realization's
+    # first surface sub-path gives up, here inside a forked worker.
+    path = tmp_path / "wide.json"
+    data = scenario_to_dict(load_scenario(scenario_file))
+    data["clusters"]["angle_spread_surface"] = 1e6
+    path.write_text(json.dumps(data))
+    errors = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"x{jobs}.csv"
+        argv = ["acf", "--scenario", str(path), "--lag-count", "3", "--jobs", jobs, "--out", str(out)]
+        assert run(argv) == 2
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[1].count("\n") == 1
+    assert json.loads(errors[1])["error"].startswith("could not draw")
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)

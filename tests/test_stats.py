@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,6 +136,57 @@ def test_jobs_do_not_change_results():
     parallel = acf(cfg, 0.0, 0.0, lags, jobs=2)
     assert np.array_equal(serial.expectation, parallel.expectation)
     assert np.array_equal(serial.empirical, parallel.empirical)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def test_forked_workers_run_contiguous_shares_in_task_order():
+    rows = stats._collect_rows(lambda task: (task, os.getpid()), list(range(7)), 3)
+    assert [task for task, _ in rows] == list(range(7))
+    pids = [pid for _, pid in rows]
+    assert [pids.count(pid) for pid in dict.fromkeys(pids)] == [3, 2, 2]
+    assert os.getpid() not in pids
+    assert _no_child_left()
+
+
+def test_a_worker_that_exits_without_rows_is_an_error():
+    def dies(task):
+        os._exit(3)
+
+    with pytest.raises(RuntimeError, match="status 3"):
+        stats._collect_rows(dies, [0, 1], 2)
+    assert _no_child_left()
+
+
+def test_a_parent_side_error_kills_the_running_workers():
+    def first_dies_second_hangs(task):
+        if task == 0:
+            os._exit(3)
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="status 3"):
+        stats._collect_rows(first_dies_second_hangs, [0, 1], 2)
+    assert time.monotonic() - start < 30
+    assert _no_child_left()
+
+
+def test_a_worker_error_that_will_not_pickle_arrives_by_repr():
+    class LocalError(Exception):  # a local class does not pickle
+        pass
+
+    def fails(task):
+        raise LocalError(f"task {task}")
+
+    with pytest.raises(RuntimeError, match=r"LocalError\('task 0'\)"):
+        stats._collect_rows(fails, [0, 1], 2)
+    with pytest.raises(ValueError, match="task 1"):  # one that pickles arrives as itself
+        stats._collect_rows(lambda task: int(f"task {task}") if task else task, [0, 1], 2)
+    assert _no_child_left()
 
 
 def test_pool_is_no_larger_than_the_task_list(recording_pool):
