@@ -644,15 +644,20 @@ def test_horizon_past_the_water_column_is_one_line_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sampler_giving_up_is_one_line_error_naming_the_sub_path(scenario_file, tmp_path, capsys):
+@pytest.fixture()
+def wide_spread_file(scenario_file, tmp_path):
     # A spread this wide almost never draws a surface point between the
     # platforms, so the first surface sub-path gives up after its tries.
     path = tmp_path / "wide.json"
     data = scenario_to_dict(load_scenario(scenario_file))
     data["clusters"]["angle_spread_surface"] = 1e6
     path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_sampler_giving_up_is_one_line_error_naming_the_sub_path(wide_spread_file, tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert run(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    assert run(["simulate", "--scenario", wide_spread_file, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     error = json.loads(err)["error"]
@@ -753,53 +758,42 @@ def test_bad_anchor_is_one_line_error_naming_the_value(tmp_path, capsys, argv, n
     assert not out.exists()
 
 
-def test_importing_the_cli_does_not_load_multiprocessing():
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports the package under test; return its stdout."""
     import subprocess, sys
 
     import uwachan
 
     src = os.path.dirname(os.path.dirname(uwachan.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, uwachan.cli; print('multiprocessing' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    assert _python("import sys, uwachan.cli; print('multiprocessing' in sys.modules)").strip() == "False"
 
 
 def test_a_forking_command_loads_no_executor(tmp_path):
-    import subprocess, sys
-
-    import uwachan
-
-    src = os.path.dirname(os.path.dirname(uwachan.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = tmp_path / "x.csv"
-    code = (
+    stdout = _python(
         "import sys, uwachan.cli\n"
         f"code = uwachan.cli.main(['preset', 'fig3', '--jobs', '2', '--realizations', '2', '--out', {str(out)!r}])\n"
         "print(code, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert stdout.splitlines()[-1] == "0 []"
     assert out.exists()
 
 
-def test_worker_error_under_jobs_is_the_serial_error(scenario_file, tmp_path, capsys):
-    # The wide-spread scenario of the sampler test above: every realization's
-    # first surface sub-path gives up, here inside a forked worker.
-    path = tmp_path / "wide.json"
-    data = scenario_to_dict(load_scenario(scenario_file))
-    data["clusters"]["angle_spread_surface"] = 1e6
-    path.write_text(json.dumps(data))
+def test_worker_error_under_jobs_is_the_serial_error(wide_spread_file, tmp_path, capsys):
+    # Under --jobs 2 the sampler gives up inside a forked worker.
     errors = []
     for jobs in ("1", "2"):
         out = tmp_path / f"x{jobs}.csv"
-        argv = ["acf", "--scenario", str(path), "--lag-count", "3", "--jobs", jobs, "--out", str(out)]
+        argv = ["acf", "--scenario", wide_spread_file, "--lag-count", "3", "--jobs", jobs, "--out", str(out)]
         assert run(argv) == 2
         errors.append(capsys.readouterr().err)
         assert not out.exists()
