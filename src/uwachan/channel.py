@@ -247,10 +247,12 @@ def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset: flo
     return out[:, 0]
 
 
-def evaluate_ctf(real: ChannelRealization) -> CtfFrame:
-    """The CTF over the scenario's full (time x frequency) grid."""
+def evaluate_ctf(real: ChannelRealization, times=None) -> CtfFrame:
+    """The CTF over ``times`` (default: the scenario's time grid) x the
+    scenario's frequency grid. A table's rows do not depend on the rest of
+    its axis, so consecutive chunks of a grid give the grid's own values."""
     cfg = real.cfg
-    table = component_table([real], cfg.signal.time_grid)
+    table = component_table([real], cfg.signal.time_grid if times is None else times)
     freqs = np.asarray(cfg.signal.freq_offsets, dtype=float)
     values = np.empty((table.times.size, freqs.size), dtype=complex)
     for fi, f in enumerate(freqs):

@@ -44,6 +44,21 @@ def _floats(values) -> np.ndarray:
     return float_fields(values)
 
 
+def _checked(values, what: str) -> np.ndarray:
+    """``values`` as floats. Every number written passes here: a non-finite
+    one stops the command, naming ``what`` would hold it."""
+    values = np.asarray(values, dtype=float)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise CliError(f"{what} would hold {float(values[bad][0])!r}, not a finite number")
+    return values
+
+
+def _column(values, name: str) -> np.ndarray:
+    """A field column of ``values`` for the CSV column ``name``, checked finite."""
+    return _floats(_checked(values, f"column {name!r}"))
+
+
 def _texts(strings) -> np.ndarray:
     """A field column of ``strings``."""
     from .csvtext import text_fields
@@ -51,9 +66,11 @@ def _texts(strings) -> np.ndarray:
     return text_fields(strings)
 
 
-def _repeated(field: np.ndarray, rows: int) -> np.ndarray:
-    """A column of ``rows`` copies of one field (a row of a field column)."""
-    return np.broadcast_to(field, (rows, field.shape[-1]))
+def _repeated(fields: np.ndarray, *shape: int) -> np.ndarray:
+    """``fields`` (a field column, or one row of one) broadcast over ``shape``
+    and flattened to one column: a view wherever no copy is needed."""
+    width = fields.shape[-1]
+    return np.broadcast_to(fields, (*shape, width)).reshape(-1, width)
 
 
 def _write_atomic(path: str, write) -> None:
@@ -84,6 +101,7 @@ def _write_csv(path: str, header: list[str], blocks) -> int:
             if len(cols[0]):  # an empty block writes no blank line
                 out.write(join_rows(cols))
                 rows += len(cols[0])
+            del cols  # a written block is not held while the next is drawn
 
     _write_atomic(path, write)
     return rows
@@ -109,55 +127,88 @@ def _resolve_scenario(args) -> ScenarioConfig:
 # subcommands
 
 
-def _tap_blocks(dumps, times, freqs):
-    """One block per (realization, instant): F offsets x N taps rows.
-
-    Each t and f is formatted once, and each delay once per (t, tap).
-    """
-    t_fields, f_fields = _floats(times), _floats(freqs)
-    n_freqs = len(f_fields)
-    for taps in dumps:
-        n_taps = len(taps.labels)
-        f_col = np.repeat(f_fields, n_taps, axis=0)
-        labels = np.tile(_texts(taps.labels), (n_freqs, 1))
-        rows = len(f_col)
-        for ti, t in enumerate(t_fields):
-            amps = taps.amplitudes[ti].ravel()
-            fields = _floats(np.concatenate([taps.delays[ti], amps.real, amps.imag]))  # one call per block
-            delays = np.tile(fields[:n_taps], (n_freqs, 1))
-            re, im = fields[n_taps : n_taps + rows], fields[n_taps + rows :]
-            yield _repeated(t, rows), f_col, delays, re, im, labels
+# Elements a chunk of a simulate dump holds: instants x offsets x taps, or
+# for the CTF instants x the larger of rays per sub-path and offsets. Each
+# chunk costs ~2 ms of fixed work, which at this size is lost in its own.
+_CHUNK_ELEMENTS = 32_768
+# Rows a tap block holds, in whole instants: formatting costs ~0.2 ms a call.
+_BLOCK_ROWS = 2_048
 
 
-def _ctf_blocks(frames):
-    """One block per realization: the (t, f) grid in row-major order."""
-    for r, frame in enumerate(frames):
-        n_times, n_freqs = frame.values.shape
-        t_col = np.repeat(_floats(frame.times), n_freqs, axis=0)
-        f_col = np.tile(_floats(frame.freq_offsets), (n_times, 1))
-        index = _repeated(_texts([str(r)]), len(t_col))
-        yield t_col, f_col, _floats(frame.values.real), _floats(frame.values.imag), index
+def _chunks(times, per_instant: int):
+    """``times`` in consecutive chunks of ``_CHUNK_ELEMENTS // per_instant`` instants, at least one."""
+    step = max(1, _CHUNK_ELEMENTS // per_instant)
+    return (times[i : i + step] for i in range(0, len(times), step))
+
+
+def _tap_chunk_blocks(taps, times, f_fields):
+    """A chunk's ``taps`` in blocks of whole instants, F offsets x N taps rows
+    each. Each t is formatted once, and each delay once per (t, tap)."""
+    n_freqs, n_taps = len(f_fields), len(taps.labels)
+    per_instant = n_freqs * n_taps
+    step = max(1, _BLOCK_ROWS // per_instant)
+    t_fields = _column(times, "t_s")
+    f_col = np.repeat(f_fields, n_taps, axis=0)
+    labels = np.tile(_texts(taps.labels), (n_freqs, 1))
+    _checked(taps.delays, "column 'delay_s'")  # checked whole, so a block formats in one call
+    _checked(taps.amplitudes.real, "column 're'")
+    _checked(taps.amplitudes.imag, "column 'im'")
+    for lo in range(0, len(times), step):
+        delays, amps = taps.delays[lo : lo + step], taps.amplitudes[lo : lo + step]
+        k, n, rows = len(delays), delays.size, amps.size
+        fields = _floats(np.concatenate([delays.ravel(), amps.real.ravel(), amps.imag.ravel()]))
+        per_tap = fields[:n].reshape(k, 1, n_taps, -1)
+        yield (
+            _repeated(t_fields[lo : lo + k, np.newaxis], k, per_instant),
+            _repeated(f_col, k, per_instant),
+            _repeated(per_tap, k, n_freqs, n_taps),
+            fields[n : n + rows],
+            fields[n + rows :],
+            _repeated(labels, k, per_instant),
+        )
+
+
+def _tap_blocks(real, times, freqs):
+    """``real``'s taps, a chunk at a time."""
+    f_fields = _column(freqs, "f_offset_hz")
+    n_taps = 1 + len(real.subpaths) * real.cfg.clusters.rays_per_path  # the direct tap even at K = 0
+    for chunk in _chunks(times, len(freqs) * n_taps):
+        yield from _tap_chunk_blocks(tap_list(real, chunk, freqs), chunk, f_fields)
+
+
+def _ctf_block(frame) -> tuple:
+    """A chunk's CTF: its (t, f) grid in row-major order."""
+    n_times, n_freqs = frame.values.shape
+    t_col = np.repeat(_column(frame.times, "t_s"), n_freqs, axis=0)
+    f_col = np.tile(_column(frame.freq_offsets, "f_offset_hz"), (n_times, 1))
+    index = _repeated(_texts([str(frame.realization)]), len(t_col))
+    return t_col, f_col, _column(frame.values.real, "re"), _column(frame.values.imag, "im"), index
+
+
+def _ctf_blocks(real, times, freqs):
+    """``real``'s CTF, a block per chunk."""
+    for chunk in _chunks(times, max(real.cfg.clusters.rays_per_path, len(freqs))):
+        yield _ctf_block(evaluate_ctf(real, chunk))
 
 
 def _cmd_simulate(args, cfg):
     n = cfg.realizations
     times, freqs = cfg.signal.time_grid, cfg.signal.freq_offsets
     resamples = []
+    if args.taps:
+        header, realization_blocks = ["t_s", "f_offset_hz", "delay_s", "re", "im", "path"], _tap_blocks
+    else:
+        header, realization_blocks = ["t_s", "f_offset_hz", "re", "im", "realization"], _ctf_blocks
 
-    def realizations():
-        # Built as the CSV is written: one realization's output is held at a time.
+    def blocks():
+        # Each realization is built once, as the CSV is written, and evaluated
+        # a chunk at a time: a chunk is dropped before the next is evaluated.
         for r in range(n):
             real = build_realization(cfg, r)
             resamples.append(real.resample_count)
-            yield real
+            yield from realization_blocks(real, times, freqs)
 
-    if args.taps:
-        header = ["t_s", "f_offset_hz", "delay_s", "re", "im", "path"]
-        blocks = _tap_blocks((tap_list(real, times, freqs) for real in realizations()), times, freqs)
-    else:
-        header = ["t_s", "f_offset_hz", "re", "im", "realization"]
-        blocks = _ctf_blocks(evaluate_ctf(real) for real in realizations())
-    written = _write_csv(args.out, header, blocks)
+    written = _write_csv(args.out, header, blocks())
     return written, {"realizations": n, "taps": bool(args.taps)}, resamples
 
 
@@ -170,7 +221,7 @@ def _acf_lags(args) -> np.ndarray:
 
 
 def _acf_block(lags, norm, values) -> tuple:
-    return _floats(lags), _floats(norm), _floats(values.real), _floats(values.imag)
+    return _column(lags, "lag_s"), _column(norm, "abs"), _column(values.real, "re"), _column(values.imag, "im")
 
 
 def _cmd_acf(args, cfg):
@@ -180,14 +231,14 @@ def _cmd_acf(args, cfg):
         norm, values, se = result.empirical_norm, result.empirical, result.empirical_stderr
     else:
         norm, values, se = result.expectation_norm, result.expectation, result.expectation_stderr
-    block = (*_acf_block(result.lags_t, norm, values), _floats(se))
+    block = (*_acf_block(result.lags_t, norm, values), _column(se, "se"))
     written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], [block])
     fields = {"t": args.t, "f": args.f, "estimator": args.estimator, "max_se": float(se.max())}
     return written, fields, result.resamples
 
 
 def _pdp_block(profile: stats.PdpResult) -> tuple:
-    return _floats(profile.delays), _floats(profile.powers), _texts(profile.labels)
+    return _column(profile.delays, "delay_s"), _column(profile.powers, "power"), _texts(profile.labels)
 
 
 def _cmd_pdp(args, cfg):
@@ -208,8 +259,8 @@ def _cmd_pdp(args, cfg):
 def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
     return (
         _texts(["average_delay", "rms_delay_spread"]),
-        _floats([ens.average_mean, ens.rms_spread_mean]),
-        _floats([ens.average_std, ens.rms_spread_std]),
+        _column([ens.average_mean, ens.rms_spread_mean], "ensemble_mean_s"),
+        _column([ens.average_std, ens.rms_spread_std], "ensemble_std_s"),
         _texts([str(ens.n)] * 2),
     )
 
@@ -278,6 +329,15 @@ _PLOT_HINTS = {
 }
 
 
+def _check_fields(fields: dict, prefix: str = "") -> None:
+    """Check every float of the sidecar ``fields``, naming a non-finite one by its dotted key."""
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            _check_fields(value, f"{prefix}{key}.")
+        elif isinstance(value, float):
+            _checked(value, f"sidecar field {prefix + key!r}")
+
+
 def _run(args) -> int:
     """Resolve the scenario and run ``args.func``, which writes the CSV.
 
@@ -297,8 +357,9 @@ def _run(args) -> int:
     if args.meta:
         if resamples:
             fields["resamples"] = {"mean": sum(resamples) / len(resamples), "max": max(resamples)}
+        _check_fields(fields)
         meta = {"command": command, "version": __version__, "scenario": scenario_to_dict(cfg), **fields}
-        text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(meta, indent=2, sort_keys=True, allow_nan=False) + "\n"
         _write_atomic(args.out + ".meta.json", lambda fh: fh.write(text))
     if args.plot_script:
         lines = ["# Plot companion (plain text). Feed the CSV below to any plotting tool.", f"# data: {args.out}"]

@@ -307,6 +307,9 @@ def acf_plan(cfg: ScenarioConfig, t: float, f: float, lags, phase_draws: int = 1
     # row 0 is the anchor: every point pairs against it, and it against
     # itself gives the zero lag used for normalization
     times = np.concatenate([[t], t + lags_t])
+    lost = (times[1:] == t) & (lags_t != 0)
+    if lost.any():
+        raise ValueError(f"lag {float(lags_t[lost][0])!r} s is lost in the anchor: t + lag == t at t={float(t)!r} s")
     if np.any(times < 0):
         raise ValueError("correlation would evaluate the channel before t=0; reduce the lags")
     geo.evolve(cfg.geometry, cfg.intentional, times)  # name the first instant the platforms cannot reach

@@ -360,6 +360,24 @@ def test_a_longer_reach_leaves_every_row(case):
 
 
 @settings(max_examples=40, deadline=None)
+@given(case=_moving_scenarios(), cuts=st.lists(st.integers(1, 15), max_size=5), index=st.integers(0, 3))
+def test_consecutive_chunks_give_the_grid_bits(case, cuts, index):
+    # simulate evaluates a long grid a chunk of instants at a time: the taps
+    # and the CTF over consecutive chunks are the whole grid's, bit for bit.
+    cfg, horizon = case
+    real = build_realization(cfg, index)
+    times = np.linspace(0.0, horizon, 16)
+    chunks = np.split(times, sorted(set(cuts)))
+    freqs = cfg.signal.freq_offsets
+    whole, parts = tap_list(real, times, freqs), [tap_list(real, chunk, freqs) for chunk in chunks]
+    for field in ("delays", "amplitudes", "powers"):
+        assert np.array_equal(np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field))
+    assert all(p.labels == whole.labels for p in parts)
+    frames = [evaluate_ctf(real, chunk) for chunk in chunks]
+    assert np.array_equal(np.concatenate([f.values for f in frames]), evaluate_ctf(real, times).values)
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     hops=st.tuples(st.integers(1, 2), st.integers(1, 2)),
     rays=st.integers(1, 8),

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +320,7 @@ def test_meta_sidecar_and_plot_script(scenario_file, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--preset", "table1"],
+        ["simulate", "--preset", "table1", "--realizations", "2"],
         ["pdp", "--preset", "table1"],
         ["delay-stats", "--preset", "table1", "--realizations", "2"],
         ["preset", "fig5"],
@@ -357,7 +358,7 @@ def test_meta_and_plot_script_are_written_atomically(scenario_file, tmp_path, mo
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--preset", "table1"],
+        ["simulate", "--preset", "table1", "--realizations", "2"],
         ["acf", "--preset", "table1", "--realizations", "2", "--lag-count", "3"],
         ["pdp", "--preset", "table1"],
         ["delay-stats", "--preset", "table1", "--realizations", "2"],
@@ -606,6 +607,49 @@ def test_simulate_matches_a_rowwise_dump(scenario_file, tmp_path, taps):
     assert out.read_bytes() == _rowwise_csv(header, rows)
 
 
+@pytest.mark.parametrize("taps", [True, False], ids=["taps", "ctf"])
+def test_simulate_evaluates_a_long_grid_in_bounded_chunks(tmp_path, monkeypatch, taps):
+    # 2,000 instants of 2 realizations: no evaluation covers more instants
+    # than the chunk bound allows or starts while an earlier one is alive,
+    # and the dump is the one-block dump's bytes.
+    rays = 5 if taps else 20
+    cfg = validate(
+        ScenarioConfig(
+            geometry=GeometryConfig(distance0=2000.0, water_depth=100.0, tx_depth0=50.0, rx_depth0=80.0),
+            clusters=ClusterConfig(max_surface_hops=1, max_bottom_hops=1, rays_per_path=rays),
+            power=PowerConfig(rice_k=1.0),
+            signal=SignalConfig(carrier_freq=15000.0, time_grid=tuple(0.01 * i for i in range(2000))),
+            master_seed=3,
+            realizations=2,
+        )
+    )
+    path = tmp_path / "long.json"
+    dump_scenario(cfg, str(path))
+    name = "tap_list" if taps else "evaluate_ctf"
+    evaluate, spans, results = getattr(cli, name), [], []
+
+    def recording(real, times, *args):
+        assert all(ref() is None for ref in results), "an earlier chunk is still alive"
+        spans.append(len(times))
+        results.append(weakref.ref(result := evaluate(real, times, *args)))
+        return result
+
+    monkeypatch.setattr(cli, name, recording)
+
+    def dump(out):
+        spans.clear()
+        assert run(["simulate", "--scenario", str(path), *(["--taps"] if taps else []), "--out", str(out)]) == 0
+        return list(spans)
+
+    chunked = dump(tmp_path / "chunked.csv")
+    per_instant = 1 + 4 * rays if taps else rays  # one offset; 4 sub-paths
+    assert len(chunked) > 2 and sum(chunked) == 2 * 2000
+    assert max(chunked) <= cli._CHUNK_ELEMENTS // per_instant
+    monkeypatch.setattr(cli, "_CHUNK_ELEMENTS", 10**9)
+    assert dump(tmp_path / "whole.csv") == [2000, 2000]
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_simulate_meta_reports_resamples(scenario_file, tmp_path):
     metas = []
     for name in ("a.csv", "b.csv"):
@@ -802,3 +846,40 @@ def test_worker_error_under_jobs_is_the_serial_error(wide_spread_file, tmp_path,
     assert json.loads(errors[1])["error"].startswith("could not draw")
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_lag_lost_in_the_anchor_is_one_line_error_naming_it(tmp_path, capsys):
+    # doubles near 1e20 are 16,384 apart, so t + 0.05 rounds back to t
+    out = tmp_path / "x.csv"
+    assert run(["acf", "--preset", "table1", "--realizations", "2", "--t", "1e20", "--lag-count", "3",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("lag 0.05 s is lost in the anchor")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,column",
+    [
+        (["pdp", "--preset", "fig3", "--f", "1e300"], "power"),  # the absorption overflows to nan
+        (["acf", "--preset", "fig3", "--realizations", "2", "--f", "1e300", "--meta"], "abs"),
+    ],
+    ids=["pdp", "acf"],
+)
+def test_a_non_finite_result_is_one_line_error_naming_its_column(tmp_path, capsys, argv, column):
+    out = tmp_path / "x.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"column {column!r} would hold nan, not a finite number"
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_non_finite_sidecar_field_is_one_line_error_naming_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_pdp", lambda args, cfg: (0, {"excess_delay": {"p99": math.inf}}, None))
+    assert run(["pdp", "--preset", "fig3", "--out", str(tmp_path / "x.csv"), "--meta"]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "sidecar field 'excess_delay.p99' would hold inf, not a finite number"
+    assert not list(tmp_path.iterdir())
