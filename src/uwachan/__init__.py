@@ -74,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "5.0.0"
+__version__ = "5.1.0"

@@ -18,13 +18,13 @@ import numpy as np
 
 from . import __version__, presets, stats
 from .channel import build_realization, evaluate_ctf, tap_list
-from .presets import PRESET_NAMES, preset_scenario
+from .presets import PRESET_NAMES
 from .scenario import (
     ScenarioConfig,
     ScenarioError,
-    load_scenario,
-    overlay,
+    merge_documents,
     read_document,
+    scenario_from_dict,
     scenario_to_dict,
     write_atomic,
 )
@@ -108,19 +108,18 @@ def _write_csv(path: str, header: list[str], blocks) -> int:
 
 
 def _resolve_scenario(args) -> ScenarioConfig:
-    """Preset defaults < scenario file < command-line flags."""
+    """Preset defaults < scenario file < command-line flags, merged into one
+    document and then parsed and validated once: a replaced value is not checked."""
     preset = getattr(args, "preset", None)
     scenario_path = getattr(args, "scenario", None)
     if preset is None and scenario_path is None:
         raise CliError("provide --scenario FILE and/or --preset NAME")
-    if preset is None:
-        cfg = load_scenario(scenario_path)
-    elif scenario_path is None:
-        cfg = preset_scenario(preset)
-    else:
-        cfg = overlay(preset_scenario(preset), read_document(scenario_path))
+    layers = [] if preset is None else [presets.preset_document(preset)]
+    if scenario_path is not None:
+        layers.append(read_document(scenario_path))
     flags = {"master_seed": getattr(args, "seed", None), "realizations": getattr(args, "realizations", None)}
-    return overlay(cfg, {key: value for key, value in flags.items() if value is not None})
+    layers.append({key: value for key, value in flags.items() if value is not None})
+    return scenario_from_dict(merge_documents(*layers))
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +454,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate()
-        if getattr(args, "jobs", 1) < 1:
-            raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-        return _run(args)
+        # numpy prints no warning: `_checked` rejects a non-finite result with the JSON error
+        with np.errstate(all="ignore"):
+            if args.command == "validate":
+                return _cmd_validate()
+            if getattr(args, "jobs", 1) < 1:
+                raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+            return _run(args)
     except (CliError, ScenarioError, ValueError, OSError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

@@ -5,24 +5,12 @@ import math
 
 import numpy as np
 
-from . import stats
-from .scenario import (
-    BottomConfig,
-    ClusterConfig,
-    DriftConfig,
-    GeometryConfig,
-    IntentionalMotion,
-    PowerConfig,
-    ScenarioConfig,
-    SignalConfig,
-    SurfaceMotionConfig,
-    overlay,
-    validate,
-)
+from . import scenario, stats
 
 __all__ = [
     "EXPERIMENTS",
     "PRESET_NAMES",
+    "preset_document",
     "preset_scenario",
     "evaluate",
     "evaluate_curves",
@@ -70,94 +58,95 @@ PRESET_NAMES = tuple(EXPERIMENTS)
 # the relative tolerance the `validate` command enforces.
 TABLE1_TARGETS = {"average_delay": 1.505e-3, "rms_delay_spread": 2.399e-3, "tolerance": 0.05}
 
-_DEFAULT_SEED = 1
+# Shared shallow-water survey geometry used by the fig3/fig4/fig5 scenarios.
+_SURVEY = {
+    "geometry": {
+        "distance0": 2000.0, "water_depth": 100.0, "tx_depth0": 50.0, "rx_depth0": 80.0, "sound_speed": 1500.0
+    },
+    "clusters": {
+        "max_surface_hops": 2,
+        "max_bottom_hops": 2,
+        "rays_per_path": 50,
+        "angle_spread_surface": 0.015,
+        "angle_spread_bottom": 0.015,
+    },
+    "power": {"rice_k": 0.0, "da_fraction": 0.5, "ua_fraction": 0.5},
+    "bottom": {"density_ratio": 1.5, "sound_speed": 1600.0},
+    "master_seed": 1,
+    "realizations": 500,
+}
+
+# The fig4/fig5 motion: fast opposed platforms, no drift, a still surface.
+_MOTION = {
+    "intentional": {"tx_speed": 10.0, "tx_heading": 0.0, "rx_speed": 5.0, "rx_heading": -math.pi},
+    "drift": {"v_min": 0.0, "v_max": 0.0, "change_freq": 1.0},
+    "surface": {"amplitude": 0.0, "freq": 0.0, "travel_angle": math.pi / 2},
+    "signal": {"carrier_freq": 15000.0, "freq_offsets": [0.0], "time_grid": [0.0, 2.5, 5.0]},
+}
+
+# The measurement-comparison scenario: a document of its own.
+_TABLE1 = {
+    "geometry": {
+        "distance0": 1500.0, "water_depth": 80.0, "tx_depth0": 34.5, "rx_depth0": 36.0, "sound_speed": 1440.0
+    },
+    "intentional": {"tx_speed": 0.0, "tx_heading": 0.0, "rx_speed": 0.0, "rx_heading": 0.0},
+    "drift": {"v_min": 0.0, "v_max": 0.0, "change_freq": 1.0},
+    "surface": {"amplitude": 2.0, "freq": 0.1, "travel_angle": math.pi / 2},
+    "clusters": {
+        "max_surface_hops": 1,
+        "max_bottom_hops": 1,
+        "rays_per_path": 50,
+        "angle_spread_surface": 0.02317,
+        "angle_spread_bottom": 0.02317,
+    },
+    "power": {"rice_k": 1.44, "da_fraction": 0.5, "ua_fraction": 0.5},
+    "bottom": {"density_ratio": 1.5, "sound_speed": 1.11 * 1440.0},
+    "signal": {"carrier_freq": 17000.0, "freq_offsets": [0.0], "time_grid": [0.0]},
+    "master_seed": 1,
+    "realizations": 500,
+}
+
+# preset -> the documents its scenario merges, in order.
+_PRESETS = {
+    "fig3": (_SURVEY, {
+        "intentional": {"tx_speed": 1.0, "tx_heading": 0.0, "rx_speed": 1.0, "rx_heading": -math.pi / 2},
+        "drift": {"v_min": 0.1, "v_max": 0.12, "change_freq": 1.0},
+        "surface": {"amplitude": 1.0, "freq": 0.5, "travel_angle": math.pi / 2},
+        "power": {"rice_k": 5.0},
+        "signal": {"carrier_freq": 15000.0, "freq_offsets": [0.0], "time_grid": [0.0, 0.05, 0.1]},
+    }),
+    "fig4-time": (_SURVEY, _MOTION),
+    "fig4-freq": (_SURVEY, _MOTION),
+    "fig5": (_SURVEY, _MOTION, {"power": {"rice_k": 1.0}}),
+    "table1": (_TABLE1,),
+}
 
 
-def _survey_base() -> dict:
-    # Shared shallow-water survey geometry used by the fig3/fig4/fig5 scenarios.
-    return dict(
-        geometry=GeometryConfig(
-            distance0=2000.0, water_depth=100.0, tx_depth0=50.0, rx_depth0=80.0, sound_speed=1500.0
-        ),
-        clusters=ClusterConfig(
-            max_surface_hops=2,
-            max_bottom_hops=2,
-            rays_per_path=50,
-            angle_spread_surface=0.015,
-            angle_spread_bottom=0.015,
-        ),
-        power=PowerConfig(rice_k=0.0, da_fraction=0.5, ua_fraction=0.5),
-        bottom=BottomConfig(density_ratio=1.5, sound_speed=1600.0),
-        master_seed=_DEFAULT_SEED,
-        realizations=500,
-    )
+def preset_document(name: str) -> dict:
+    """The scenario document of one named experiment, merged anew at each call."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    return scenario.merge_documents(*_PRESETS[name])
 
 
-def preset_scenario(name: str) -> ScenarioConfig:
+def preset_scenario(name: str) -> scenario.ScenarioConfig:
     """The exact parameter set of one named experiment, validated."""
-    if name == "fig3":
-        base = _survey_base()
-        base.update(
-            intentional=IntentionalMotion(
-                tx_speed=1.0, tx_heading=0.0, rx_speed=1.0, rx_heading=-math.pi / 2
-            ),
-            drift=DriftConfig(v_min=0.1, v_max=0.12, change_freq=1.0),
-            surface=SurfaceMotionConfig(amplitude=1.0, freq=0.5, travel_angle=math.pi / 2),
-            signal=SignalConfig(carrier_freq=15000.0, freq_offsets=(0.0,), time_grid=(0.0, 0.05, 0.1)),
-        )
-        base["power"] = PowerConfig(rice_k=5.0, da_fraction=0.5, ua_fraction=0.5)
-        return validate(ScenarioConfig(**base))
-    if name in ("fig4-time", "fig4-freq", "fig5"):
-        base = _survey_base()
-        base.update(
-            intentional=IntentionalMotion(
-                tx_speed=10.0, tx_heading=0.0, rx_speed=5.0, rx_heading=-math.pi
-            ),
-            drift=DriftConfig(v_min=0.0, v_max=0.0, change_freq=1.0),
-            surface=SurfaceMotionConfig(amplitude=0.0, freq=0.0, travel_angle=math.pi / 2),
-            signal=SignalConfig(carrier_freq=15000.0, freq_offsets=(0.0,), time_grid=(0.0, 2.5, 5.0)),
-        )
-        if name == "fig5":
-            base["power"] = PowerConfig(rice_k=1.0, da_fraction=0.5, ua_fraction=0.5)
-        return validate(ScenarioConfig(**base))
-    if name == "table1":
-        return validate(
-            ScenarioConfig(
-                geometry=GeometryConfig(
-                    distance0=1500.0, water_depth=80.0, tx_depth0=34.5, rx_depth0=36.0, sound_speed=1440.0
-                ),
-                intentional=IntentionalMotion(),
-                drift=DriftConfig(v_min=0.0, v_max=0.0, change_freq=1.0),
-                surface=SurfaceMotionConfig(amplitude=2.0, freq=0.1, travel_angle=math.pi / 2),
-                clusters=ClusterConfig(
-                    max_surface_hops=1,
-                    max_bottom_hops=1,
-                    rays_per_path=50,
-                    angle_spread_surface=0.02317,
-                    angle_spread_bottom=0.02317,
-                ),
-                power=PowerConfig(rice_k=1.44, da_fraction=0.5, ua_fraction=0.5),
-                bottom=BottomConfig(density_ratio=1.5, sound_speed=1.11 * 1440.0),
-                signal=SignalConfig(carrier_freq=17000.0, freq_offsets=(0.0,), time_grid=(0.0,)),
-                master_seed=_DEFAULT_SEED,
-                realizations=500,
-            )
-        )
-    raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    return scenario.scenario_from_dict(preset_document(name))
 
 
-def evaluate_curves(name: str, labels=None, cfg: ScenarioConfig | None = None, jobs: int = 1) -> dict:
+def evaluate_curves(name: str, labels=None, cfg: scenario.ScenarioConfig | None = None, jobs: int = 1) -> dict:
     """``{label: result}`` for the curves of an experiment (default: every curve, in order).
 
     Each curve's changes are overlaid on ``cfg`` (default: the preset's),
     whose ``realizations`` sets the ensemble size. ACF curves run as one
-    ensemble, with one worker pool of at most ``jobs`` workers. The PDP and
-    delay-stats experiments are deterministic cluster profiles and use no pool.
+    ensemble: at most ``jobs`` workers are forked, once, for all of them.
+    The PDP and delay-stats experiments are deterministic cluster profiles
+    and run in this process.
     """
     statistic, lags, curves = EXPERIMENTS[name]
     base = preset_scenario(name) if cfg is None else cfg
     chosen = curves if labels is None else {label: curves[label] for label in labels}
-    anchors = {label: (t, overlay(base, changes)) for label, (t, changes) in chosen.items()}
+    anchors = {label: (t, scenario.overlay(base, changes)) for label, (t, changes) in chosen.items()}
     if statistic == "acf":
         plans = [stats.acf_plan(c, t, 0.0, lags) for t, c in anchors.values()]
         return dict(zip(anchors, stats.correlate(plans, jobs)))
@@ -166,7 +155,7 @@ def evaluate_curves(name: str, labels=None, cfg: ScenarioConfig | None = None, j
     return {label: stats.ensemble_delay_stats(c, t, 0.0) for label, (t, c) in anchors.items()}
 
 
-def evaluate(name: str, label: str, cfg: ScenarioConfig | None = None, jobs: int = 1):
+def evaluate(name: str, label: str, cfg: scenario.ScenarioConfig | None = None, jobs: int = 1):
     """One curve of an experiment: :func:`evaluate_curves` for ``label`` alone."""
     return evaluate_curves(name, (label,), cfg, jobs)[label]
 

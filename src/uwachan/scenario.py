@@ -41,6 +41,7 @@ __all__ = [
     "stream_for",
     "scenario_to_dict",
     "scenario_from_dict",
+    "merge_documents",
     "overlay",
     "read_document",
     "load_scenario",
@@ -162,17 +163,94 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
-def _finite(value: float, name: str) -> None:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The lower bound of each bounded field, as its error message states it.
+# Every other number need only be finite.
+_LOWER_BOUNDS = {
+    "geometry.distance0": "> 0",
+    "geometry.water_depth": "> 0",
+    "geometry.sound_speed": "> 0",
+    "intentional.tx_speed": ">= 0",
+    "intentional.rx_speed": ">= 0",
+    "drift.v_min": ">= 0",
+    "drift.change_freq": "> 0",
+    "surface.amplitude": ">= 0",
+    "surface.freq": ">= 0",
+    "clusters.max_surface_hops": ">= 1",
+    "clusters.max_bottom_hops": ">= 1",
+    "clusters.rays_per_path": ">= 1",
+    "clusters.angle_spread_surface": ">= 0",
+    "clusters.angle_spread_bottom": ">= 0",
+    "power.rice_k": ">= 0",
+    "power.da_fraction": ">= 0",
+    "power.ua_fraction": ">= 0",
+    "bottom.density_ratio": "> 0",
+    "bottom.sound_speed": "> 0",
+    "signal.carrier_freq": "> 0",
+    "realizations": ">= 1",
+}
+# Angles, stored normalized onto [0, 2*pi).
+_ANGLES = {"intentional.tx_heading", "intentional.rx_heading", "surface.travel_angle"}
+
+
+def _meets(value, rule: str | None) -> bool:
+    if rule is None:
+        return True
+    op, bound = rule.split()
+    return value > float(bound) if op == ">" else value >= float(bound)
+
+
+def _checked(name: str, kind: str, value):
+    """``value`` of the dotted field ``name``, checked against its annotation
+    ``kind`` and its lower bound, and stored as that type."""
+    rule = _LOWER_BOUNDS.get(name)
+    if kind == "int":
+        _require(
+            isinstance(value, int) and not isinstance(value, bool) and _meets(value, rule),
+            f"{name} must be an int{' ' + rule if rule else ''}, got {value!r}",
+        )
+        return value
+    if kind == "float":
+        _require(_is_number(value) and math.isfinite(value), f"{name} must be a finite number, got {value!r}")
+        value = float(value)
+        _require(_meets(value, rule), f"{name} must be {rule}, got {value!r}")
+        return normalize_angle(value) if name in _ANGLES else value
+    # a tuple of floats
     _require(
-        isinstance(value, (int, float)) and math.isfinite(value),
-        f"{name} must be a finite number, got {value!r}",
+        isinstance(value, (list, tuple)) and all(map(_is_number, value)),
+        f"{name} must be a list of numbers, got {value!r}",
     )
+    _require(len(value) >= 1, f"{name} must not be empty")
+    for v in value:
+        _require(math.isfinite(v), f"{name} element must be a finite number, got {v!r}")
+    return tuple(float(v) for v in value)
 
 
-def _check_geometry(g: GeometryConfig) -> None:
-    for name in ("distance0", "water_depth", "tx_depth0", "rx_depth0", "sound_speed"):
-        _finite(getattr(g, name), f"geometry.{name}")
-    _require(g.water_depth > 0, f"water_depth must be > 0, got {g.water_depth}")
+def _checked_fields(config, prefix: str = ""):
+    """``config`` with every field checked and stored as its annotated type;
+    a section's fields are named ``section.field``."""
+    values = {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            values[f.name] = _checked_fields(value, f"{f.name}.")
+        else:
+            values[f.name] = _checked(prefix + f.name, f.type, value)
+    return replace(config, **values)
+
+
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Check every invariant and return the config with its numbers as
+    floats, its lists as tuples and its angles normalized.
+
+    Raises :class:`ScenarioError` naming the first offending field.
+    Idempotent: validating an already-validated config returns an equal one.
+    """
+    cfg = _checked_fields(cfg)
+    g, d, p, s = cfg.geometry, cfg.drift, cfg.power, cfg.signal
     _require(
         0 < g.tx_depth0 < g.water_depth,
         f"Tx depth must satisfy 0 < tx_depth0 < water_depth, got {g.tx_depth0}",
@@ -181,81 +259,15 @@ def _check_geometry(g: GeometryConfig) -> None:
         0 < g.rx_depth0 < g.water_depth,
         f"Rx depth must satisfy 0 < rx_depth0 < water_depth, got {g.rx_depth0}",
     )
-    _require(g.distance0 > 0, f"distance0 must be > 0, got {g.distance0}")
-    _require(g.sound_speed > 0, f"sound_speed must be > 0, got {g.sound_speed}")
-
-
-def _check_intentional(m: IntentionalMotion) -> None:
-    for name in ("tx_speed", "tx_heading", "rx_speed", "rx_heading"):
-        _finite(getattr(m, name), f"intentional.{name}")
-    _require(m.tx_speed >= 0, f"tx_speed must be >= 0, got {m.tx_speed}")
-    _require(m.rx_speed >= 0, f"rx_speed must be >= 0, got {m.rx_speed}")
-
-
-def _check_drift(d: DriftConfig) -> None:
-    for name in ("v_min", "v_max", "change_freq"):
-        _finite(getattr(d, name), f"drift.{name}")
-    _require(0 <= d.v_min <= d.v_max, f"drift speeds need 0 <= v_min <= v_max, got [{d.v_min}, {d.v_max}]")
-    _require(d.change_freq > 0, f"drift.change_freq must be > 0, got {d.change_freq}")
-
-
-def _check_surface(s: SurfaceMotionConfig) -> None:
-    for name in ("amplitude", "freq", "travel_angle"):
-        _finite(getattr(s, name), f"surface.{name}")
-    _require(s.amplitude >= 0, f"surface.amplitude must be >= 0, got {s.amplitude}")
-    _require(s.freq >= 0, f"surface.freq must be >= 0, got {s.freq}")
-
-
-def _check_clusters(c: ClusterConfig) -> None:
-    _require(
-        isinstance(c.max_surface_hops, int) and c.max_surface_hops >= 1,
-        f"max_surface_hops must be an int >= 1, got {c.max_surface_hops!r}",
-    )
-    _require(
-        isinstance(c.max_bottom_hops, int) and c.max_bottom_hops >= 1,
-        f"max_bottom_hops must be an int >= 1, got {c.max_bottom_hops!r}",
-    )
-    _require(
-        isinstance(c.rays_per_path, int) and c.rays_per_path >= 1,
-        f"rays_per_path must be an int >= 1, got {c.rays_per_path!r}",
-    )
-    for name in ("angle_spread_surface", "angle_spread_bottom"):
-        _finite(getattr(c, name), f"clusters.{name}")
-        _require(getattr(c, name) >= 0, f"clusters.{name} must be >= 0, got {getattr(c, name)}")
-
-
-def _check_power(p: PowerConfig) -> None:
-    for name in ("rice_k", "da_fraction", "ua_fraction"):
-        _finite(getattr(p, name), f"power.{name}")
-    _require(p.rice_k >= 0, f"rice_k must be >= 0, got {p.rice_k}")
-    _require(p.da_fraction >= 0, f"da_fraction must be >= 0, got {p.da_fraction}")
-    _require(p.ua_fraction >= 0, f"ua_fraction must be >= 0, got {p.ua_fraction}")
+    _require(d.v_min <= d.v_max, f"drift speeds need 0 <= v_min <= v_max, got [{d.v_min}, {d.v_max}]")
     _require(
         abs(p.da_fraction + p.ua_fraction - 1.0) <= 1e-12,
         f"da_fraction+ua_fraction must equal 1, got {p.da_fraction + p.ua_fraction}",
     )
-
-
-def _check_bottom(b: BottomConfig) -> None:
-    for name in ("density_ratio", "sound_speed"):
-        _finite(getattr(b, name), f"bottom.{name}")
-    _require(b.density_ratio > 0, f"bottom.density_ratio must be > 0, got {b.density_ratio}")
-    _require(b.sound_speed > 0, f"bottom.sound_speed must be > 0, got {b.sound_speed}")
-
-
-def _check_signal(s: SignalConfig) -> None:
-    _finite(s.carrier_freq, "signal.carrier_freq")
-    _require(s.carrier_freq > 0, f"carrier_freq must be > 0, got {s.carrier_freq}")
-    _require(len(s.freq_offsets) >= 1, "freq_offsets must not be empty")
-    for f in s.freq_offsets:
-        _finite(f, "signal.freq_offsets element")
     _require(
         s.carrier_freq + min(s.freq_offsets) > 0,
         f"carrier_freq + min(freq_offsets) must be > 0, got {s.carrier_freq + min(s.freq_offsets)}",
     )
-    _require(len(s.time_grid) >= 1, "time_grid must not be empty")
-    for t in s.time_grid:
-        _finite(t, "signal.time_grid element")
     _require(min(s.time_grid) >= 0, f"signal.time_grid must not be negative, got {min(s.time_grid)!r} s")
     if len(s.time_grid) >= 2:
         steps = np.diff(np.asarray(s.time_grid, dtype=float))
@@ -265,44 +277,8 @@ def _check_signal(s: SignalConfig) -> None:
             bool(np.all(np.abs(steps - steps[0]) <= tol)),
             f"time_grid must have a constant step, got steps {steps.tolist()}",
         )
-
-
-def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every invariant and return the config with angles normalized.
-
-    Raises :class:`ScenarioError` naming the first offending field.
-    Idempotent: validating an already-validated config returns an equal one.
-    """
-    _check_geometry(cfg.geometry)
-    _check_intentional(cfg.intentional)
-    _check_drift(cfg.drift)
-    _check_surface(cfg.surface)
-    _check_clusters(cfg.clusters)
-    _check_power(cfg.power)
-    _check_bottom(cfg.bottom)
-    _check_signal(cfg.signal)
-    _require(
-        isinstance(cfg.master_seed, int) and 0 <= cfg.master_seed < 2**64,
-        f"master_seed must be an integer in [0, 2**64), got {cfg.master_seed!r}",
-    )
-    _require(
-        isinstance(cfg.realizations, int) and cfg.realizations >= 1,
-        f"realizations must be an int >= 1, got {cfg.realizations!r}",
-    )
-    return replace(
-        cfg,
-        intentional=replace(
-            cfg.intentional,
-            tx_heading=normalize_angle(cfg.intentional.tx_heading),
-            rx_heading=normalize_angle(cfg.intentional.rx_heading),
-        ),
-        surface=replace(cfg.surface, travel_angle=normalize_angle(cfg.surface.travel_angle)),
-        signal=replace(
-            cfg.signal,
-            freq_offsets=tuple(float(f) for f in cfg.signal.freq_offsets),
-            time_grid=tuple(float(t) for t in cfg.signal.time_grid),
-        ),
-    )
+    _require(0 <= cfg.master_seed < 2**64, f"master_seed must be an integer in [0, 2**64), got {cfg.master_seed!r}")
+    return cfg
 
 
 def stream_for(master_seed: int, realization: int, purpose: str) -> np.random.Generator:
@@ -335,80 +311,60 @@ _SECTIONS = {
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    out: dict = {}
-    for key in _SECTIONS:
-        out[key] = dataclasses.asdict(getattr(cfg, key))
-    out["signal"]["freq_offsets"] = list(out["signal"]["freq_offsets"])
-    out["signal"]["time_grid"] = list(out["signal"]["time_grid"])
-    out["master_seed"] = cfg.master_seed
-    out["realizations"] = cfg.realizations
+    out = dataclasses.asdict(cfg)
+    for key in ("freq_offsets", "time_grid"):
+        out["signal"][key] = list(out["signal"][key])
     return out
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _section_from_dict(cls, name: str, data: dict):
     if not isinstance(data, dict):
         raise ScenarioError(f"section {name!r} must be an object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(data) - {f.name for f in fields})
     if unknown:
         raise ScenarioError(f"unknown key(s) in {name!r}: {', '.join(unknown)}")
-    kwargs = dict(data)
-    for field in dataclasses.fields(cls):
-        if field.name not in kwargs:
-            continue
-        value = kwargs[field.name]
-        if field.type in ("int",):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ScenarioError(f"{name}.{field.name} must be an integer, got {value!r}")
-        elif field.type.startswith("tuple"):
-            if not isinstance(value, list) or not all(map(_is_number, value)):
-                raise ScenarioError(f"{name}.{field.name} must be a list of numbers, got {value!r}")
-            kwargs[field.name] = tuple(float(v) for v in value)
-        elif _is_number(value):
-            kwargs[field.name] = float(value)
-        else:
-            raise ScenarioError(f"{name}.{field.name} has unsupported value {value!r}")
-    return cls(**kwargs)
+    missing = [f.name for f in fields if f.name not in data and f.default is dataclasses.MISSING]
+    if missing:
+        raise ScenarioError(f"section {name!r} is missing key(s): {', '.join(missing)}")
+    return cls(**data)
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a scenario from a plain dict (strict keys)."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    known = set(_SECTIONS) | {"master_seed", "realizations"}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(_SECTIONS) - {"master_seed", "realizations"})
     if unknown:
         raise ScenarioError(f"unknown top-level key(s): {', '.join(unknown)}")
-    kwargs = {}
+    if "geometry" not in data:
+        raise ScenarioError("scenario document is missing the 'geometry' section")
+    kwargs = dict(data)
     for name, cls in _SECTIONS.items():
         if name in data:
             kwargs[name] = _section_from_dict(cls, name, data[name])
-    if "geometry" not in kwargs:
-        raise ScenarioError("scenario document is missing the 'geometry' section")
-    for key in ("master_seed", "realizations"):
-        if key in data:
-            value = data[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ScenarioError(f"{key} must be an integer, got {value!r}")
-            kwargs[key] = value
     return validate(ScenarioConfig(**kwargs))
+
+
+def merge_documents(*documents) -> dict:
+    """The scenario ``documents`` merged in order: a later document's keys
+    replace an earlier one's, section by section. No document is modified,
+    and each section of the result is a new dict."""
+    merged: dict = {}
+    for document in documents:
+        if not isinstance(document, dict):
+            raise ScenarioError("scenario document must be a JSON object")
+        for key, value in document.items():
+            if isinstance(value, dict):
+                section = merged.get(key)
+                value = {**(section if isinstance(section, dict) else {}), **value}
+            merged[key] = value
+    return merged
 
 
 def overlay(cfg: ScenarioConfig, changes: dict) -> ScenarioConfig:
     """``cfg`` with a partial scenario document merged over it, section by section."""
-    if not isinstance(changes, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-    base = scenario_to_dict(cfg)
-    for key, value in changes.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            base[key].update(value)
-        else:
-            base[key] = value
-    return scenario_from_dict(base)
+    return scenario_from_dict(merge_documents(scenario_to_dict(cfg), changes))
 
 
 def read_document(path: str):

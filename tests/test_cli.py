@@ -1,5 +1,7 @@
 import argparse
+import copy
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -489,19 +491,7 @@ def test_preset_runners_smoke(tmp_path, name, label_col):
 
 
 def test_console_entry_point(tmp_path):
-    import subprocess, sys
-
-    import uwachan
-
-    # the child must import the package under test even when it is not installed
-    src = os.path.dirname(os.path.dirname(uwachan.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "uwachan.cli", "validate"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _interpreter("-m", "uwachan.cli", "validate")
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 2
 
@@ -521,6 +511,73 @@ def test_flag_precedence_over_file_over_preset(tmp_path):
     assert meta["scenario"]["master_seed"] == 7  # flag wins over file's 42
     assert meta["scenario"]["power"]["rice_k"] == 2.0  # file wins over preset's 1.44
     assert meta["scenario"]["geometry"]["distance0"] == 1500.0  # preset base kept
+
+
+# SHA-256 of each preset's json.dumps(scenario_to_dict(preset_scenario(name)), sort_keys=True),
+# recorded while the presets were still built from the config classes in code.
+_PRESET_SHA256 = {
+    "fig3": "49e07af93cd88640020af1f33f2f3de08517f1c0a4d555b47feb7caed3fb7039",
+    "fig4-time": "259d4431848d4469dfc3f421250e97ee81e66f7e2a3f6c876a8421feb9a610bd",
+    "fig4-freq": "259d4431848d4469dfc3f421250e97ee81e66f7e2a3f6c876a8421feb9a610bd",
+    "fig5": "da507716e85f5103499d70c864d085e01c0e45270b78cd4204f7bff2aa11041b",
+    "table1": "2280152672721c9bd8fa545ef3e34b6a946e46a78fec627ee0cec8b82aba8ef2",
+}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_scenario_is_pinned(name):
+    text = json.dumps(scenario_to_dict(preset_scenario(name)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PRESET_SHA256[name]
+
+
+def test_a_file_value_a_flag_replaces_is_not_checked(tmp_path):
+    # The merged document is validated, so the file's 0 never is.
+    path = tmp_path / "zero.json"
+    data = scenario_to_dict(preset_scenario("table1"))
+    data["realizations"] = 0
+    path.write_text(json.dumps(data))
+    out = tmp_path / "x.csv"
+    assert run(["delay-stats", "--scenario", str(path), "--realizations", "3", "--out", str(out), "--meta"]) == 0
+    assert json.loads((tmp_path / "x.csv.meta.json").read_text())["scenario"]["realizations"] == 3
+
+
+def _layers(tmp_path, preset="table1") -> argparse.Namespace:
+    """Arguments giving a preset, a scenario file and both scenario flags."""
+    path = tmp_path / "layer.json"
+    path.write_text(json.dumps({"power": {"rice_k": 2.0}, "geometry": {"distance0": 900.0}, "master_seed": 42}))
+    return argparse.Namespace(preset=preset, scenario=str(path), seed=7, realizations=4)
+
+
+def test_a_scenario_is_parsed_and_validated_once(tmp_path, monkeypatch):
+    from uwachan import scenario
+
+    calls = []
+    parse, check = scenario.scenario_from_dict, scenario.validate
+
+    def counted_parse(data):
+        calls.append("scenario_from_dict")
+        return parse(data)
+
+    def counted_check(cfg):
+        calls.append("validate")
+        return check(cfg)
+
+    monkeypatch.setattr(cli, "scenario_from_dict", counted_parse)
+    monkeypatch.setattr(scenario, "scenario_from_dict", counted_parse)
+    monkeypatch.setattr(scenario, "validate", counted_check)
+    cfg = cli._resolve_scenario(_layers(tmp_path))
+    assert calls == ["scenario_from_dict", "validate"]
+    assert (cfg.power.rice_k, cfg.geometry.distance0, cfg.master_seed, cfg.realizations) == (2.0, 900.0, 7, 4)
+    assert cfg.geometry.water_depth == 80.0  # the preset's
+
+
+def test_resolving_leaves_the_preset_documents_unchanged(tmp_path):
+    before = copy.deepcopy(presets._PRESETS)
+    for name in ("fig3", "fig5", "table1", "fig5"):
+        cli._resolve_scenario(_layers(tmp_path, name))
+        presets.preset_document(name)["power"]["rice_k"] = 9.0  # a caller's copy
+    assert presets._PRESETS == before
+    assert preset_scenario("fig5").power.rice_k == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -802,17 +859,21 @@ def test_bad_anchor_is_one_line_error_naming_the_value(tmp_path, capsys, argv, n
     assert not out.exists()
 
 
-def _python(code):
-    """Run ``code`` in a fresh interpreter that imports the package under test; return its stdout."""
+def _interpreter(*args):
+    """Run ``python args`` in a fresh interpreter that imports the package under
+    test, even where it is not installed."""
     import subprocess, sys
-
-    import uwachan
 
     src = os.path.dirname(os.path.dirname(uwachan.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter; return its stdout."""
+    proc = _interpreter("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -874,6 +935,33 @@ def test_a_non_finite_result_is_one_line_error_naming_its_column(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == f"column {column!r} would hold nan, not a finite number"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pdp", "--preset", "fig3", "--f", "1e300"],
+     ["acf", "--preset", "fig3", "--realizations", "2", "--jobs", "2", "--f", "1e300"]],
+    ids=["pdp", "acf-jobs2"],
+)
+def test_an_overflowing_command_prints_one_json_line_and_no_warning(tmp_path, argv):
+    # The absorption overflows to inf and nan; numpy must not warn about it on stderr.
+    proc = _interpreter("-m", "uwachan.cli", *argv, "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert json.loads(proc.stderr)["error"].endswith("would hold nan, not a finite number")
+
+
+def test_an_unparsable_flag_is_the_one_error_in_usage_text(tmp_path, capsys):
+    # argparse rejects the command line before any command runs: its usage
+    # text, not the JSON error, is the one exception.
+    with pytest.raises(SystemExit) as exc:
+        run(["acf", "--preset", "fig3", "--t", "abc", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid float value: 'abc'" in err
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(err)
     assert not list(tmp_path.iterdir())
 
 

@@ -1,10 +1,13 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+from uwachan import cli
 
 from uwachan.scenario import (
     GeometryConfig,
@@ -166,4 +169,78 @@ def test_unknown_keys_rejected():
     data = scenario_to_dict(validate(survey_config()))
     data["extra_section"] = {}
     with pytest.raises(ScenarioError, match="extra_section"):
+        scenario_from_dict(data)
+
+
+# Values each named field must refuse: nan, inf, below its lower bound, and
+# a bool or string as a file could give it. The list is written out here, not
+# read from the module's table, so a field dropped from the table fails here.
+_REFUSED = [
+    ("geometry.distance0", math.nan),
+    ("geometry.distance0", -1.0),
+    ("geometry.water_depth", 0.0),
+    ("geometry.water_depth", "100"),
+    ("geometry.tx_depth0", math.inf),
+    ("geometry.sound_speed", True),
+    ("intentional.tx_speed", -0.5),
+    ("intentional.rx_heading", -math.inf),
+    ("intentional.rx_speed", "fast"),
+    ("drift.v_min", -0.1),
+    ("drift.v_max", math.nan),
+    ("drift.change_freq", 0.0),
+    ("surface.amplitude", -1.0),
+    ("surface.freq", math.inf),
+    ("surface.travel_angle", math.nan),
+    ("clusters.max_surface_hops", 0),
+    ("clusters.max_bottom_hops", 1.0),
+    ("clusters.rays_per_path", True),
+    ("clusters.rays_per_path", 0),
+    ("clusters.angle_spread_surface", -0.01),
+    ("clusters.angle_spread_bottom", math.nan),
+    ("power.rice_k", -1.0),
+    ("power.rice_k", math.inf),
+    ("power.da_fraction", "0.5"),
+    ("power.ua_fraction", -0.5),
+    ("bottom.density_ratio", 0.0),
+    ("bottom.sound_speed", math.nan),
+    ("signal.carrier_freq", 0.0),
+    ("signal.carrier_freq", False),
+    ("signal.freq_offsets", [math.nan]),
+    ("signal.time_grid", [0.0, math.inf]),
+    ("master_seed", "1"),
+    ("master_seed", True),
+    ("realizations", 0),
+    ("realizations", 2.0),
+]
+
+
+def _refusing_document(dotted, value) -> dict:
+    data = scenario_to_dict(validate(survey_config()))
+    section, _, key = dotted.rpartition(".")
+    (data[section] if section else data)[key] = value
+    return data
+
+
+@pytest.mark.parametrize("dotted,value", _REFUSED, ids=[f"{d}={v!r}" for d, v in _REFUSED])
+def test_a_refused_field_value_is_an_error_naming_the_field(tmp_path, dotted, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_refusing_document(dotted, value)))  # nan and inf as JSON's NaN, Infinity
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(dotted)}\b"):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize("dotted,value", _REFUSED, ids=[f"{d}={v!r}" for d, v in _REFUSED])
+def test_a_refused_field_value_exits_2_naming_the_field(tmp_path, capsys, dotted, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(_refusing_document(dotted, value)))
+    out = tmp_path / "x.csv"
+    assert cli.main(["pdp", "--scenario", str(path), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"].startswith(dotted)
+    assert not out.exists()
+
+
+def test_a_missing_required_key_is_an_error_naming_it():
+    data = scenario_to_dict(validate(survey_config()))
+    del data["geometry"]["water_depth"]
+    with pytest.raises(ScenarioError, match="section 'geometry' is missing key\\(s\\): water_depth"):
         scenario_from_dict(data)
