@@ -34,7 +34,7 @@ from .geometry import (
     sample_micro_ray_mb,
     sample_micro_ray_sb,
 )
-from .motion import DriftState, build_drift, surface_displacement
+from .motion import drift_displacement, surface_displacement
 from .presets import PRESET_NAMES, preset_scenario
 from .propagation import (
     PathKind,
@@ -74,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "5.1.0"
+__version__ = "6.0.0"

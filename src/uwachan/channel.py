@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import propagation as prop
-from .motion import build_drift
+from .motion import drift_displacement
 from .propagation import PathKind
 from .scenario import TAU, ScenarioConfig, stream_for
 
@@ -130,11 +130,11 @@ class ComponentTable:
 def _displacements(run: list[ChannelRealization], platform: str, tt: np.ndarray):
     """Each realization's drift (dx, dz) of ``platform`` ("tx" or "rx") at ``tt``, stacked to (T, K, 1).
 
-    Each path is drawn from its realization's own stream over [0, max(tt)].
+    Each path is drawn from its realization's own stream as far as max(tt).
     """
-    cfg, reach = run[0].cfg, float(tt.max())
+    cfg = run[0].cfg
     streams = (stream_for(cfg.master_seed, real.index, f"drift/{platform}") for real in run)
-    dx, dz = zip(*(build_drift(cfg.drift, reach, rng).displacement(tt) for rng in streams))
+    dx, dz = zip(*(drift_displacement(cfg.drift, rng, tt) for rng in streams))
     return np.stack(dx, axis=1)[..., np.newaxis], np.stack(dz, axis=1)[..., np.newaxis]
 
 

@@ -461,7 +461,7 @@ def main(argv=None) -> int:
             if getattr(args, "jobs", 1) < 1:
                 raise CliError(f"--jobs must be >= 1, got {args.jobs}")
             return _run(args)
-    except (CliError, ScenarioError, ValueError, OSError, ArithmeticError) as exc:
+    except (CliError, ScenarioError, ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+import quadrature
 from conftest import unit_losses
 
 import uwachan as uc
@@ -118,6 +119,29 @@ def test_criterion_3_anchor_and_carrier_nonstationarity(fig4_curves):
         gap > 0.05 and gap_emp > 0.05 and c100 < c15,
         f"max|ACF(t0)-ACF(t5)| = {gap:.4f} (empirical {gap_emp:.4f}, both > 0.05); "
         f"0.5-crossing {c100 * 1e3:.1f} ms @100kHz < {c15 * 1e3:.1f} ms @15kHz",
+    )
+
+
+def test_expectation_acf_matches_its_quadrature_reference(fig4_curves):
+    # Without drift and with a still surface (fig4), the expectation
+    # estimator is a deterministic integral over each scatterer point's
+    # incidence draw (tests/quadrature.py), here at 64 nodes per angle.
+    cfg = preset_scenario("fig4-time")
+    _, lags, curves = EXPERIMENTS["fig4-time"]
+    nonzero = lags != 0
+    margins, moved = [], 0.0
+    for label in ("t0", "t5"):
+        t, result = curves[label][0], fig4_curves[label]
+        reference = quadrature.expectation_acf(cfg, t, 0.0, lags, order=64)
+        coarse = quadrature.expectation_acf(cfg, t, 0.0, lags, order=32)
+        moved = max(moved, float(np.abs(reference - coarse).max()))
+        se = result.expectation_stderr[nonzero]
+        margins.append(worst_margins(3 * se - np.abs(result.expectation_norm - reference)[nonzero], se)[1])
+    report(
+        "expectation ACF against its quadrature reference (3-SE margin)",
+        min(margins) >= 0.0 and moved < 1e-3,
+        f"worst margin {margins[0]:+.2f} SE at t0, {margins[1]:+.2f} SE at t5; "
+        f"32 against 64 nodes moves the reference by {moved:.1e}",
     )
 
 

@@ -14,7 +14,7 @@ from uwachan.channel import (
 )
 from uwachan.presets import preset_scenario
 from uwachan.propagation import PathKind
-from uwachan.motion import build_drift, surface_displacement
+from uwachan.motion import drift_displacement, surface_displacement
 from uwachan.scenario import (
     ClusterConfig,
     DriftConfig,
@@ -151,9 +151,9 @@ def _moving_scenarios(draw):
     return cfg, horizon
 
 
-def _drift(cfg, index, platform, reach):
-    """Realization ``index``'s drift path of ``platform``, drawn as far as ``reach``."""
-    return build_drift(cfg.drift, reach, stream_for(cfg.master_seed, index, f"drift/{platform}"))
+def _drift(cfg, index, platform, t):
+    """Realization ``index``'s drift displacement (dx, dz) of ``platform`` at ``t``."""
+    return drift_displacement(cfg.drift, stream_for(cfg.master_seed, index, f"drift/{platform}"), t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,8 +223,8 @@ def test_los_length_is_the_distance_between_the_drifted_platforms(case):
     for i, t in enumerate(times):
         state = geometry.evolve(cfg.geometry, cfg.intentional, t)
         for k, real in enumerate(run):
-            tx_dx, tx_dz = _drift(cfg, k, "tx", horizon).displacement(t)
-            rx_dx, rx_dz = _drift(cfg, k, "rx", horizon).displacement(t)
+            tx_dx, tx_dz = _drift(cfg, k, "tx", t)
+            rx_dx, rx_dz = _drift(cfg, k, "rx", t)
             exact = math.hypot(
                 float(state.distance) + float(rx_dx) - float(tx_dx),
                 float(state.rx_depth) + float(rx_dz) - float(state.tx_depth) - float(tx_dz),
@@ -278,20 +278,24 @@ def test_fig3_builds_for_a_minute():
 
 
 def test_still_drift_is_one_interval(monkeypatch):
-    # table1 has no drift, so evaluating it at 1e4 s must not allocate one
-    # interval per 1/change_freq seconds of the reach.
+    # table1 has no drift, so evaluating it at 1e4 s must not draw or
+    # allocate one interval per 1/change_freq seconds of the reach: it
+    # draws nothing and returns zeros shaped like the instants.
     drifts = []
 
-    def recording(*args):
-        drifts.append(build_drift(*args))
-        return drifts[-1]
+    def recording(cfg, rng, t):
+        state = rng.bit_generator.state
+        dx, dz = drift_displacement(cfg, rng, t)
+        drifts.append((rng.bit_generator.state == state, dx, dz))
+        return dx, dz
 
-    monkeypatch.setattr(channel, "build_drift", recording)
+    monkeypatch.setattr(channel, "drift_displacement", recording)
     real = build_realization(preset_scenario("table1"), 0)
     table = component_table([real], [0.0, 1e4])
     assert len(drifts) == 2  # one per platform
-    assert all(drift.speeds.size == 1 for drift in drifts)
-    assert drifts[0].displacement(1e4)[0] == 0.0
+    for untouched, dx, dz in drifts:
+        assert untouched and dx.shape == dz.shape == (2,)
+        assert not dx.any() and not dz.any()
     assert table.los_length[0, 0] == table.los_length[1, 0]
 
 
@@ -303,7 +307,7 @@ def test_horizon_geometry_is_checked_before_drift_is_drawn(monkeypatch):
         raise AssertionError("drift drawn before the instants' geometry was checked")
 
     real = build_realization(preset_scenario("fig3"), 0)
-    monkeypatch.setattr(channel, "build_drift", no_drift)
+    monkeypatch.setattr(channel, "drift_displacement", no_drift)
     with pytest.raises(geometry.GeometryError):
         component_table([real], [0.0, 1e6])
 

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import uwachan
 from uwachan import cli, presets
@@ -26,6 +28,7 @@ from uwachan.scenario import (
     SignalConfig,
     dump_scenario,
     load_scenario,
+    merge_documents,
     overlay,
     scenario_from_dict,
     scenario_to_dict,
@@ -971,3 +974,226 @@ def test_a_non_finite_sidecar_field_is_one_line_error_naming_it(tmp_path, capsys
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "sidecar field 'excess_delay.p99' would hold inf, not a finite number"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["acf", "--preset", "fig3", "--realizations", "2", "--lag-count", "1000000000000000"], None),
+        (["simulate"], {"drift": {"change_freq": 1e15}, "signal": {"time_grid": [0.0, 1.0]}}),  # the drift draw
+    ],
+    ids=["lag-axis", "drift"],
+)
+def test_an_impossible_allocation_is_one_line_error(tmp_path, capsys, argv, document):
+    # Each array would take petabytes, so numpy's request is refused at once
+    # and nothing is allocated.
+    if document is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(merge_documents(presets.preset_document("fig3"), document)))
+        argv = [*argv, "--scenario", str(path)]
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("Unable to allocate")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract over drawn command lines: exit 0 with finite numbers and a
+# strict-JSON sidecar, or exit 2 with one JSON line on stderr; never a raise
+
+# Latest instant, s, up to which each base scenario's platforms stay in the
+# water with the range open (fig3's Rx leaves the water column at 80 s,
+# fig4-time's range closes at 133 s); table1 is still, and its bound only
+# keeps the drift short (change_freq x reach <= 1e4).
+_SAFE_REACH = {"fig3": 75.0, "fig4-time": 130.0, "table1": 500.0}
+_CARRIER = {"fig3": 15000.0, "fig4-time": 15000.0, "table1": 17000.0}
+# (section, field, value) that validation must reject, whatever else is drawn.
+_BAD_FIELDS = [
+    ("clusters", "rays_per_path", 0),
+    ("clusters", "angle_spread_bottom", -0.01),
+    ("geometry", "water_depth", -5.0),
+    ("geometry", "tx_depth0", 1e3),
+    ("drift", "v_min", 5.0),
+    ("drift", "change_freq", 0.0),
+    ("power", "da_fraction", 0.7),
+    ("surface", "amplitude", -1.0),
+    ("signal", "carrier_freq", "15000"),
+    ("signal", "time_grid", []),
+    ("signal", "time_grid", [1.0, 0.5]),
+    ("signal", "freq_offsets", [-1e6]),
+    ("signal", "bogus", 1.0),
+]
+_FAULTS = {
+    "simulate": ("field", "realizations", "seed", "breach"),
+    "acf": ("field", "realizations", "seed", "jobs", "t", "f", "lag_max", "lag_count", "before_zero", "lost",
+            "below_carrier", "breach"),
+    "pdp": ("field", "seed", "t", "f", "below_carrier", "breach", "realization_mode", "realization_negative"),
+    "delay-stats": ("field", "realizations", "seed", "jobs", "t", "f", "below_carrier", "breach"),
+    "preset": ("realizations", "seed", "jobs"),
+}
+
+
+@st.composite
+def _documents(draw, base):
+    """A small scenario document on ``base``'s geometry and intentional motion."""
+    doc = presets.preset_document(base)
+    doc["realizations"] = draw(st.integers(1, 3))
+    doc["clusters"] = {
+        "max_surface_hops": draw(st.integers(1, 2)),
+        "max_bottom_hops": draw(st.integers(1, 2)),
+        "rays_per_path": draw(st.integers(1, 4)),
+        "angle_spread_surface": draw(st.floats(0.0, 0.05)),
+        "angle_spread_bottom": draw(st.floats(0.0, 0.05)),
+    }
+    v_max = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    doc["drift"] = {"v_min": draw(st.floats(0.0, v_max)), "v_max": v_max, "change_freq": draw(st.floats(0.1, 10.0))}
+    doc["surface"] = {**doc["surface"], "amplitude": draw(st.floats(0.0, 2.0)), "freq": draw(st.floats(0.0, 1.0))}
+    doc["power"] = {**doc["power"], "rice_k": draw(st.floats(0.0, 10.0))}
+    count = draw(st.integers(1, 4))
+    start = draw(st.floats(0.0, _SAFE_REACH[base] / 2))
+    step = draw(st.floats(1e-3, (_SAFE_REACH[base] - start) / 4))
+    doc["signal"] = {
+        **doc["signal"],
+        "time_grid": [start + step * i for i in range(count)],
+        "freq_offsets": draw(st.lists(st.floats(-5e3, 5e3), min_size=1, max_size=3)),
+    }
+    return doc
+
+
+@st.composite
+def _command_lines(draw):
+    """``(argv, scenario document or None, expected exit code)``.
+
+    ``argv`` holds "{scenario}" and "{out}" for the paths, and gives each
+    value as ``--flag=value``, so argparse reads "-1e-5" as a number. At most one fault
+    is drawn; a faulty line must exit 2, and a line without one, whose
+    instants stay inside the base's safe reach, must exit 0, unless its
+    offset is so far that no correlation or delay moment can be formed.
+    """
+    command = draw(st.sampled_from(sorted(_FAULTS)))
+    faults = _FAULTS[command]
+    fault = draw(st.sampled_from([None] * len(faults) + list(faults)))  # half the lines are clean
+    expect = 0 if fault is None else 2
+    flags = {}
+    if fault == "seed":
+        flags["--seed"] = draw(st.sampled_from([-1, 2**64, 2**70]))
+    elif draw(st.booleans()):
+        flags["--seed"] = draw(st.integers(0, 2**64 - 1))
+    if command in ("simulate", "acf", "delay-stats", "preset"):
+        if fault == "realizations":
+            flags["--realizations"] = draw(st.integers(-2, 0))
+        elif command == "preset" or draw(st.booleans()):
+            flags["--realizations"] = draw(st.integers(1, 3))
+    if command in ("acf", "delay-stats", "preset"):
+        flags["--jobs"] = draw(st.integers(-2, 0)) if fault == "jobs" else draw(st.integers(1, 2))
+    if command == "preset":
+        argv = ["preset", draw(st.sampled_from(PRESET_NAMES))]
+        return argv + [f"{flag}={value}" for flag, value in flags.items()] + ["--out", "{out}"], None, expect
+
+    base = draw(st.sampled_from(sorted(_SAFE_REACH)))
+    doc = draw(_documents(base))
+    if fault == "field":
+        section, key, value = draw(st.sampled_from(_BAD_FIELDS))
+        doc[section] = {**doc[section], key: value}
+    if fault == "breach":
+        if base == "table1":  # still platforms never leave the geometry
+            expect = 0
+        elif command == "simulate":
+            doc["signal"]["time_grid"] = [0.0, 200.0]
+    argv = [command, "--scenario", "{scenario}"]
+    if command != "simulate":
+        safe = _SAFE_REACH[base]
+        t = draw(st.floats(0.0, safe - 10.0))
+        # Far offsets: at 1e10 Hz every power underflows to zero, which only
+        # a profile may report; at 1e300 Hz the absorption overflows.
+        f = draw(st.sampled_from([None, None, 1e10, 1e300]))
+        if f == 1e300 or (f == 1e10 and command != "pdp"):
+            expect = 2
+        f = draw(st.floats(-5e3, 5e3)) if f is None else f
+        if fault == "t":
+            t = draw(st.one_of(st.floats(-1e3, -1e-3), st.sampled_from([math.nan, math.inf, -math.inf])))
+        elif fault == "breach":
+            t = 200.0
+        if fault == "f":
+            f = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif fault == "below_carrier":
+            f = -_CARRIER[base] - draw(st.floats(0.0, 1e4))
+        flags["--t"], flags["--f"] = t, f
+    if command == "acf":
+        lag_max = draw(st.floats(-min(t, 10.0) if math.isfinite(t) and t > 0 else 0.0, 10.0))
+        lag_max = 0.0 if abs(lag_max) < 1e-3 else lag_max  # a lag that t + lag == t would lose
+        if fault == "lag_max":
+            lag_max = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif fault == "before_zero":
+            lag_max = -t - draw(st.floats(1e-3, 5.0))
+        elif fault == "lost":
+            flags["--t"], lag_max = 1e20, draw(st.floats(1e-3, 10.0))
+        flags["--lag-max"] = lag_max
+        flags["--lag-count"] = draw(st.integers(-3, 1)) if fault == "lag_count" else draw(st.integers(2, 6))
+        flags["--estimator"] = draw(st.sampled_from(["expectation", "empirical"]))
+    if command in ("pdp", "delay-stats"):
+        flags["--mode"] = draw(st.sampled_from(["cluster", "ray"]))
+    if command == "pdp":
+        if fault == "realization_mode":
+            flags["--mode"], flags["--realization"] = "cluster", draw(st.integers(0, 5))
+        elif fault == "realization_negative":
+            flags["--mode"], flags["--realization"] = "ray", draw(st.integers(-5, -1))
+        elif flags["--mode"] == "ray" and draw(st.booleans()):
+            flags["--realization"] = draw(st.integers(0, 2**31))
+    if command == "simulate" and draw(st.booleans()):
+        argv.append("--taps")
+    if draw(st.booleans()):
+        argv.append("--meta")
+    return argv + [f"{flag}={value}" for flag, value in flags.items()] + ["--out", "{out}"], doc, expect
+
+
+def _finite_fields(csv_text: str) -> bool:
+    """Every number in a CSV body is finite; labels are not numbers."""
+    for line in csv_text.splitlines()[1:]:
+        for field in line.split(","):
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                return False
+    return True
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_command_lines())
+@example(  # every power vanishes, so the zero-lag correlation cannot normalize (an ArithmeticError)
+    case=(["acf", "--scenario", "{scenario}", "--realizations", "2", "--lag-count", "3", "--f", "1e10",
+           "--out", "{out}"], presets.preset_document("fig3"), 2)
+)
+def test_every_command_line_exits_0_with_finite_output_or_2_with_one_json_line(case):
+    argv, document, expect = case
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = os.path.join(tmp, "scenario.json"), os.path.join(tmp, "out.csv")
+        if document is not None:
+            Path(scenario).write_text(json.dumps(document))
+        argv = [arg.format(scenario=scenario, out=out) for arg in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)  # must not raise
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+            assert stdout.getvalue().startswith("wrote ")
+            assert _finite_fields(Path(out).read_text())
+            if "--meta" in argv:
+                _strict_json(Path(out + ".meta.json").read_text())
+        else:
+            assert code == 2
+            assert err.count("\n") == 1 and err.endswith("\n")
+            assert set(json.loads(err)) == {"error"}
+        assert code == expect, err

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import quadrature
 from conftest import unit_losses
 from hypothesis import given, settings, strategies as st
 
@@ -629,3 +630,24 @@ def test_unvalidated_empty_ensemble_is_rejected():
         acf(empty, 0.0, 0.0, [0.0, 0.01])
     with pytest.raises(ValueError, match="at least one realization, got 0"):
         ensemble_delay_stats(empty, mode="ray")
+
+
+def test_quadrature_nodes_follow_the_ray_sampler():
+    # The quadrature reference integrates each sub-path's ray draw over its
+    # nodes (tests/quadrature.py). On fig4-time with a surface spread a third
+    # of the bottom's, one realization of 4,000 rays per sub-path must give
+    # each sub-path's mean lag phasor within 4 of its standard errors of the
+    # reference, at lags up to 5 s.
+    cfg = overlay(
+        preset_scenario("fig4-time"),
+        {"clusters": {"angle_spread_surface": 0.01, "angle_spread_bottom": 0.03, "rays_per_path": 4000}},
+    )
+    real = build_realization(cfg, 0)
+    times = 5.0 + np.array([0.0, 0.01, 0.1, 0.5, 2.0, 5.0])
+    table = component_table([real], times)
+    f_abs = cfg.signal.carrier_freq
+    for sp, delays in zip(real.subpaths, table.delays):
+        phasors = np.exp(-1j * TAU * f_abs * (delays[:, 0] - delays[0, 0]))
+        se = np.sqrt((phasors.real.var(axis=-1, ddof=1) + phasors.imag.var(axis=-1, ddof=1)) / phasors.shape[-1])
+        reference = quadrature.subpath_phasors(cfg, sp.path, times, f_abs, 64)
+        assert np.all(np.abs(phasors.mean(axis=-1) - reference)[1:] <= 4 * se[1:]), sp.path.label
