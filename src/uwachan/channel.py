@@ -10,6 +10,7 @@ whatever instants it is evaluated at. Delays are computed once per
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from . import geometry as geo
 from . import propagation as prop
 from .motion import drift_displacement
 from .propagation import PathKind
-from .scenario import TAU, ScenarioConfig, stream_for
+from .scenario import TAU, ClusterConfig, GeometryConfig, IntentionalMotion, ScenarioConfig, stream_for
 
 __all__ = [
     "SubPath",
@@ -93,15 +94,14 @@ def build_realization(cfg: ScenarioConfig, index: int) -> ChannelRealization:
     """
     if index < 0:
         raise ValueError(f"realization index must be >= 0, got {index}")
-    state0 = geo.evolve(cfg.geometry, cfg.intentional, 0.0)
-    depth = cfg.geometry.water_depth
+    state0, specular = _build_constants(cfg.geometry, cfg.intentional, cfg.clusters)
     n_rays = cfg.clusters.rays_per_path
     subpaths = []
     resamples = 0
-    for path in geo.enumerate_paths(cfg.clusters):
-        rng = stream_for(cfg.master_seed, index, f"path/{path.label}")
+    for path, purpose, cluster in specular:
+        rng = stream_for(cfg.master_seed, index, purpose)
         sampler = geo.sample_micro_ray_sb if path.is_single_bounce else geo.sample_micro_ray_mb
-        rays, extra = sampler(geo.macro_ray(state0, depth, path), state0, cfg.clusters, rng, n_rays)
+        rays, extra = sampler(cluster, state0, cfg.clusters, rng, n_rays)
         resamples += extra
         subpaths.append(SubPath(path=path, phases=rng.uniform(0.0, TAU, n_rays), rays=rays))
     return ChannelRealization(
@@ -109,6 +109,22 @@ def build_realization(cfg: ScenarioConfig, index: int) -> ChannelRealization:
         index=index,
         subpaths=tuple(subpaths),
         resample_count=resamples,
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _build_constants(geometry: GeometryConfig, intentional: IntentionalMotion, clusters: ClusterConfig):
+    """What every build of a scenario shares, whatever its index: the
+    geometry at t = 0 and, per sub-path, ``(path, stream purpose, specular
+    geometry at t = 0)``.
+
+    Keyed on the three sections it reads, not on the whole scenario, whose
+    hash would walk its time grid at every build.
+    """
+    state0 = geo.evolve(geometry, intentional, 0.0)
+    return state0, tuple(
+        (path, f"path/{path.label}", geo.macro_ray(state0, geometry.water_depth, path))
+        for path in geo.enumerate_paths(clusters)
     )
 
 

@@ -122,10 +122,16 @@ _PRESETS = {
 }
 
 
+def _known(name, known, what: str):
+    """``name`` itself when it is one of ``known``; otherwise a ValueError listing them."""
+    if name not in known:
+        raise ValueError(f"unknown {what} {name!r}; known {what}s: {', '.join(known)}")
+    return name
+
+
 def preset_document(name: str) -> dict:
     """The scenario document of one named experiment, merged anew at each call."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
+    _known(name, PRESET_NAMES, "preset")
     return scenario.merge_documents(*_PRESETS[name])
 
 
@@ -143,9 +149,9 @@ def evaluate_curves(name: str, labels=None, cfg: scenario.ScenarioConfig | None 
     The PDP and delay-stats experiments are deterministic cluster profiles
     and run in this process.
     """
-    statistic, lags, curves = EXPERIMENTS[name]
+    statistic, lags, curves = EXPERIMENTS[_known(name, PRESET_NAMES, "preset")]
     base = preset_scenario(name) if cfg is None else cfg
-    chosen = curves if labels is None else {label: curves[label] for label in labels}
+    chosen = curves if labels is None else {_known(label, curves, f"{name} curve"): curves[label] for label in labels}
     anchors = {label: (t, scenario.overlay(base, changes)) for label, (t, changes) in chosen.items()}
     if statistic == "acf":
         plans = [stats.acf_plan(c, t, 0.0, lags) for t, c in anchors.values()]

@@ -13,7 +13,7 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import functools
 import json
 import math
 import os
@@ -289,10 +289,21 @@ def stream_for(master_seed: int, realization: int, purpose: str) -> np.random.Ge
     """
     if realization < 0:
         raise ValueError(f"realization index must be >= 0, got {realization}")
-    digest = hashlib.sha256(purpose.encode("utf-8")).digest()
-    purpose_key = int.from_bytes(digest[:8], "little")
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(realization, purpose_key))
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(realization, _purpose_key(purpose)))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+@functools.lru_cache(maxsize=1024)
+def _purpose_key(purpose: str) -> int:
+    """The spawn key of a purpose label: the first 8 bytes of the sha256 of
+    its UTF-8 text, little-endian.
+
+    hashlib is imported here, not at module level, so OpenSSL is loaded by
+    the first process that draws a stream, never by a ``--jobs`` parent.
+    """
+    import hashlib
+
+    return int.from_bytes(hashlib.sha256(purpose.encode("utf-8")).digest()[:8], "little")
 
 
 # ---------------------------------------------------------------------------

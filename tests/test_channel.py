@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uwachan import channel, geometry
+from uwachan import channel, geometry, scenario
 from uwachan.channel import (
     build_realization,
     component_table,
@@ -24,6 +24,7 @@ from uwachan.scenario import (
     ScenarioConfig,
     SignalConfig,
     SurfaceMotionConfig,
+    overlay,
     stream_for,
     validate,
 )
@@ -71,6 +72,43 @@ def test_build_is_deterministic():
     assert np.array_equal(evaluate_ctf(a).values, evaluate_ctf(b).values)
     c = build_realization(cfg, 4)
     assert not np.array_equal(a.subpaths[0].phases, c.subpaths[0].phases)
+
+
+def realization_bits(real) -> list:
+    """Every drawn value of a realization, as bytes, with its sub-path labels and resample count."""
+    return [real.resample_count] + [
+        (sp.path.label, sp.phases.tobytes(), *(field.tobytes() for field in sp.rays)) for sp in real.subpaths
+    ]
+
+
+def cold_build(cfg, index):
+    scenario._purpose_key.cache_clear()
+    channel._build_constants.cache_clear()
+    return realization_bits(build_realization(cfg, index))
+
+
+def test_a_cold_build_equals_a_warm_one():
+    cfg = preset_scenario("fig3")
+    build_realization(cfg, 3)
+    warm = realization_bits(build_realization(cfg, 3))
+    assert cold_build(cfg, 3) == warm
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"geometry": {"tx_depth0": 40.0}},
+        {"clusters": {"max_surface_hops": 1}},
+    ],
+)
+def test_the_build_cache_serves_no_stale_entry(changes):
+    # Two scenarios that differ in one cached section, built alternately: each
+    # gives its own cold-cache bits.
+    pair = [preset_scenario("fig3"), overlay(preset_scenario("fig3"), changes)]
+    cold = [cold_build(cfg, 2) for cfg in pair]
+    assert cold[0] != cold[1]
+    for i in (0, 1, 0, 1):
+        assert realization_bits(build_realization(pair[i], 2)) == cold[i]
 
 
 def test_specular_single_bounce_delay_is_macro_delay():

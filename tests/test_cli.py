@@ -896,6 +896,26 @@ def test_a_forking_command_loads_no_executor(tmp_path):
     assert out.exists()
 
 
+def test_openssl_loads_at_the_first_draw_not_at_start_up():
+    # A --jobs parent resolves the scenario and plans its curves but draws
+    # nothing; hashlib maps OpenSSL's libcrypto, which would set its peak RSS.
+    stdout = _python(
+        "import sys\n"
+        "from uwachan import cli, presets, scenario, stats\n"
+        "args = cli.build_parser().parse_args(['preset', 'fig3', '--jobs', '2', '--realizations', '16', '--out', 'x.csv'])\n"
+        "cfg = cli._resolve_scenario(args)\n"
+        "_, lags, curves = presets.EXPERIMENTS['fig3']\n"
+        "plans = [stats.acf_plan(scenario.overlay(cfg, changes), t, 0.0, lags) for t, changes in curves.values()]\n"
+        "loaded = lambda: [m for m in ('hashlib', '_hashlib', 'numpy.random') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "scenario.stream_for(1, 0, 'path/da_s1_b0')\n"
+        "print(loaded())"
+    )
+    planned, drawn = stdout.splitlines()[-2:]
+    assert planned == "[]"
+    assert "'_hashlib'" in drawn
+
+
 def test_worker_error_under_jobs_is_the_serial_error(wide_spread_file, tmp_path, capsys):
     # Under --jobs 2 the sampler gives up inside a forked worker.
     errors = []

@@ -37,7 +37,7 @@ from uwachan.channel import (
     subpath_gains,
     tap_list,
 )
-from uwachan.presets import EXPERIMENTS, evaluate_curves, preset_scenario
+from uwachan.presets import EXPERIMENTS, evaluate, evaluate_curves, preset_scenario
 from uwachan.geometry import enumerate_paths
 from uwachan.propagation import PathKind
 from uwachan.scenario import TAU, overlay, stream_for
@@ -233,6 +233,24 @@ def test_one_pass_equals_per_curve_acf(name, jobs):
         for field in ("expectation", "empirical", "expectation_stderr", "empirical_stderr"):
             assert np.array_equal(getattr(got, field), getattr(alone, field)), (label, field)
         assert got.resamples == alone.resamples
+
+
+@pytest.mark.parametrize(
+    "name, label, message",
+    [
+        ("nope", "x", "unknown preset 'nope'; known presets: fig3, fig4-time, fig4-freq, fig5, table1"),
+        ("fig3", "nope", "unknown fig3 curve 'nope'; known fig3 curves: k5_a1, k0_a1, k5_a2, k0_a2"),
+    ],
+)
+def test_an_unknown_experiment_or_curve_names_the_known_ones(name, label, message):
+    # Raised before any curve is evaluated, as preset_scenario does for a name.
+    for call in (
+        lambda: evaluate_curves(name, ("k5_a1", label), cfg=preset_scenario("fig3")),
+        lambda: evaluate(name, label),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def run_of_one(real, times, fabs):
