@@ -74,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"

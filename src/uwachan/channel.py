@@ -203,7 +203,7 @@ def subpath_gains(run: list[ChannelRealization], table: ComponentTable, freq_hz:
     shares it.
     """
     cfg = run[0].cfg
-    a_los = prop.path_gain(PathKind.LOS, table.los_length, freq_hz)
+    a_los = prop.path_gain(table.los_length, freq_hz)
     a_subs = [
         specular_gain(cfg, sp.path, cluster.distance[..., 0], cluster.incidence[..., 0], freq_hz)
         for sp, cluster in zip(run[0].subpaths, table.clusters)
@@ -213,16 +213,10 @@ def subpath_gains(run: list[ChannelRealization], table: ComponentTable, freq_hz:
 
 def specular_gain(cfg: ScenarioConfig, path: geo.PathIndex, distance, incidence, freq_hz):
     """Amplitude gain of a sub-path's specular reflection, given its unfolded
-    ``distance`` and boundary ``incidence`` arrays, at an absolute frequency."""
-    return prop.path_gain(
-        path.kind,
-        distance,
-        freq_hz,
-        incidence=incidence,
-        bottom_bounces=path.bottom_hops,
-        bottom=cfg.bottom,
-        water_sound_speed=cfg.geometry.sound_speed,
-    )
+    ``distance`` and boundary ``incidence`` arrays, at an absolute frequency.
+    The bottom reflects once per bottom hop; with none the factor is exactly 1."""
+    reflection = prop.bottom_reflection(incidence, cfg.bottom, cfg.geometry.sound_speed)
+    return prop.path_gain(distance, freq_hz, reflection**path.bottom_hops)
 
 
 def class_weight(cfg: ScenarioConfig, kind: PathKind) -> float:

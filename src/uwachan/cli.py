@@ -255,20 +255,21 @@ def _cmd_pdp(args, cfg):
     return written, fields, resamples
 
 
-def _delay_stat_block(ens: stats.EnsembleDelayStats) -> tuple:
+def _delay_stat_block(ens: stats.EnsembleDelayStats, realizations: int) -> tuple:
+    """The two moment rows, each labelled with the scenario's ``realizations``
+    (also in cluster mode, which evaluates its one profile once)."""
     return (
         _texts(["average_delay", "rms_delay_spread"]),
         _column([ens.average_mean, ens.rms_spread_mean], "ensemble_mean_s"),
         _column([ens.average_std, ens.rms_spread_std], "ensemble_std_s"),
-        _texts([str(ens.n)] * 2),
+        _texts([str(realizations)] * 2),
     )
 
 
 def _cmd_delay_stats(args, cfg):
     ens = stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs)
-    written = _write_csv(
-        args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [_delay_stat_block(ens)]
-    )
+    block = _delay_stat_block(ens, cfg.realizations)
+    written = _write_csv(args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [block])
     return written, {"t": args.t, "f": args.f, "mode": args.mode}, ens.resamples  # none in cluster mode
 
 
@@ -290,7 +291,7 @@ _PRESET_HEADERS = {
 }
 
 
-def _preset_blocks(statistic: str, results: dict) -> list:
+def _preset_blocks(statistic: str, results: dict, realizations: int) -> list:
     """One block per evaluated curve of a preset, in curve order."""
     blocks = []
     for label, result in results.items():
@@ -299,7 +300,7 @@ def _preset_blocks(statistic: str, results: dict) -> list:
         elif statistic == "pdp":
             block = _pdp_block(result)
         else:
-            blocks.append(_delay_stat_block(result))  # table1's rows carry no curve column
+            blocks.append(_delay_stat_block(result, realizations))  # table1's rows carry no curve column
             continue
         blocks.append((_repeated(_texts([label]), len(block[0])), *block))
     return blocks
@@ -308,7 +309,7 @@ def _preset_blocks(statistic: str, results: dict) -> list:
 def _cmd_preset(args, cfg):
     statistic = presets.EXPERIMENTS[args.preset][0]
     results = presets.evaluate_curves(args.preset, cfg=cfg, jobs=args.jobs)
-    written = _write_csv(args.out, _PRESET_HEADERS[statistic], _preset_blocks(statistic, results))
+    written = _write_csv(args.out, _PRESET_HEADERS[statistic], _preset_blocks(statistic, results, cfg.realizations))
     if statistic != "acf":  # fig5 and table1 are cluster-mode results: no draws, no standard error
         return written, {}, None
     max_se = {label: float(r.expectation_stderr.max()) for label, r in results.items()}

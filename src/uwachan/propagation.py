@@ -84,37 +84,11 @@ def bottom_reflection(incidence, bottom: BottomConfig, water_sound_speed: float)
     return np.where(radicand < 0.0, 1.0, sub)
 
 
-def path_gain(
-    kind: PathKind,
-    distance_m,
-    freq_hz,
-    incidence=None,
-    bottom_bounces: int = 0,
-    bottom: BottomConfig | None = None,
-    water_sound_speed: float | None = None,
-) -> np.ndarray:
-    """Amplitude gain of one path at an absolute frequency.
-
-    The product spreading x absorption x bottom factor, in that order. Every
-    diffuse ray of a reflected path carries its path's gain; the bottom
-    factor is raised to the path's bottom-contact count.
-    """
+def path_gain(distance_m, freq_hz, bottom_factor=1.0) -> np.ndarray:
+    """Amplitude gain of one path at an absolute frequency: spreading x
+    absorption x ``bottom_factor``, in that order. The bottom factor is the
+    bottom reflection raised to the path's bottom-contact count."""
     f = np.asarray(freq_hz, dtype=float)
     if (f <= 0).any():
         raise ValueError(f"absolute frequency must be > 0 Hz, got {_first(f, f <= 0)!r}")
-    spreading = spreading_loss(distance_m)
-    absorption = absorption_loss(distance_m, f / 1000.0)
-    if kind is PathKind.LOS:
-        if incidence is not None or bottom_bounces:
-            raise ValueError("a direct path has no bottom incidence or bounces")
-        bottom_factor = 1.0
-    else:
-        if bottom_bounces < 0:
-            raise ValueError(f"bottom_bounces must be >= 0, got {bottom_bounces}")
-        if bottom_bounces == 0:
-            bottom_factor = 1.0
-        else:
-            if incidence is None or bottom is None or water_sound_speed is None:
-                raise ValueError("bottom-interacting paths need incidence, bottom and water_sound_speed")
-            bottom_factor = bottom_reflection(incidence, bottom, water_sound_speed) ** bottom_bounces
-    return spreading * absorption * bottom_factor
+    return spreading_loss(distance_m) * absorption_loss(distance_m, f / 1000.0) * bottom_factor

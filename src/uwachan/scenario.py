@@ -203,6 +203,14 @@ def _meets(value, rule: str | None) -> bool:
     return value > float(bound) if op == ">" else value >= float(bound)
 
 
+def _finite(value) -> bool:
+    """Whether a number is finite as a float: an int too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _checked(name: str, kind: str, value):
     """``value`` of the dotted field ``name``, checked against its annotation
     ``kind`` and its lower bound, and stored as that type."""
@@ -214,7 +222,7 @@ def _checked(name: str, kind: str, value):
         )
         return value
     if kind == "float":
-        _require(_is_number(value) and math.isfinite(value), f"{name} must be a finite number, got {value!r}")
+        _require(_is_number(value) and _finite(value), f"{name} must be a finite number, got {value!r}")
         value = float(value)
         _require(_meets(value, rule), f"{name} must be {rule}, got {value!r}")
         return normalize_angle(value) if name in _ANGLES else value
@@ -225,7 +233,7 @@ def _checked(name: str, kind: str, value):
     )
     _require(len(value) >= 1, f"{name} must not be empty")
     for v in value:
-        _require(math.isfinite(v), f"{name} element must be a finite number, got {v!r}")
+        _require(_finite(v), f"{name} element must be a finite number, got {v!r}")
     return tuple(float(v) for v in value)
 
 

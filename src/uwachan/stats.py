@@ -370,7 +370,7 @@ def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpR
         state = geo.evolve(cfg.geometry, cfg.intentional, t)
         if cfg.power.rice_k > 0:
             d_los = geo.los_distance(state)
-            a = prop.path_gain(PathKind.LOS, d_los, f_abs)
+            a = prop.path_gain(d_los, f_abs)
             delays.append(d_los / c)
             powers.append(class_weight(cfg, PathKind.LOS) * a * a)
             labels.append("los")
@@ -459,8 +459,8 @@ def ensemble_delay_stats(
     """Delay moments of ``cfg.realizations`` realizations, summarized.
 
     ``mode`` is ``"ray"`` (each realization's ray profile) or ``"cluster"``.
-    Cluster-level profiles are deterministic functions of the scenario, so
-    that mode evaluates once and replicates.
+    The cluster profile is a deterministic function of the scenario, so that
+    mode evaluates it once: an ensemble of one, with no spread.
     """
     if mode not in ("cluster", "ray"):
         raise ValueError(f"unknown delay-stats mode {mode!r}")
@@ -469,7 +469,7 @@ def ensemble_delay_stats(
     if mode == "cluster":
         stats = delay_stats(pdp(cfg, t, f))
         return EnsembleDelayStats(
-            average=np.full(n, stats.average), rms_spread=np.full(n, stats.rms_spread), resamples=[]
+            average=np.array([stats.average]), rms_spread=np.array([stats.rms_spread]), resamples=[]
         )
     arglist = [(cfg, i, t, f) for i in range(n)]
     rows = _collect_rows(_delay_worker, arglist, jobs)

@@ -17,7 +17,7 @@ def unit_losses():
     the statistics, so patching the module attribute reaches every caller.
     """
 
-    def unit_gain(kind, distance_m, freq_hz, *args, **kwargs):
+    def unit_gain(distance_m, freq_hz, *args, **kwargs):
         return np.ones(np.broadcast(np.asarray(distance_m), np.asarray(freq_hz, dtype=float)).shape)
 
     with mock.patch.object(propagation, "path_gain", unit_gain):

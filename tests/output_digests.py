@@ -1,0 +1,67 @@
+"""Digests of the CLI's outputs, to check that a change leaves them byte-identical.
+
+Runs a fixed list of commands through ``uwachan.cli.main``, each with
+``--meta`` in a temporary directory of its own, and prints one line per
+command: the first 16 hex digits of the sha256 of its CSV, then those of its
+sidecar with the ``version`` field removed (a release changes it on purpose),
+then the command. Run it on two checkouts and diff the two listings:
+
+    PYTHONPATH=src python tests/output_digests.py > digests.txt
+
+pytest does not collect this file. The twelve commands take about a second.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+
+from uwachan import cli
+
+COMMANDS = [
+    "preset fig3 --jobs 2 --realizations 16",
+    "preset fig4-time --realizations 4",
+    "preset fig4-freq --realizations 4",
+    "preset fig5",
+    "preset table1",
+    "simulate --preset fig3 --taps --realizations 2",
+    "simulate --preset table1 --realizations 3",
+    "acf --preset fig3 --realizations 16 --estimator empirical --t 3.0",
+    "delay-stats --preset table1 --mode ray --realizations 20 --jobs 2",
+    "delay-stats --preset fig3",
+    "pdp --preset fig3 --mode ray --realization 3 --t 12.5",
+    "pdp --preset table1",
+]
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def digests(command: str) -> str:
+    """``"<csv digest>  <sidecar digest>"`` of one command, or its exit code if it failed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.csv")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*shlex.split(command), "--out", out, "--meta"])
+        if code != 0:
+            return f"exit {code}"
+        with open(out, "rb") as fh:
+            csv = fh.read()
+        with open(out + ".meta.json") as fh:
+            meta = json.load(fh)
+    meta.pop("version")
+    return f"{_digest(csv)}  {_digest(json.dumps(meta, indent=2, sort_keys=True).encode())}"
+
+
+def main() -> int:
+    for command in COMMANDS:
+        print(f"{digests(command)}  {command}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -79,7 +79,7 @@ def expectation_acf(cfg, t: float, f: float, lags, order: int = 64) -> np.ndarra
     total = np.zeros(times.size, dtype=complex)
     if cfg.power.rice_k > 0:
         los = geo.los_distance(state)
-        a = prop.path_gain(PathKind.LOS, los, f_abs)
+        a = prop.path_gain(los, f_abs)
         delay = los / cfg.geometry.sound_speed
         total += channel.class_weight(cfg, PathKind.LOS) * a * a[0] * np.exp(-1j * TAU * f_abs * (delay - delay[0]))
     for path in geo.enumerate_paths(cfg.clusters):

@@ -292,7 +292,9 @@ def test_preset_ray_lengths_change_no_faster_than_the_motion(name, horizon):
     # specular ray's do not, to first order). Over 150 random moving
     # scenarios of 10 s, every ray point between the platforms, 35 exceed
     # this bound (worst 274 times), and none at zero angle spread; so the
-    # bound is checked on the presets only.
+    # bound is checked on the presets only. Over random scenarios,
+    # test_ray_legs_move_no_faster_than_their_own_ends bounds each leg by
+    # its own ends' moves, the slide included.
     cfg = preset_scenario(name)
     motion, dt = cfg.intentional, 1e-4
     platforms = motion.tx_speed + motion.rx_speed + 2.0 * cfg.drift.v_max
@@ -304,6 +306,57 @@ def test_preset_ray_lengths_change_no_faster_than_the_motion(name, horizon):
         for sp, d0, d1 in zip(real.subpaths, now.delays, later.delays):
             rate = np.abs(d1 - d0) * cfg.geometry.sound_speed / dt
             assert rate.max() <= platforms + _surface_legs(sp.path) * surface_speed, sp.path.label
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_moving_scenarios())
+def test_ray_legs_move_no_faster_than_their_own_ends(case):
+    # Between two instants a leg's length changes by at most the distance
+    # its two ends moved (the triangle inequality, exact for a finite
+    # step). The ends are the drifted platforms and the ray's points: each
+    # point sits at its frozen fraction of its specular run, so it slides
+    # with the specular point, and a surface point also rides the surface
+    # along its travel angle. The unfolded mid leg runs between the two
+    # points, its rise taking each surface point's rise.
+    cfg, horizon = case
+    depth, surface = cfg.geometry.water_depth, cfg.surface
+    real = build_realization(cfg, 0)
+    times = np.linspace(0.0, horizon, 13)
+    t = times[:, np.newaxis]
+    state = geometry.evolve(cfg.geometry, cfg.intentional, t)
+    (tx_dx, tx_dz), (rx_dx, rx_dz) = (
+        [d[:, np.newaxis] for d in _drift(cfg, 0, platform, times)] for platform in ("tx", "rx")
+    )
+    tx, rx = (tx_dx, state.tx_depth + tx_dz), (state.distance + rx_dx, state.rx_depth + rx_dz)
+    table = component_table([real], times)
+
+    def on_boundary(boundary, x, theta):
+        if boundary is geometry.Boundary.BOTTOM:
+            return x, np.zeros_like(x)
+        shift = surface_displacement(surface, theta, t)
+        return x + shift * math.cos(surface.travel_angle), depth + shift * math.sin(surface.travel_angle)
+
+    def moved(point):
+        """How far ``point``, an (x, z) pair, moved over each step of the time axis."""
+        return np.hypot(np.diff(point[0], axis=0), np.diff(point[1], axis=0))
+
+    for sp, delays in zip(real.subpaths, table.delays):
+        path, rays = sp.path, sp.rays
+        cluster = geometry.macro_ray(state, depth, path)
+        first = on_boundary(path.first_boundary, rays.first * cluster.run_tx, rays.theta_first)
+        if path.is_single_bounce:
+            last = first
+        else:
+            last = on_boundary(path.last_boundary, state.distance - rays.last * cluster.run_rx, rays.theta_last)
+        legs = geometry.micro_ray_distances(rays, cluster, state, depth, (tx_dx, tx_dz), (rx_dx, rx_dz), surface, t)
+        # these are the legs the channel's delays are made of
+        np.testing.assert_allclose(sum(legs) / cfg.geometry.sound_speed, delays[:, 0], rtol=1e-12, atol=0.0)
+        ends = [(tx, first), (first, last), (last, rx)]
+        for name, leg, (a, b) in zip(("tx", "mid", "rx"), legs, ends):
+            if path.is_single_bounce and name == "mid":
+                continue  # the scalar 0.0
+            slack = 1e-9 * np.maximum(leg[:-1], leg[1:])
+            assert np.all(np.abs(np.diff(leg, axis=0)) <= moved(a) + moved(b) + slack), (path.label, name)
 
 
 def test_fig3_builds_for_a_minute():

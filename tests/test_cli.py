@@ -228,6 +228,26 @@ def test_non_numeric_list_element_names_the_field(tmp_path, capsys, value, overl
     assert "signal.freq_offsets" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        ("geometry", "sound_speed", 10**400, "geometry.sound_speed must be a finite number"),
+        ("signal", "time_grid", [0.0, 10**400], "signal.time_grid element must be a finite number"),
+    ],
+    ids=["scalar", "list-element"],
+)
+def test_an_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, section, field, value, message):
+    # json reads a 401-digit literal as a Python int, which no float holds
+    path = tmp_path / "huge.json"
+    data = scenario_to_dict(preset_scenario("table1"))
+    data[section][field] = value
+    path.write_text(json.dumps(data))
+    assert run(["pdp", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"{message}, got 1000")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_scalar_for_a_list_field_is_machine_readable_error(tmp_path, capsys):
     path = tmp_path / "scalar.json"
     data = scenario_to_dict(preset_scenario("table1"))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from uwachan.propagation import (
-    PathKind,
     absorption_loss,
     bottom_reflection,
     path_gain,
@@ -105,30 +104,28 @@ def test_bottom_reflection_domain():
 
 
 def test_path_gain_los_composition():
-    g = path_gain(PathKind.LOS, 2000.2249, 15000.0)
+    g = path_gain(2000.2249, 15000.0)
     assert g == pytest.approx(
         spreading_loss(2000.2249) * absorption_loss(2000.2249, 15.0), rel=1e-12
     )
 
 
 def test_path_gain_zero_bounces_has_unit_bottom_factor():
-    bottom = BottomConfig()
-    g = path_gain(PathKind.DA, 2001.2246, 15000.0, incidence=1.5358, bottom_bounces=0,
-                  bottom=bottom, water_sound_speed=1500.0)
-    assert g == pytest.approx(path_gain(PathKind.LOS, 2001.2246, 15000.0), rel=1e-12)
+    factor = bottom_reflection(1.5358, BottomConfig(), 1500.0) ** 0
+    assert factor == 1.0
+    assert path_gain(2001.2246, 15000.0, factor) == path_gain(2001.2246, 15000.0)
 
 
 def test_path_gain_two_bounces_squares_reflection():
     bottom = BottomConfig(density_ratio=1.5, sound_speed=1600.0)
     aoi = 0.7
-    g = path_gain(PathKind.UA, 2100.0, 15000.0, incidence=aoi, bottom_bounces=2,
-                  bottom=bottom, water_sound_speed=1500.0)
+    g = path_gain(2100.0, 15000.0, bottom_reflection(aoi, bottom, 1500.0) ** 2)
     free = spreading_loss(2100.0) * absorption_loss(2100.0, 15.0)
     assert g == pytest.approx(free * bottom_reflection(aoi, bottom, 1500.0) ** 2, rel=1e-12)
 
 
 def test_path_gain_decreases_with_distance():
-    totals = [path_gain(PathKind.LOS, d, 15000.0) for d in (500.0, 1000.0, 2000.0, 4000.0)]
+    totals = [path_gain(d, 15000.0) for d in (500.0, 1000.0, 2000.0, 4000.0)]
     assert all(a > b for a, b in zip(totals, totals[1:]))
 
 
@@ -138,7 +135,3 @@ def test_absorption_grows_with_frequency():
     losses = absorption_loss(d, f)
     assert np.all(np.diff(losses) < 0)
 
-
-def test_path_gain_los_rejects_bottom_arguments():
-    with pytest.raises(ValueError):
-        path_gain(PathKind.LOS, 100.0, 15000.0, incidence=0.3)

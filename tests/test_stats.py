@@ -34,12 +34,13 @@ from uwachan.channel import (
     build_realization,
     component_table,
     evaluate_ctf,
+    specular_gain,
     subpath_gains,
     tap_list,
 )
 from uwachan.presets import EXPERIMENTS, evaluate, evaluate_curves, preset_scenario
-from uwachan.geometry import enumerate_paths
-from uwachan.propagation import PathKind
+from uwachan.geometry import enumerate_paths, evolve, los_distance, macro_ray
+from uwachan.propagation import PathKind, path_gain
 from uwachan.scenario import TAU, overlay, stream_for
 
 
@@ -546,33 +547,26 @@ def test_pdp_powers_are_quadratic_in_gain():
     plain = pdp(cfg, 0.0, 0.0)
     with unit_losses():
         unit = pdp(cfg, 0.0, 0.0)
-    from uwachan.propagation import PathKind, path_gain
-    from uwachan.geometry import enumerate_paths, evolve, los_distance, macro_ray
-
     state = evolve(cfg.geometry, cfg.intentional, 0.0)
-    gains = {"los": path_gain(PathKind.LOS, los_distance(state), cfg.signal.carrier_freq)}
+    f_abs = cfg.signal.carrier_freq
+    gains = {"los": path_gain(los_distance(state), f_abs)}
     for path in enumerate_paths(cfg.clusters):
         cluster = macro_ray(state, cfg.geometry.water_depth, path)
-        gains[path.label] = path_gain(
-            path.kind,
-            cluster.distance,
-            cfg.signal.carrier_freq,
-            incidence=cluster.incidence,
-            bottom_bounces=path.bottom_hops,
-            bottom=cfg.bottom,
-            water_sound_speed=cfg.geometry.sound_speed,
-        )
+        gains[path.label] = specular_gain(cfg, path, cluster.distance, cluster.incidence, f_abs)
     for label, p_real, p_unit in zip(plain.labels, plain.powers, unit.powers):
         assert p_real == pytest.approx(p_unit * gains[label] ** 2, rel=1e-12)
 
 
 def test_ensemble_delay_stats_cluster_mode_is_degenerate():
+    # the cluster profile is deterministic: one evaluation, whatever the ensemble size
     ens = ensemble_delay_stats(scenario(realizations=7))
-    assert ens.n == 7
-    assert ens.average_std == pytest.approx(0.0, abs=1e-15)
-    assert ens.rms_spread_std == pytest.approx(0.0, abs=1e-15)
+    assert ens.n == 1
+    assert ens.resamples == []
+    assert ens.average_std == 0.0
+    assert ens.rms_spread_std == 0.0
     single = delay_stats(pdp(scenario(), 0.0, 0.0))
-    assert ens.average_mean == pytest.approx(single.average, rel=1e-15)
+    assert ens.average_mean == single.average
+    assert ens.rms_spread_mean == single.rms_spread
 
 
 def test_ensemble_delay_stats_ray_mode_varies():
