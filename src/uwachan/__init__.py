@@ -65,6 +65,7 @@ from .stats import (
     CorrelationResult,
     DelayStats,
     EnsembleDelayStats,
+    Estimate,
     PdpResult,
     acf,
     acf_plan,
@@ -74,4 +75,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"

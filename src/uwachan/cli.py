@@ -211,6 +211,46 @@ def _cmd_simulate(args, cfg):
     return written, {"realizations": n, "taps": bool(args.taps)}, resamples
 
 
+# Each statistic's CSV columns, in order, for its own command and for `preset`.
+_COLUMNS = {
+    "acf": ["lag_s", "abs", "re", "im"],
+    "pdp": ["delay_s", "power", "label"],
+    "delay-stats": ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"],
+}
+
+
+def _block(statistic: str, *columns) -> tuple:
+    """A block of ``statistic``'s rows from its columns in ``_COLUMNS`` order: a list
+    of strings is written as text, any other column as numbers checked finite."""
+    return tuple(
+        _texts(values) if isinstance(values, list) else _column(values, name)
+        for values, name in zip(columns, _COLUMNS[statistic])
+    )
+
+
+def _acf_block(lags, estimate: stats.Estimate) -> tuple:
+    return _block("acf", lags, estimate.norm, estimate.values.real, estimate.values.imag)
+
+
+def _pdp_block(profile: stats.PdpResult) -> tuple:
+    return _block("pdp", profile.delays, profile.powers, profile.labels)
+
+
+def _delay_stat_block(ens: stats.EnsembleDelayStats, realizations: int) -> tuple:
+    """The two moment rows, each labelled with the scenario's ``realizations``
+    (also in cluster mode, which evaluates its one profile once)."""
+    means, stds = (ens.average_mean, ens.rms_spread_mean), (ens.average_std, ens.rms_spread_std)
+    return _block("delay-stats", ["average_delay", "rms_delay_spread"], means, stds, [str(realizations)] * 2)
+
+
+# A preset curve's rows, by statistic: (result, the scenario's realizations) -> block.
+_BLOCKS = {
+    "acf": lambda result, _: _acf_block(result.lags_t, result.expectation),
+    "pdp": lambda result, _: _pdp_block(result),
+    "delay-stats": _delay_stat_block,
+}
+
+
 def _acf_lags(args) -> np.ndarray:
     if args.lag_count < 2:
         raise CliError("--lag-count must be >= 2")
@@ -219,25 +259,14 @@ def _acf_lags(args) -> np.ndarray:
     return np.linspace(0.0, args.lag_max, args.lag_count)
 
 
-def _acf_block(lags, norm, values) -> tuple:
-    return _column(lags, "lag_s"), _column(norm, "abs"), _column(values.real, "re"), _column(values.imag, "im")
-
-
 def _cmd_acf(args, cfg):
     lags = _acf_lags(args)
     result = stats.acf(cfg, args.t, args.f, lags, jobs=args.jobs)
-    if args.estimator == "empirical":
-        norm, values, se = result.empirical_norm, result.empirical, result.empirical_stderr
-    else:
-        norm, values, se = result.expectation_norm, result.expectation, result.expectation_stderr
-    block = (*_acf_block(result.lags_t, norm, values), _column(se, "se"))
-    written = _write_csv(args.out, ["lag_s", "abs", "re", "im", "se"], [block])
-    fields = {"t": args.t, "f": args.f, "estimator": args.estimator, "max_se": float(se.max())}
+    estimate = getattr(result, args.estimator)
+    block = (*_acf_block(result.lags_t, estimate), _column(estimate.stderr, "se"))
+    written = _write_csv(args.out, [*_COLUMNS["acf"], "se"], [block])
+    fields = {"t": args.t, "f": args.f, "estimator": args.estimator, "max_se": float(estimate.stderr.max())}
     return written, fields, result.resamples
-
-
-def _pdp_block(profile: stats.PdpResult) -> tuple:
-    return _column(profile.delays, "delay_s"), _column(profile.powers, "power"), _texts(profile.labels)
 
 
 def _cmd_pdp(args, cfg):
@@ -249,27 +278,16 @@ def _cmd_pdp(args, cfg):
         source = build_realization(cfg, fields["realization"])
         resamples = [source.resample_count]
     profile = stats.pdp(source, args.t, args.f)
-    written = _write_csv(args.out, ["delay_s", "power", "label"], [_pdp_block(profile)])
+    written = _write_csv(args.out, _COLUMNS["pdp"], [_pdp_block(profile)])
     p50, p99 = np.percentile(profile.delays, [50, 99])
     fields["excess_delay"] = {"p50": float(p50), "p99": float(p99), "max": float(profile.delays.max())}
     return written, fields, resamples
 
 
-def _delay_stat_block(ens: stats.EnsembleDelayStats, realizations: int) -> tuple:
-    """The two moment rows, each labelled with the scenario's ``realizations``
-    (also in cluster mode, which evaluates its one profile once)."""
-    return (
-        _texts(["average_delay", "rms_delay_spread"]),
-        _column([ens.average_mean, ens.rms_spread_mean], "ensemble_mean_s"),
-        _column([ens.average_std, ens.rms_spread_std], "ensemble_std_s"),
-        _texts([str(realizations)] * 2),
-    )
-
-
 def _cmd_delay_stats(args, cfg):
     ens = stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs)
     block = _delay_stat_block(ens, cfg.realizations)
-    written = _write_csv(args.out, ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"], [block])
+    written = _write_csv(args.out, _COLUMNS["delay-stats"], [block])
     return written, {"t": args.t, "f": args.f, "mode": args.mode}, ens.resamples  # none in cluster mode
 
 
@@ -284,35 +302,17 @@ def _cmd_validate() -> int:
     return 0 if all(check[3] for check in checks) else 1
 
 
-_PRESET_HEADERS = {
-    "acf": ["curve", "lag_s", "abs", "re", "im"],
-    "pdp": ["curve", "delay_s", "power", "label"],
-    "delay-stats": ["metric", "ensemble_mean_s", "ensemble_std_s", "realizations"],
-}
-
-
-def _preset_blocks(statistic: str, results: dict, realizations: int) -> list:
-    """One block per evaluated curve of a preset, in curve order."""
-    blocks = []
-    for label, result in results.items():
-        if statistic == "acf":
-            block = _acf_block(result.lags_t, result.expectation_norm, result.expectation)
-        elif statistic == "pdp":
-            block = _pdp_block(result)
-        else:
-            blocks.append(_delay_stat_block(result, realizations))  # table1's rows carry no curve column
-            continue
-        blocks.append((_repeated(_texts([label]), len(block[0])), *block))
-    return blocks
-
-
 def _cmd_preset(args, cfg):
     statistic = presets.EXPERIMENTS[args.preset][0]
     results = presets.evaluate_curves(args.preset, cfg=cfg, jobs=args.jobs)
-    written = _write_csv(args.out, _PRESET_HEADERS[statistic], _preset_blocks(statistic, results, cfg.realizations))
+    header, blocks = _COLUMNS[statistic], [_BLOCKS[statistic](r, cfg.realizations) for r in results.values()]
+    if len(results) > 1:  # a curve column tells the curves apart
+        header = ["curve", *header]
+        blocks = [(_repeated(_texts([label]), len(b[0])), *b) for label, b in zip(results, blocks)]
+    written = _write_csv(args.out, header, blocks)
     if statistic != "acf":  # fig5 and table1 are cluster-mode results: no draws, no standard error
         return written, {}, None
-    max_se = {label: float(r.expectation_stderr.max()) for label, r in results.items()}
+    max_se = {label: float(r.expectation.stderr.max()) for label, r in results.items()}
     return written, {"max_se": max_se}, [n for r in results.values() for n in r.resamples]
 
 
@@ -351,8 +351,9 @@ def _run(args) -> int:
     written, fields, resamples = args.func(args, cfg)
     command, hint = args.command, _PLOT_HINTS.get(args.command)
     if command == "preset":
-        command, statistic = f"preset {args.preset}", presets.EXPERIMENTS[args.preset][0]
-        rows = "group rows by 'curve'" if _PRESET_HEADERS[statistic][0] == "curve" else _PLOT_HINTS[statistic]
+        statistic, _, curves = presets.EXPERIMENTS[args.preset]
+        command = f"preset {args.preset}"
+        rows = "group rows by 'curve'" if len(curves) > 1 else _PLOT_HINTS[statistic]
         hint = f"{command}; {rows}"
     if args.meta:
         if resamples:

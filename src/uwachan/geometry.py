@@ -185,12 +185,8 @@ class ClusterGeometry:
 def macro_ray(state: GeometryState, water_depth: float, path: PathIndex) -> ClusterGeometry:
     """Image-method distance, incidence angle and outer horizontal runs of a sub-path."""
     h_t, h_r, dist = state.tx_depth, state.rx_depth, state.distance
-    if path.kind is PathKind.DA:
-        tx_sign = 1.0 if path.surface_hops == path.bottom_hops else -1.0
-        vertical = 2.0 * path.surface_hops * water_depth + tx_sign * h_t - h_r
-    else:
-        tx_sign = -1.0 if path.surface_hops == path.bottom_hops else 1.0
-        vertical = 2.0 * path.surface_hops * water_depth + tx_sign * h_t + h_r
+    sign = {Boundary.BOTTOM: 1.0, Boundary.SURFACE: -1.0}  # of a platform's height, by the boundary beside it
+    vertical = 2.0 * path.surface_hops * water_depth + sign[path.first_boundary] * h_t + sign[path.last_boundary] * h_r
     if (vertical <= 0).any():
         raise GeometryError(f"non-positive unfolded vertical extent for {path.label}")
     distance = np.hypot(dist, vertical)

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import reprlib
 import tempfile
 from dataclasses import dataclass, replace
 
@@ -191,7 +192,10 @@ _LOWER_BOUNDS = {
     "bottom.sound_speed": "> 0",
     "signal.carrier_freq": "> 0",
     "realizations": ">= 1",
+    "master_seed": ">= 0",
 }
+# An int field lies below 2**63, as a numpy dimension does; the seed below 2**64.
+_INT_BITS = {"master_seed": 64}
 # Angles, stored normalized onto [0, 2*pi).
 _ANGLES = {"intentional.tx_heading", "intentional.rx_heading", "surface.travel_angle"}
 
@@ -213,27 +217,29 @@ def _finite(value) -> bool:
 
 def _checked(name: str, kind: str, value):
     """``value`` of the dotted field ``name``, checked against its annotation
-    ``kind`` and its lower bound, and stored as that type."""
+    ``kind`` and its bounds, and stored as that type; an error abbreviates it."""
     rule = _LOWER_BOUNDS.get(name)
     if kind == "int":
         _require(
             isinstance(value, int) and not isinstance(value, bool) and _meets(value, rule),
-            f"{name} must be an int{' ' + rule if rule else ''}, got {value!r}",
+            f"{name} must be an int{' ' + rule if rule else ''}, got {reprlib.repr(value)}",
         )
+        bits = _INT_BITS.get(name, 63)
+        _require(value < 2**bits, f"{name} must be < 2**{bits}, got {reprlib.repr(value)}")
         return value
     if kind == "float":
-        _require(_is_number(value) and _finite(value), f"{name} must be a finite number, got {value!r}")
+        _require(_is_number(value) and _finite(value), f"{name} must be a finite number, got {reprlib.repr(value)}")
         value = float(value)
         _require(_meets(value, rule), f"{name} must be {rule}, got {value!r}")
         return normalize_angle(value) if name in _ANGLES else value
     # a tuple of floats
     _require(
         isinstance(value, (list, tuple)) and all(map(_is_number, value)),
-        f"{name} must be a list of numbers, got {value!r}",
+        f"{name} must be a list of numbers, got {reprlib.repr(value)}",
     )
     _require(len(value) >= 1, f"{name} must not be empty")
     for v in value:
-        _require(_finite(v), f"{name} element must be a finite number, got {v!r}")
+        _require(_finite(v), f"{name} element must be a finite number, got {reprlib.repr(v)}")
     return tuple(float(v) for v in value)
 
 
@@ -285,7 +291,6 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
             bool(np.all(np.abs(steps - steps[0]) <= tol)),
             f"time_grid must have a constant step, got steps {steps.tolist()}",
         )
-    _require(0 <= cfg.master_seed < 2**64, f"master_seed must be an integer in [0, 2**64), got {cfg.master_seed!r}")
     return cfg
 
 

@@ -39,6 +39,7 @@ from .propagation import PathKind
 from .scenario import TAU, ScenarioConfig, stream_for
 
 __all__ = [
+    "Estimate",
     "CorrelationResult",
     "CorrelationPlan",
     "acf",
@@ -55,21 +56,25 @@ __all__ = [
 
 
 @dataclass(eq=False)
+class Estimate:
+    """One estimator's ensemble correlation over a lag axis."""
+
+    values: np.ndarray  # (L,) complex, raw ensemble values
+    zero: complex  # R(0), the anchor against itself
+    norm: np.ndarray  # |R| / |R(0)|
+    stderr: np.ndarray  # SE of the complex mean, / |R(0)|
+
+
+@dataclass(eq=False)
 class CorrelationResult:
-    """Correlation values over a lag axis at one (t, f) anchor."""
+    """Correlation values over a lag axis at one (t, f) anchor, by both estimators."""
 
     anchor_t: float
     anchor_f: float
     lags_t: np.ndarray
     n_realizations: int
-    expectation: np.ndarray  # (L,) complex, raw ensemble values
-    empirical: np.ndarray  # (L,) complex
-    expectation_zero: complex
-    empirical_zero: complex
-    expectation_norm: np.ndarray  # |R| / |R(0)|
-    empirical_norm: np.ndarray
-    expectation_stderr: np.ndarray  # SE of the complex mean, / |R(0)|
-    empirical_stderr: np.ndarray
+    expectation: Estimate
+    empirical: Estimate
     resamples: list[int]  # ray draws rejected while building each realization
 
 
@@ -249,37 +254,28 @@ class CorrelationPlan:
     tasks: list  # _corr_realization arguments, one per run, in realization-index order
 
 
+def _estimate(rows: np.ndarray) -> Estimate:
+    """The ensemble mean of ``rows`` (one row per realization, column 0 the
+    zero lag), normalized by its zero lag."""
+    n, mean = len(rows), rows.mean(axis=0)
+    se = np.zeros(rows.shape[1])
+    if n > 1:
+        se = np.sqrt((rows.real.var(axis=0, ddof=1) + rows.imag.var(axis=0, ddof=1)) / n)
+    zero = abs(mean[0])
+    if zero == 0.0:
+        raise ArithmeticError("zero-lag correlation vanished; cannot normalize")
+    return Estimate(values=mean[1:], zero=complex(mean[0]), norm=np.abs(mean[1:]) / zero, stderr=se[1:] / zero)
+
+
 def _reduce(plan: CorrelationPlan, rows: list) -> CorrelationResult:
     exp_rows = np.concatenate([r[0] for r in rows])
-    emp_rows = np.concatenate([r[1] for r in rows])
-    n = len(exp_rows)
-    r_exp = exp_rows.mean(axis=0)
-    r_emp = emp_rows.mean(axis=0)
-
-    def stderr(block):
-        if n < 2:
-            return np.zeros(block.shape[1])
-        return np.sqrt((block.real.var(axis=0, ddof=1) + block.imag.var(axis=0, ddof=1)) / n)
-
-    se_exp = stderr(exp_rows)
-    se_emp = stderr(emp_rows)
-    z_exp = abs(r_exp[0])
-    z_emp = abs(r_emp[0])
-    if z_exp == 0.0 or z_emp == 0.0:
-        raise ArithmeticError("zero-lag correlation vanished; cannot normalize")
     return CorrelationResult(
         anchor_t=plan.anchor_t,
         anchor_f=plan.anchor_f,
         lags_t=plan.lags_t,
-        n_realizations=n,
-        expectation=r_exp[1:],
-        empirical=r_emp[1:],
-        expectation_zero=complex(r_exp[0]),
-        empirical_zero=complex(r_emp[0]),
-        expectation_norm=np.abs(r_exp[1:]) / z_exp,
-        empirical_norm=np.abs(r_emp[1:]) / z_emp,
-        expectation_stderr=se_exp[1:] / z_exp,
-        empirical_stderr=se_emp[1:] / z_emp,
+        n_realizations=len(exp_rows),
+        expectation=_estimate(exp_rows),
+        empirical=_estimate(np.concatenate([r[1] for r in rows])),
         resamples=[count for r in rows for count in r[2]],
     )
 

@@ -1,14 +1,16 @@
 """Digests of the CLI's outputs, to check that a change leaves them byte-identical.
 
 Runs a fixed list of commands through ``uwachan.cli.main``, each with
-``--meta`` in a temporary directory of its own, and prints one line per
-command: the first 16 hex digits of the sha256 of its CSV, then those of its
-sidecar with the ``version`` field removed (a release changes it on purpose),
-then the command. Run it on two checkouts and diff the two listings:
+``--meta`` and ``--plot-script`` in a temporary directory of its own, and
+prints one line per command: the first 16 hex digits of the sha256 of its
+CSV, then those of its sidecar with the ``version`` field removed (a release
+changes it on purpose), then those of its plot companion with the CSV's
+temporary path on its ``# data:`` line replaced by a fixed placeholder, then
+the command. Run it on two checkouts and diff the two listings:
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
-pytest does not collect this file. The twelve commands take about a second.
+pytest does not collect this file. The thirteen commands take about a second.
 """
 import contextlib
 import hashlib
@@ -29,6 +31,7 @@ COMMANDS = [
     "preset table1",
     "simulate --preset fig3 --taps --realizations 2",
     "simulate --preset table1 --realizations 3",
+    "acf --preset fig3 --realizations 16",
     "acf --preset fig3 --realizations 16 --estimator empirical --t 3.0",
     "delay-stats --preset table1 --mode ray --realizations 20 --jobs 2",
     "delay-stats --preset fig3",
@@ -42,19 +45,22 @@ def _digest(data: bytes) -> str:
 
 
 def digests(command: str) -> str:
-    """``"<csv digest>  <sidecar digest>"`` of one command, or its exit code if it failed."""
+    """``"<csv digest>  <sidecar digest>  <plot digest>"`` of one command, or
+    its exit code if it failed."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out.csv")
+        out, plot = os.path.join(tmp, "out.csv"), os.path.join(tmp, "plot.txt")
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*shlex.split(command), "--out", out, "--meta"])
+            code = cli.main([*shlex.split(command), "--out", out, "--meta", "--plot-script", plot])
         if code != 0:
             return f"exit {code}"
         with open(out, "rb") as fh:
             csv = fh.read()
         with open(out + ".meta.json") as fh:
             meta = json.load(fh)
+        with open(plot, "rb") as fh:
+            hint = fh.read().replace(f"# data: {out}\n".encode(), b"# data: <out>\n")
     meta.pop("version")
-    return f"{_digest(csv)}  {_digest(json.dumps(meta, indent=2, sort_keys=True).encode())}"
+    return f"{_digest(csv)}  {_digest(json.dumps(meta, indent=2, sort_keys=True).encode())}  {_digest(hint)}"
 
 
 def main() -> int:

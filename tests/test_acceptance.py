@@ -92,8 +92,8 @@ def test_criterion_2_direct_component_and_amplitude_ordering(fig3_curves):
     k5, k0, a2 = fig3_curves["k5_a1"], fig3_curves["k0_a1"], fig3_curves["k5_a2"]
 
     def worst_margin(hi, lo):
-        se = np.sqrt(hi.expectation_stderr**2 + lo.expectation_stderr**2)
-        return worst_margins((hi.expectation_norm - lo.expectation_norm + 3 * se)[1:], se[1:])
+        se = np.sqrt(hi.expectation.stderr**2 + lo.expectation.stderr**2)
+        return worst_margins((hi.expectation.norm - lo.expectation.norm + 3 * se)[1:], se[1:])
 
     (m_rice, se_rice), (m_amp, se_amp) = worst_margin(k5, k0), worst_margin(k5, a2)
     report(
@@ -105,13 +105,13 @@ def test_criterion_2_direct_component_and_amplitude_ordering(fig3_curves):
 
 
 def first_crossing(result, level=0.5):
-    below = np.nonzero(result.expectation_norm < level)[0]
+    below = np.nonzero(result.expectation.norm < level)[0]
     return float(result.lags_t[below[0]]) if below.size else math.inf
 
 
 def test_criterion_3_anchor_and_carrier_nonstationarity(fig4_curves):
-    gap = float(np.abs(fig4_curves["t0"].expectation_norm - fig4_curves["t5"].expectation_norm).max())
-    gap_emp = float(np.abs(fig4_curves["t0"].empirical_norm - fig4_curves["t5"].empirical_norm).max())
+    gap = float(np.abs(fig4_curves["t0"].expectation.norm - fig4_curves["t5"].expectation.norm).max())
+    gap_emp = float(np.abs(fig4_curves["t0"].empirical.norm - fig4_curves["t5"].empirical.norm).max())
     c15 = first_crossing(fig4_curves["t0"])
     c100 = first_crossing(fig4_curves["fc100000"])
     report(
@@ -135,8 +135,8 @@ def test_expectation_acf_matches_its_quadrature_reference(fig4_curves):
         reference = quadrature.expectation_acf(cfg, t, 0.0, lags, order=64)
         coarse = quadrature.expectation_acf(cfg, t, 0.0, lags, order=32)
         moved = max(moved, float(np.abs(reference - coarse).max()))
-        se = result.expectation_stderr[nonzero]
-        margins.append(worst_margins(3 * se - np.abs(result.expectation_norm - reference)[nonzero], se)[1])
+        se = result.expectation.stderr[nonzero]
+        margins.append(worst_margins(3 * se - np.abs(result.expectation.norm - reference)[nonzero], se)[1])
     report(
         "expectation ACF against its quadrature reference (3-SE margin)",
         min(margins) >= 0.0 and moved < 1e-3,
@@ -158,10 +158,10 @@ def test_criterion_4_first_arrival_dominates_profiles():
 
 def test_criterion_5_estimator_cross_validation(fig4_curves):
     r = fig4_curves["t0"]
-    gaps = np.abs(r.expectation_norm - r.empirical_norm)
+    gaps = np.abs(r.expectation.norm - r.empirical.norm)
     gap = float(gaps.max())
     # in units of the two estimators' standard errors combined as if independent
-    _, margin_se = worst_margins(0.05 - gaps, np.hypot(r.expectation_stderr, r.empirical_stderr))
+    _, margin_se = worst_margins(0.05 - gaps, np.hypot(r.expectation.stderr, r.empirical.stderr))
     report(
         "criterion 5 (expectation vs empirical ACF within 0.05)",
         gap <= 0.05,
@@ -196,7 +196,7 @@ def test_criterion_7_power_normalization():
     mean = powers.mean()
     se = powers.std(ddof=1) / math.sqrt(n)
     z = (mean - 1.0) / se
-    unit_zero = zero_lag.expectation_norm[0] == 1.0 and zero_lag.empirical_norm[0] == 1.0
+    unit_zero = zero_lag.expectation.norm[0] == 1.0 and zero_lag.empirical.norm[0] == 1.0
     report(
         "criterion 7 (unit-loss power normalization)",
         abs(z) <= 3.0 and unit_zero,

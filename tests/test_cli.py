@@ -179,6 +179,24 @@ def test_preset_table1_writes_ensemble_moments(tmp_path):
     assert rms == pytest.approx(2.399e-3, rel=0.05)
 
 
+def test_a_preset_of_two_delay_stats_curves_writes_a_curve_column(tmp_path, monkeypatch):
+    # table1 has one curve and so no curve column; a second curve adds one
+    monkeypatch.setitem(EXPERIMENTS, "table1", ("delay-stats", None, {"t0": (0.0, {}), "t1": (1.0, {})}))
+    out, script = tmp_path / "x.csv", tmp_path / "plot.txt"
+    assert run(["preset", "table1", "--out", str(out), "--plot-script", str(script)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "curve,metric,ensemble_mean_s,ensemble_std_s,realizations"
+    # each curve's rows are the delay-stats command's at its anchor
+    for label, t in (("t0", "0"), ("t1", "1")):
+        single = tmp_path / f"{label}.csv"
+        assert run(["delay-stats", "--preset", "table1", "--t", t, "--out", str(single)]) == 0
+        assert [line for line in lines[1:] if line.startswith(f"{label},")] == [
+            f"{label},{row}" for row in single.read_text().splitlines()[1:]
+        ]
+    assert len(lines) == 1 + 2 * 2
+    assert "group rows by 'curve'" in script.read_text()
+
+
 def test_validate_gate_passes(capsys):
     assert run(["validate"]) == 0
     out = capsys.readouterr().out
@@ -246,6 +264,41 @@ def test_an_integer_too_large_for_a_float_names_its_field(tmp_path, capsys, sect
     error = json.loads(capsys.readouterr().err)["error"]
     assert error.startswith(f"{message}, got 1000")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("via", ["file", "flag"])
+def test_an_int_field_of_2_to_the_63_or_more_names_its_field(tmp_path, capsys, via):
+    # numpy sizes arrays by these counts: unchecked, 10**400 rays per path
+    # reached it and failed with an error that named no field
+    if via == "file":
+        path = tmp_path / "huge.json"
+        data = scenario_to_dict(preset_scenario("table1"))
+        data["clusters"]["rays_per_path"] = 10**400
+        path.write_text(json.dumps(data))
+        argv = ["pdp", "--mode", "ray", "--scenario", str(path)]
+        message = "clusters.rays_per_path must be < 2**63, got 100000000000000000...0000000000000000000"
+    else:  # table1's cluster moments only write the count
+        argv = ["preset", "table1", "--realizations", str(2**63)]
+        message = "realizations must be < 2**63, got 9223372036854775808"
+    assert run([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": message}
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("geometry", "sound_speed", int("1" * 400)), ("signal", "freq_offsets", ["x"] * 1000)],
+    ids=["number", "list"],
+)
+def test_a_rejected_value_is_echoed_abbreviated(tmp_path, capsys, section, field, value):
+    path = tmp_path / "long.json"
+    data = scenario_to_dict(preset_scenario("table1"))
+    data[section][field] = value
+    path.write_text(json.dumps(data))
+    assert run(["pdp", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    line = capsys.readouterr().err
+    assert json.loads(line)["error"].startswith(f"{section}.{field} must be ")
+    assert "..." in line and len(line) < 120
 
 
 def test_scalar_for_a_list_field_is_machine_readable_error(tmp_path, capsys):
@@ -844,7 +897,7 @@ def test_ensemble_meta_reports_resamples(tmp_path, argv):
         assert meta["max_se"] == max(se) > 0.0
     elif argv[0] == "preset":
         curves = presets.evaluate_curves("fig3", cfg=overlay(cfg, {"realizations": 2}))
-        assert meta["max_se"] == {label: float(r.expectation_stderr.max()) for label, r in curves.items()}
+        assert meta["max_se"] == {label: float(r.expectation.stderr.max()) for label, r in curves.items()}
     else:
         assert "max_se" not in meta
 

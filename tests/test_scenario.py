@@ -263,6 +263,16 @@ def test_a_refused_field_value_exits_2_naming_the_field(tmp_path, capsys, dotted
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "dotted", ["clusters.max_surface_hops", "clusters.max_bottom_hops", "clusters.rays_per_path", "realizations"]
+)
+def test_an_int_field_lies_below_2_to_the_63(dotted):
+    # numpy sizes arrays by these counts, and its dimensions are 64-bit signed
+    scenario_from_dict(_refusing_document(dotted, 2**63 - 1))
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(dotted)} must be < 2\*\*63, got 9223372036854775808$"):
+        scenario_from_dict(_refusing_document(dotted, 2**63))
+
+
 def test_a_missing_required_key_is_an_error_naming_it():
     data = scenario_to_dict(validate(survey_config()))
     del data["geometry"]["water_depth"]

@@ -72,33 +72,33 @@ def moving_scenario(**overrides) -> ScenarioConfig:
 
 def test_zero_lag_normalizes_to_exactly_one():
     result = acf(moving_scenario(realizations=12), 0.0, 0.0, [0.0, 0.01, 0.02])
-    assert result.expectation_norm[0] == 1.0
-    assert result.empirical_norm[0] == 1.0
+    assert result.expectation.norm[0] == 1.0
+    assert result.empirical.norm[0] == 1.0
 
 
 def test_static_direct_only_channel_never_decorrelates():
     cfg = scenario(power=PowerConfig(rice_k=1e12), realizations=8)
     result = acf(cfg, 0.0, 0.0, np.linspace(0.0, 0.5, 6))
-    assert np.allclose(result.expectation_norm, 1.0, atol=1e-12)
-    assert np.allclose(result.empirical_norm, 1.0, atol=1e-9)
+    assert np.allclose(result.expectation.norm, 1.0, atol=1e-12)
+    assert np.allclose(result.empirical.norm, 1.0, atol=1e-9)
 
 
 def test_static_channel_correlation_equals_zero_lag():
     cfg = scenario(realizations=10)  # nothing moves at all
     result = acf(cfg, 0.0, 0.0, np.linspace(0.0, 1.0, 5))
-    assert np.allclose(result.expectation, result.expectation_zero, rtol=0, atol=1e-18)
-    assert np.allclose(result.expectation_norm, 1.0, atol=1e-12)
+    assert np.allclose(result.expectation.values, result.expectation.zero, rtol=0, atol=1e-18)
+    assert np.allclose(result.expectation.norm, 1.0, atol=1e-12)
 
 
 def test_moving_channel_correlation_bounded_by_zero_lag():
     result = acf(moving_scenario(realizations=60), 0.0, 0.0, np.linspace(0.0, 0.2, 9))
-    assert np.all(result.expectation_norm <= 1.0 + 1e-9)
-    assert np.all(result.empirical_norm <= 1.0 + 1e-9)
+    assert np.all(result.expectation.norm <= 1.0 + 1e-9)
+    assert np.all(result.empirical.norm <= 1.0 + 1e-9)
 
 
 def test_acf_decays_under_motion():
     result = acf(moving_scenario(power=PowerConfig(rice_k=0.0), realizations=80), 0.0, 0.0, [0.0, 0.1])
-    assert result.expectation_norm[1] < 0.9
+    assert result.expectation.norm[1] < 0.9
 
 
 def test_phase_draws_reduce_estimator_gap():
@@ -106,11 +106,11 @@ def test_phase_draws_reduce_estimator_gap():
     lags = np.linspace(0.0, 0.1, 6)
     plain = acf(cfg, 0.0, 0.0, lags, phase_draws=1)
     refined = acf(cfg, 0.0, 0.0, lags, phase_draws=12)
-    gap_plain = np.abs(plain.expectation_norm - plain.empirical_norm).max()
-    gap_refined = np.abs(refined.expectation_norm - refined.empirical_norm).max()
+    gap_plain = np.abs(plain.expectation.norm - plain.empirical.norm).max()
+    gap_refined = np.abs(refined.expectation.norm - refined.empirical.norm).max()
     assert gap_refined < gap_plain
     # expectation side is untouched by the stratification
-    assert np.array_equal(plain.expectation, refined.expectation)
+    assert np.array_equal(plain.expectation.values, refined.expectation.values)
 
 
 def test_monte_carlo_error_shrinks_like_root_n():
@@ -126,7 +126,7 @@ def test_monte_carlo_error_shrinks_like_root_n():
         for n in (16, 32)
         for s in range(trials)
     ]
-    values = [abs(r.expectation[0]) for r in stats.correlate(plans, jobs=min(2, os.cpu_count() or 1))]
+    values = [abs(r.expectation.values[0]) for r in stats.correlate(plans, jobs=min(2, os.cpu_count() or 1))]
     ratio = np.std(values[:trials], ddof=1) / np.std(values[trials:], ddof=1)
     assert math.sqrt(2) * 0.8 <= ratio <= math.sqrt(2) * 1.2
 
@@ -136,8 +136,8 @@ def test_jobs_do_not_change_results():
     lags = np.linspace(0.0, 0.05, 4)
     serial = acf(cfg, 0.0, 0.0, lags, jobs=1)
     parallel = acf(cfg, 0.0, 0.0, lags, jobs=2)
-    assert np.array_equal(serial.expectation, parallel.expectation)
-    assert np.array_equal(serial.empirical, parallel.empirical)
+    assert np.array_equal(serial.expectation.values, parallel.expectation.values)
+    assert np.array_equal(serial.empirical.values, parallel.empirical.values)
 
 
 def _no_child_left():
@@ -199,7 +199,7 @@ def test_pool_is_no_larger_than_the_task_list(recording_pool):
     lags = np.linspace(0.0, 0.01, stats._RUN_ELEMENTS // cfg.clusters.rays_per_path)
     pooled = acf(cfg, 0.0, 0.0, lags, jobs=64)
     assert recording_pool == [3]
-    assert np.array_equal(pooled.expectation, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation)
+    assert np.array_equal(pooled.expectation.values, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation.values)
     acf(cfg, 0.0, 0.0, [0.0, 0.01], jobs=64)  # all three fit one run: one task runs in-process
     acf(dataclasses.replace(cfg, realizations=1), 0.0, 0.0, lags, jobs=64)  # so does one realization
     ensemble_delay_stats(dataclasses.replace(cfg, realizations=2), mode="ray", jobs=8)
@@ -231,8 +231,10 @@ def test_one_pass_equals_per_curve_acf(name, jobs):
     for label, (t, changes) in curves.items():
         alone = acf(overlay(preset_scenario(name), {**changes, "realizations": 3}), t, 0.0, lags)
         got = together[label]
-        for field in ("expectation", "empirical", "expectation_stderr", "empirical_stderr"):
-            assert np.array_equal(getattr(got, field), getattr(alone, field)), (label, field)
+        for estimator in ("expectation", "empirical"):
+            mine, theirs = getattr(got, estimator), getattr(alone, estimator)
+            for field in ("values", "stderr"):
+                assert np.array_equal(getattr(mine, field), getattr(theirs, field)), (label, estimator, field)
         assert got.resamples == alone.resamples
 
 
@@ -584,8 +586,8 @@ def test_statistics_ignore_the_simulate_grid():
     long = overlay(short, {"signal": {"time_grid": [0.0, 1.5, 3.0]}})
     lags = np.linspace(0.0, 0.1, 21)
     a, b = acf(short, 0.0, 0.0, lags), acf(long, 0.0, 0.0, lags)
-    assert np.array_equal(a.expectation, b.expectation)
-    assert np.array_equal(a.empirical, b.empirical)
+    assert np.array_equal(a.expectation.values, b.expectation.values)
+    assert np.array_equal(a.empirical.values, b.empirical.values)
     a, b = (ensemble_delay_stats(overlay(cfg, {"realizations": 3}), mode="ray") for cfg in (short, long))
     assert np.array_equal(a.average, b.average)
     assert np.array_equal(a.rms_spread, b.rms_spread)
@@ -599,8 +601,10 @@ def test_acf_does_not_depend_on_how_far_it_reaches():
     cfg = overlay(preset_scenario("fig3"), {"realizations": 16})
     lags = np.arange(19) * 0.1
     short, long = acf(cfg, 0.0, 0.0, lags[:10]), acf(cfg, 0.0, 0.0, lags)
-    for field in ("expectation", "empirical", "expectation_stderr", "empirical_stderr"):
-        assert np.array_equal(getattr(short, field), getattr(long, field)[:10]), field
+    for estimator in ("expectation", "empirical"):
+        mine, theirs = getattr(short, estimator), getattr(long, estimator)
+        for field in ("values", "stderr"):
+            assert np.array_equal(getattr(mine, field), getattr(theirs, field)[:10]), (estimator, field)
     assert short.resamples == long.resamples
 
 
