@@ -25,6 +25,7 @@ from .geometry import (
     GeometryError,
     GeometryState,
     PathIndex,
+    PathKind,
     RayDraws,
     enumerate_paths,
     evolve,
@@ -37,7 +38,6 @@ from .geometry import (
 from .motion import drift_displacement, surface_displacement
 from .presets import PRESET_NAMES, preset_scenario
 from .propagation import (
-    PathKind,
     absorption_loss,
     bottom_reflection,
     path_gain,
@@ -64,7 +64,6 @@ from .stats import (
     CorrelationPlan,
     CorrelationResult,
     DelayStats,
-    EnsembleDelayStats,
     Estimate,
     PdpResult,
     acf,
@@ -75,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import geometry as geo
 from . import propagation as prop
+from .geometry import PathKind
 from .motion import drift_displacement
-from .propagation import PathKind
 from .scenario import TAU, ClusterConfig, GeometryConfig, IntentionalMotion, ScenarioConfig, stream_for
 
 __all__ = [

@@ -236,11 +236,11 @@ def _pdp_block(profile: stats.PdpResult) -> tuple:
     return _block("pdp", profile.delays, profile.powers, profile.labels)
 
 
-def _delay_stat_block(ens: stats.EnsembleDelayStats, realizations: int) -> tuple:
-    """The two moment rows, each labelled with the scenario's ``realizations``
-    (also in cluster mode, which evaluates its one profile once)."""
-    means, stds = (ens.average_mean, ens.rms_spread_mean), (ens.average_std, ens.rms_spread_std)
-    return _block("delay-stats", ["average_delay", "rms_delay_spread"], means, stds, [str(realizations)] * 2)
+def _delay_stat_block(moments: stats.DelayStats, realizations: int) -> tuple:
+    """One row per moment, each labelled with the scenario's ``realizations``
+    (also for a cluster profile, which is evaluated once)."""
+    metrics, means, stds = zip(*moments.summary())
+    return _block("delay-stats", list(metrics), means, stds, [str(realizations)] * len(metrics))
 
 
 # A preset curve's rows, by statistic: (result, the scenario's realizations) -> block.
@@ -285,10 +285,12 @@ def _cmd_pdp(args, cfg):
 
 
 def _cmd_delay_stats(args, cfg):
-    ens = stats.ensemble_delay_stats(cfg, args.t, args.f, args.mode, jobs=args.jobs)
-    block = _delay_stat_block(ens, cfg.realizations)
-    written = _write_csv(args.out, _COLUMNS["delay-stats"], [block])
-    return written, {"t": args.t, "f": args.f, "mode": args.mode}, ens.resamples  # none in cluster mode
+    if args.mode == "ray":  # each realization's ray profile
+        moments = stats.ensemble_delay_stats(cfg, args.t, args.f, jobs=args.jobs)
+    else:  # the scenario's one cluster profile
+        moments = stats.delay_stats(stats.pdp(cfg, args.t, args.f))
+    written = _write_csv(args.out, _COLUMNS["delay-stats"], [_delay_stat_block(moments, cfg.realizations)])
+    return written, {"t": args.t, "f": args.f, "mode": args.mode}, moments.resamples  # none for a cluster profile
 
 
 def _cmd_validate() -> int:

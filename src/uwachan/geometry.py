@@ -22,11 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .motion import surface_displacement
-from .propagation import PathKind
 from .scenario import TAU, ClusterConfig, GeometryConfig, IntentionalMotion, SurfaceMotionConfig
 
 __all__ = [
     "GeometryError",
+    "PathKind",
     "Boundary",
     "PathIndex",
     "enumerate_paths",
@@ -48,6 +48,14 @@ MAX_TRIES = 1000
 
 class GeometryError(ValueError):
     """The requested geometry is outside the model's valid domain."""
+
+
+class PathKind(Enum):
+    """Propagation class of a path: direct, last bounce above, or below."""
+
+    LOS = "los"
+    DA = "da"  # downward arrival: final reflection at the surface
+    UA = "ua"  # upward arrival: final reflection at the bottom
 
 
 class Boundary(Enum):

@@ -7,6 +7,7 @@ time given their random draws.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -25,7 +26,9 @@ def drift_displacement(drift: DriftConfig, rng: np.random.Generator, t) -> tuple
     one, each drawing its (speed, bearing) pair from ``rng`` in turn, speed
     ~ U[v_min, v_max] and bearing ~ U[0, 2*pi). So a later instant extends
     the same path. The displacement is the path's exact integral, zero at
-    t = 0. A still drift (``v_max`` 0) draws nothing.
+    t = 0. A still drift (``v_max`` 0) draws nothing. A path of more
+    intervals than a numpy array can hold is a ValueError naming
+    ``drift.change_freq``.
     """
     tt = np.asarray(t, dtype=float)
     bad = ~(np.isfinite(tt) & (tt >= 0.0))
@@ -34,8 +37,17 @@ def drift_displacement(drift: DriftConfig, rng: np.random.Generator, t) -> tuple
     if drift.v_max == 0.0:
         return np.zeros_like(tt), np.zeros_like(tt)
     interval = 1.0 / drift.change_freq
-    n = max(1, math.ceil(float(tt.max(initial=0.0)) / interval))
-    speed, bearing = rng.uniform((drift.v_min, 0.0), (drift.v_max, TAU), (n, 2)).T.copy()
+    reach = float(tt.max(initial=0.0))
+    count = reach / interval  # the intervals the path must cover
+    try:
+        n = max(1, math.ceil(count))
+        speed, bearing = rng.uniform((drift.v_min, 0.0), (drift.v_max, TAU), (n, 2)).T.copy()
+    except (OverflowError, ValueError) as exc:  # a count past any float or array size numpy can hold
+        shown = reprlib.repr(math.ceil(count) if math.isfinite(count) else count)
+        raise ValueError(
+            f"drift.change_freq={drift.change_freq!r} Hz needs {shown} velocity intervals "
+            f"to reach t={reach!r} s, more than a numpy array can hold"
+        ) from exc
     # An instant on an interval boundary belongs to the interval it ends, so
     # a path drawn to reach t never reads the interval starting at t.
     k = np.clip(np.ceil(tt / interval).astype(int) - 1, 0, n - 1)

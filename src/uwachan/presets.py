@@ -156,9 +156,8 @@ def evaluate_curves(name: str, labels=None, cfg: scenario.ScenarioConfig | None 
     if statistic == "acf":
         plans = [stats.acf_plan(c, t, 0.0, lags) for t, c in anchors.values()]
         return dict(zip(anchors, stats.correlate(plans, jobs)))
-    if statistic == "pdp":
-        return {label: stats.pdp(c, t, 0.0) for label, (t, c) in anchors.items()}
-    return {label: stats.ensemble_delay_stats(c, t, 0.0) for label, (t, c) in anchors.items()}
+    profiles = {label: stats.pdp(c, t, 0.0) for label, (t, c) in anchors.items()}
+    return profiles if statistic == "pdp" else {label: stats.delay_stats(p) for label, p in profiles.items()}
 
 
 def evaluate(name: str, label: str, cfg: scenario.ScenarioConfig | None = None, jobs: int = 1):
@@ -166,11 +165,11 @@ def evaluate(name: str, label: str, cfg: scenario.ScenarioConfig | None = None, 
     return evaluate_curves(name, (label,), cfg, jobs)[label]
 
 
-def table1_check(ens: stats.EnsembleDelayStats) -> list[tuple[str, float, float, bool]]:
-    """``(metric, value, target, passed)`` for each delay moment against ``TABLE1_TARGETS``."""
+def table1_check(moments: stats.DelayStats) -> list[tuple[str, float, float, bool]]:
+    """``(metric, mean, target, passed)`` for each delay moment against ``TABLE1_TARGETS``."""
     tol = TABLE1_TARGETS["tolerance"]
     rows = []
-    for metric, value in (("average_delay", ens.average_mean), ("rms_delay_spread", ens.rms_spread_mean)):
+    for metric, mean, _ in moments.summary():
         target = TABLE1_TARGETS[metric]
-        rows.append((metric, value, target, abs(value - target) <= tol * target))
+        rows.append((metric, mean, target, abs(mean - target) <= tol * target))
     return rows

@@ -8,28 +8,18 @@ everything else Hz.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .scenario import BottomConfig
 
 __all__ = [
-    "PathKind",
     "thorp_attenuation",
     "absorption_loss",
     "spreading_loss",
     "bottom_reflection",
     "path_gain",
 ]
-
-
-class PathKind(Enum):
-    """Propagation class of a path: direct, last bounce above, or below."""
-
-    LOS = "los"
-    DA = "da"  # downward arrival: final reflection at the surface
-    UA = "ua"  # upward arrival: final reflection at the bottom
 
 
 def _first(values: np.ndarray, bad: np.ndarray) -> float:

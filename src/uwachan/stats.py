@@ -35,7 +35,7 @@ from .channel import (
     subpath_gains,
     tap_list,
 )
-from .propagation import PathKind
+from .geometry import PathKind
 from .scenario import TAU, ScenarioConfig, stream_for
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "pdp",
     "DelayStats",
     "delay_stats",
-    "EnsembleDelayStats",
     "ensemble_delay_stats",
 ]
 
@@ -391,86 +390,55 @@ def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpR
     )
 
 
-@dataclass(frozen=True)
-class DelayStats:
-    """First moment and centered second moment of a delay profile."""
-
-    average: float  # s, relative to the profile's first arrival
-    rms_spread: float  # s
-
-
-def delay_stats(profile: PdpResult) -> DelayStats:
-    """Power-weighted average delay and RMS delay spread of a profile."""
-    total = profile.powers.sum()
-    if profile.powers.size == 0 or total <= 0.0:
-        raise ValueError("delay statistics need at least one impulse with positive power")
-    mu = float((profile.delays * profile.powers).sum() / total)
-    var = float((((profile.delays - mu) ** 2) * profile.powers).sum() / total)
-    return DelayStats(average=mu, rms_spread=math.sqrt(max(var, 0.0)))
-
-
 @dataclass(eq=False)
-class EnsembleDelayStats:
-    """Per-realization delay moments and their ensemble summary."""
+class DelayStats:
+    """Power-weighted delay moments, one entry per profile: a single profile's
+    or an ensemble's, one profile per realization."""
 
-    average: np.ndarray  # (n,) s
+    average: np.ndarray  # (n,) s, each relative to its profile's first arrival
     rms_spread: np.ndarray  # (n,) s
-    resamples: list[int]  # ray draws rejected per built realization; none in cluster mode
+    resamples: list[int]  # ray draws rejected building each realization; none for delay_stats
 
     @property
     def n(self) -> int:
         return self.average.size
 
-    @property
-    def average_mean(self) -> float:
-        return float(self.average.mean())
+    def summary(self) -> list[tuple[str, float, float]]:
+        """``(metric, mean, std)`` for each moment; the std of a single profile is 0.0."""
+        moments = (("average_delay", self.average), ("rms_delay_spread", self.rms_spread))
+        return [
+            (metric, float(values.mean()), float(values.std(ddof=1)) if self.n > 1 else 0.0)
+            for metric, values in moments
+        ]
 
-    @property
-    def average_std(self) -> float:
-        return float(self.average.std(ddof=1)) if self.n > 1 else 0.0
 
-    @property
-    def rms_spread_mean(self) -> float:
-        return float(self.rms_spread.mean())
-
-    @property
-    def rms_spread_std(self) -> float:
-        return float(self.rms_spread.std(ddof=1)) if self.n > 1 else 0.0
+def delay_stats(profile: PdpResult) -> DelayStats:
+    """Power-weighted average delay and RMS delay spread of one profile."""
+    total = profile.powers.sum()
+    if profile.powers.size == 0 or total <= 0.0:
+        raise ValueError("delay statistics need at least one impulse with positive power")
+    mu = float((profile.delays * profile.powers).sum() / total)
+    var = float((((profile.delays - mu) ** 2) * profile.powers).sum() / total)
+    return DelayStats(average=np.array([mu]), rms_spread=np.array([math.sqrt(max(var, 0.0))]), resamples=[])
 
 
 def _delay_worker(args):
     cfg, index, t, f = args
     real = build_realization(cfg, index)
-    stats = delay_stats(pdp(real, t, f))
-    return stats.average, stats.rms_spread, real.resample_count
+    return delay_stats(pdp(real, t, f)), real.resample_count
 
 
-def ensemble_delay_stats(
-    cfg: ScenarioConfig,
-    t: float = 0.0,
-    f: float = 0.0,
-    mode: str = "cluster",
-    jobs: int = 1,
-) -> EnsembleDelayStats:
-    """Delay moments of ``cfg.realizations`` realizations, summarized.
+def ensemble_delay_stats(cfg: ScenarioConfig, t: float = 0.0, f: float = 0.0, jobs: int = 1) -> DelayStats:
+    """Delay moments of the ray profiles of ``cfg.realizations`` realizations.
 
-    ``mode`` is ``"ray"`` (each realization's ray profile) or ``"cluster"``.
-    The cluster profile is a deterministic function of the scenario, so that
-    mode evaluates it once: an ensemble of one, with no spread.
+    A scenario's cluster profile is deterministic: its moments are
+    ``delay_stats(pdp(cfg, t, f))``.
     """
-    if mode not in ("cluster", "ray"):
-        raise ValueError(f"unknown delay-stats mode {mode!r}")
     n = _ensemble_size(cfg)
     check_anchor(t, f)
-    if mode == "cluster":
-        stats = delay_stats(pdp(cfg, t, f))
-        return EnsembleDelayStats(
-            average=np.array([stats.average]), rms_spread=np.array([stats.rms_spread]), resamples=[]
-        )
-    arglist = [(cfg, i, t, f) for i in range(n)]
-    rows = _collect_rows(_delay_worker, arglist, jobs)
-    return EnsembleDelayStats(
-        average=np.array([r[0] for r in rows]),
-        rms_spread=np.array([r[1] for r in rows]),
-        resamples=[r[2] for r in rows],
+    rows = _collect_rows(_delay_worker, [(cfg, i, t, f) for i in range(n)], jobs)
+    return DelayStats(
+        average=np.concatenate([moments.average for moments, _ in rows]),
+        rms_spread=np.concatenate([moments.rms_spread for moments, _ in rows]),
+        resamples=[count for _, count in rows],
     )

@@ -6,11 +6,13 @@ prints one line per command: the first 16 hex digits of the sha256 of its
 CSV, then those of its sidecar with the ``version`` field removed (a release
 changes it on purpose), then those of its plot companion with the CSV's
 temporary path on its ``# data:`` line replaced by a fixed placeholder, then
-the command. Run it on two checkouts and diff the two listings:
+the command. A last line digests ``validate``: its stdout and its exit code.
+Run it on two checkouts and diff the two listings:
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
-pytest does not collect this file. The thirteen commands take about a second.
+pytest does not collect this file. The fourteen commands and ``validate``
+take about a second.
 """
 import contextlib
 import hashlib
@@ -35,6 +37,7 @@ COMMANDS = [
     "acf --preset fig3 --realizations 16 --estimator empirical --t 3.0",
     "delay-stats --preset table1 --mode ray --realizations 20 --jobs 2",
     "delay-stats --preset fig3",
+    "delay-stats --preset table1 --realizations 7",
     "pdp --preset fig3 --mode ray --realization 3 --t 12.5",
     "pdp --preset table1",
 ]
@@ -63,9 +66,18 @@ def digests(command: str) -> str:
     return f"{_digest(csv)}  {_digest(json.dumps(meta, indent=2, sort_keys=True).encode())}  {_digest(hint)}"
 
 
+def validate_digest() -> str:
+    """``"<stdout digest>  exit <code>"`` of the ``validate`` command."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["validate"])
+    return f"{_digest(stdout.getvalue().encode())}  exit {code}"
+
+
 def main() -> int:
     for command in COMMANDS:
         print(f"{digests(command)}  {command}", flush=True)
+    print(f"{validate_digest()}  validate", flush=True)
     return 0
 
 

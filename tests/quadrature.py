@@ -16,7 +16,7 @@ import numpy as np
 from uwachan import channel
 from uwachan import geometry as geo
 from uwachan import propagation as prop
-from uwachan.propagation import PathKind
+from uwachan.geometry import PathKind
 from uwachan.scenario import TAU
 
 

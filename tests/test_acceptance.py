@@ -67,7 +67,7 @@ def test_ray_mode_table1_delay_medians():
     # 2.661 ms at seed 1, 500 realizations), so the median is the typical
     # realization. Gate: medians within 25% of the measurement.
     cfg = overlay(preset_scenario("table1"), {"realizations": REALIZATIONS})
-    ens = uc.ensemble_delay_stats(cfg, mode="ray", jobs=JOBS)
+    ens = uc.ensemble_delay_stats(cfg, jobs=JOBS)
     rows = [
         (metric, float(np.median(values)), float(values.mean()), TABLE1_TARGETS[metric])
         for metric, values in (("average_delay", ens.average), ("rms_delay_spread", ens.rms_spread))

@@ -13,7 +13,7 @@ from uwachan.channel import (
     tap_list,
 )
 from uwachan.presets import preset_scenario
-from uwachan.propagation import PathKind
+from uwachan.geometry import PathKind
 from uwachan.motion import drift_displacement, surface_displacement
 from uwachan.scenario import (
     ClusterConfig,

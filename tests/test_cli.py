@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import uwachan
-from uwachan import cli, presets
+from uwachan import cli, presets, stats
 from uwachan.channel import build_realization, evaluate_ctf, tap_list
 from uwachan.presets import EXPERIMENTS, PRESET_NAMES, preset_scenario
 from uwachan.scenario import (
@@ -1089,6 +1089,31 @@ def test_an_impossible_allocation_is_one_line_error(tmp_path, capsys, argv, docu
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"].startswith("Unable to allocate")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["acf", "--realizations", "1", "--lag-count", "2"],
+        ["simulate", "--realizations", "1"],
+        ["acf", "--realizations", "2", "--lag-count", "2", "--jobs", "2"],
+    ],
+    ids=["acf", "simulate", "acf-jobs2"],
+)
+def test_a_drift_path_too_long_to_draw_names_its_field(tmp_path, capsys, monkeypatch, argv):
+    # 1e299 velocity intervals to reach 0.1 s: more than any numpy array can
+    # hold, so numpy refuses the shape before it allocates anything
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(merge_documents(presets.preset_document("fig3"), {"drift": {"change_freq": 1e300}})))
+    monkeypatch.setattr(stats, "_RUN_ELEMENTS", 1)  # a run per realization: with --jobs 2 each is forked
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--preset", "fig3", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error.startswith("drift.change_freq=1e+300 Hz needs 100000")
+    assert "..." in error and error.endswith("velocity intervals to reach t=0.1 s, more than a numpy array can hold")
     assert not out.exists()
 
 

@@ -7,6 +7,7 @@ from uwachan.geometry import (
     Boundary,
     GeometryError,
     PathIndex,
+    PathKind,
     RayDraws,
     enumerate_paths,
     evolve,
@@ -16,7 +17,6 @@ from uwachan.geometry import (
     sample_micro_ray_mb,
     sample_micro_ray_sb,
 )
-from uwachan.propagation import PathKind
 from uwachan.scenario import (
     ClusterConfig,
     GeometryConfig,

@@ -152,3 +152,11 @@ def test_surface_displacement_periodicity():
         a = surface_displacement(cfg, 0.7, t)
         b = surface_displacement(cfg, 0.7, t + 1.0 / cfg.freq)
         assert abs(a - b) <= 1e-12
+
+
+def test_a_path_past_any_float_count_names_change_freq():
+    # 1e10 s at 1e300 changes a second overflows the interval count itself
+    drift = DriftConfig(v_min=0.1, v_max=0.2, change_freq=1e300)
+    message = r"^drift.change_freq=1e\+300 Hz needs inf velocity intervals to reach t=10000000000.0 s"
+    with pytest.raises(ValueError, match=message):
+        drift_displacement(drift, rng(), [0.0, 1.0e10])

@@ -39,8 +39,8 @@ from uwachan.channel import (
     tap_list,
 )
 from uwachan.presets import EXPERIMENTS, evaluate, evaluate_curves, preset_scenario
-from uwachan.geometry import enumerate_paths, evolve, los_distance, macro_ray
-from uwachan.propagation import PathKind, path_gain
+from uwachan.geometry import PathKind, enumerate_paths, evolve, los_distance, macro_ray
+from uwachan.propagation import path_gain
 from uwachan.scenario import TAU, overlay, stream_for
 
 
@@ -202,7 +202,7 @@ def test_pool_is_no_larger_than_the_task_list(recording_pool):
     assert np.array_equal(pooled.expectation.values, acf(cfg, 0.0, 0.0, lags, jobs=1).expectation.values)
     acf(cfg, 0.0, 0.0, [0.0, 0.01], jobs=64)  # all three fit one run: one task runs in-process
     acf(dataclasses.replace(cfg, realizations=1), 0.0, 0.0, lags, jobs=64)  # so does one realization
-    ensemble_delay_stats(dataclasses.replace(cfg, realizations=2), mode="ray", jobs=8)
+    ensemble_delay_stats(dataclasses.replace(cfg, realizations=2), jobs=8)
     assert recording_pool == [3, 2]
 
 
@@ -561,21 +561,21 @@ def test_pdp_powers_are_quadratic_in_gain():
 
 def test_ensemble_delay_stats_cluster_mode_is_degenerate():
     # the cluster profile is deterministic: one evaluation, whatever the ensemble size
-    ens = ensemble_delay_stats(scenario(realizations=7))
+    ens = delay_stats(pdp(scenario(realizations=7), 0.0, 0.0))
     assert ens.n == 1
     assert ens.resamples == []
-    assert ens.average_std == 0.0
-    assert ens.rms_spread_std == 0.0
     single = delay_stats(pdp(scenario(), 0.0, 0.0))
-    assert ens.average_mean == single.average
-    assert ens.rms_spread_mean == single.rms_spread
+    assert ens.summary() == [
+        ("average_delay", single.average[0], 0.0),
+        ("rms_delay_spread", single.rms_spread[0], 0.0),
+    ]
 
 
 def test_ensemble_delay_stats_ray_mode_varies():
     cfg = scenario(master_seed=9, realizations=4)
-    ens = ensemble_delay_stats(cfg, mode="ray")
+    ens = ensemble_delay_stats(cfg)
     assert ens.n == 4
-    assert ens.rms_spread_std > 0.0
+    assert {metric: std for metric, _, std in ens.summary()}["rms_delay_spread"] > 0.0
 
 
 def test_statistics_ignore_the_simulate_grid():
@@ -588,7 +588,7 @@ def test_statistics_ignore_the_simulate_grid():
     a, b = acf(short, 0.0, 0.0, lags), acf(long, 0.0, 0.0, lags)
     assert np.array_equal(a.expectation.values, b.expectation.values)
     assert np.array_equal(a.empirical.values, b.empirical.values)
-    a, b = (ensemble_delay_stats(overlay(cfg, {"realizations": 3}), mode="ray") for cfg in (short, long))
+    a, b = (ensemble_delay_stats(overlay(cfg, {"realizations": 3})) for cfg in (short, long))
     assert np.array_equal(a.average, b.average)
     assert np.array_equal(a.rms_spread, b.rms_spread)
     assert a.resamples == b.resamples
@@ -624,19 +624,10 @@ def test_ray_mode_equals_cluster_mode_at_the_cluster_limit(name):
     cfg = overlay(preset_scenario(name), limit)
     anchors = {"table1": (0.0,), "fig4-time": (0.0, 10.0, 60.0), "fig3": (0.0, 10.0)}[name]
     for t in anchors:
-        ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), t, mode="ray")
-        cluster = ensemble_delay_stats(overlay(cfg, {"realizations": 1}), t, mode="cluster")
-        np.testing.assert_allclose(ray.average, cluster.average_mean, rtol=1e-11, atol=0.0)
-        np.testing.assert_allclose(ray.rms_spread, cluster.rms_spread_mean, rtol=1e-11, atol=0.0)
-
-
-def test_unknown_delay_stats_mode_is_rejected_before_any_build(monkeypatch):
-    def no_build(*args, **kwargs):
-        raise AssertionError("built a realization for an unknown mode")
-
-    monkeypatch.setattr(stats, "build_realization", no_build)
-    with pytest.raises(ValueError, match="unknown delay-stats mode 'bogus'"):
-        ensemble_delay_stats(scenario(realizations=2), mode="bogus")
+        ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), t)
+        cluster = delay_stats(pdp(cfg, t, 0.0))
+        np.testing.assert_allclose(ray.average, cluster.average[0], rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(ray.rms_spread, cluster.rms_spread[0], rtol=1e-11, atol=0.0)
 
 
 def test_unvalidated_empty_ensemble_is_rejected():
@@ -645,7 +636,7 @@ def test_unvalidated_empty_ensemble_is_rejected():
     with pytest.raises(ValueError, match="at least one realization, got 0"):
         acf(empty, 0.0, 0.0, [0.0, 0.01])
     with pytest.raises(ValueError, match="at least one realization, got 0"):
-        ensemble_delay_stats(empty, mode="ray")
+        ensemble_delay_stats(empty)
 
 
 def test_quadrature_nodes_follow_the_ray_sampler():
@@ -667,3 +658,23 @@ def test_quadrature_nodes_follow_the_ray_sampler():
         se = np.sqrt((phasors.real.var(axis=-1, ddof=1) + phasors.imag.var(axis=-1, ddof=1)) / phasors.shape[-1])
         reference = quadrature.subpath_phasors(cfg, sp.path, times, f_abs, 64)
         assert np.all(np.abs(phasors.mean(axis=-1) - reference)[1:] <= 4 * se[1:]), sp.path.label
+
+
+def test_receiver_speed_orders_the_drift_free_acf():
+    # One of the abstract's motion factors, with no Monte Carlo: on fig3 with
+    # no direct path, no drift and a still surface, a faster receiver moves
+    # every delay further in 20 ms, so the expectation ACF at t = 0 falls
+    # further. fig3's own receiver speed is 1 m/s. The quadrature reference
+    # at 32 nodes per angle bounds its own error against 64.
+    base = overlay(
+        preset_scenario("fig3"),
+        {"power": {"rice_k": 0.0}, "surface": {"amplitude": 0.0}, "drift": {"v_min": 0.0, "v_max": 0.0}},
+    )
+    acfs, errors = [], []
+    for speed in (0.0, 1.0, 5.0):
+        cfg = overlay(base, {"intentional": {"rx_speed": speed}})
+        fine, coarse = (float(quadrature.expectation_acf(cfg, 0.0, 0.0, [0.02], order)[0]) for order in (64, 32))
+        acfs.append(fine)
+        errors.append(abs(fine - coarse))
+    gaps = -np.diff(acfs)
+    assert np.all(gaps >= 10 * max(errors)), (acfs, errors)
