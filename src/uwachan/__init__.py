@@ -74,4 +74,4 @@ from .stats import (
     pdp,
 )
 
-__version__ = "9.0.0"
+__version__ = "9.1.0"

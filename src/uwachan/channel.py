@@ -234,14 +234,10 @@ def class_weight(cfg: ScenarioConfig, kind: PathKind) -> float:
     return cfg.power.ua_fraction / (2.0 * cfg.clusters.max_bottom_hops * (k + 1.0))
 
 
-def _rays_in(cfg: ScenarioConfig, kind: PathKind) -> int:
-    """Rays in one component; the direct path counts as one."""
-    return 1 if kind is PathKind.LOS else cfg.clusters.rays_per_path
-
-
 def ray_weight(cfg: ScenarioConfig, kind: PathKind) -> float:
-    """Amplitude weight of one ray of a component: sqrt(power weight / rays)."""
-    return math.sqrt(class_weight(cfg, kind) / _rays_in(cfg, kind))
+    """Amplitude weight of one ray of a component: sqrt(power weight / rays),
+    where the direct path counts as one ray."""
+    return math.sqrt(class_weight(cfg, kind) / (1 if kind is PathKind.LOS else cfg.clusters.rays_per_path))
 
 
 def ctf_values(real: ChannelRealization, table: ComponentTable, freq_offset: float) -> np.ndarray:
@@ -267,8 +263,6 @@ def evaluate_ctf(real: ChannelRealization, times=None) -> CtfFrame:
     values = np.empty((table.times.size, freqs.size), dtype=complex)
     for fi, f in enumerate(freqs):
         values[:, fi] = ctf_values(real, table, f)
-    if not np.all(np.isfinite(values.view(float))):
-        raise ArithmeticError("CTF evaluation produced non-finite samples")
     return CtfFrame(
         times=table.times,
         freq_offsets=freqs,
@@ -286,31 +280,24 @@ def tap_list(real: ChannelRealization, times, freq_offsets) -> Taps:
     """
     cfg = real.cfg
     table = component_table([real], times)
-    los_delay = table.los_delay[:, 0]
-    delays = [d[:, 0] for d in table.delays]
     f_abs = cfg.signal.carrier_freq + np.atleast_1d(np.asarray(freq_offsets, dtype=float))
     n_rays = cfg.clusters.rays_per_path
-    # Columns are evaluated per component (direct, then each sub-path) and
-    # repeated out to one per tap; the direct column is dropped when K = 0.
-    kinds = [PathKind.LOS] + [sp.path.kind for sp in real.subpaths]
-    per_tap = [_rays_in(cfg, kind) for kind in kinds]
-    amp_weights = np.repeat([ray_weight(cfg, kind) for kind in kinds], per_tap)
-    power_weights = np.repeat([class_weight(cfg, kind) / n for kind, n in zip(kinds, per_tap)], per_tap)
-    labels = ["los"] + [f"{sp.path.label}#{n}" for sp in real.subpaths for n in range(n_rays)]
-    amplitudes, powers = [], []  # per offset, (T, N)
-    for f in f_abs:
+    shape = (table.times.size, f_abs.size, 1 + n_rays * len(real.subpaths))
+    amplitudes, powers = np.empty(shape, dtype=complex), np.empty(shape)
+    for fi, f in enumerate(f_abs):
+        # The direct path's column, then each sub-path's rays, from that component's own values.
         a_los, a_subs = subpath_gains([real], table, f)
-        gains = np.repeat(np.column_stack([a_los, *a_subs]), per_tap, axis=1)
-        phasors = np.column_stack(
-            [np.exp(-1j * TAU * f * los_delay)]
-            + [np.exp(1j * sp.phases - 1j * TAU * f * d) for sp, d in zip(real.subpaths, delays)]
-        )
-        amplitudes.append(amp_weights * gains * phasors)
-        powers.append(power_weights * gains**2)
-    keep = slice(0 if cfg.power.rice_k > 0 else 1, None)
+        amplitudes[:, fi, :1] = ray_weight(cfg, PathKind.LOS) * a_los * np.exp(-1j * TAU * f * table.los_delay)
+        powers[:, fi, :1] = class_weight(cfg, PathKind.LOS) * a_los**2
+        for start, sp, a, d in zip(range(1, shape[2], n_rays), real.subpaths, a_subs, table.delays):
+            phasors = np.exp(1j * sp.phases - 1j * TAU * f * d[:, 0])
+            amplitudes[:, fi, start : start + n_rays] = ray_weight(cfg, sp.path.kind) * a * phasors
+            powers[:, fi, start : start + n_rays] = class_weight(cfg, sp.path.kind) / n_rays * a**2
+    keep = slice(0 if cfg.power.rice_k > 0 else 1, None)  # the direct tap is dropped when K = 0
+    labels = ["los"] + [f"{sp.path.label}#{n}" for sp in real.subpaths for n in range(n_rays)]
     return Taps(
-        delays=np.column_stack([los_delay, *delays])[:, keep],
-        amplitudes=np.stack(amplitudes, axis=1)[..., keep],
-        powers=np.stack(powers, axis=1)[..., keep],
+        delays=np.column_stack([table.los_delay, *(d[:, 0] for d in table.delays)])[:, keep],
+        amplitudes=amplitudes[..., keep],
+        powers=powers[..., keep],
         labels=labels[keep],
     )

@@ -27,8 +27,8 @@ def drift_displacement(drift: DriftConfig, rng: np.random.Generator, t) -> tuple
     ~ U[v_min, v_max] and bearing ~ U[0, 2*pi). So a later instant extends
     the same path. The displacement is the path's exact integral, zero at
     t = 0. A still drift (``v_max`` 0) draws nothing. A path of more
-    intervals than a numpy array can hold is a ValueError naming
-    ``drift.change_freq``.
+    intervals than a numpy array can hold, or than memory can allocate, is
+    a ValueError naming ``drift.change_freq``.
     """
     tt = np.asarray(t, dtype=float)
     bad = ~(np.isfinite(tt) & (tt >= 0.0))
@@ -42,11 +42,12 @@ def drift_displacement(drift: DriftConfig, rng: np.random.Generator, t) -> tuple
     try:
         n = max(1, math.ceil(count))
         speed, bearing = rng.uniform((drift.v_min, 0.0), (drift.v_max, TAU), (n, 2)).T.copy()
-    except (OverflowError, ValueError) as exc:  # a count past any float or array size numpy can hold
+    except (OverflowError, ValueError, MemoryError) as exc:  # a count past any float, array size or memory
         shown = reprlib.repr(math.ceil(count) if math.isfinite(count) else count)
+        why = "a path that cannot be allocated" if isinstance(exc, MemoryError) else "more than a numpy array can hold"
         raise ValueError(
             f"drift.change_freq={drift.change_freq!r} Hz needs {shown} velocity intervals "
-            f"to reach t={reach!r} s, more than a numpy array can hold"
+            f"to reach t={reach!r} s, {why}"
         ) from exc
     # An instant on an interval boundary belongs to the interval it ends, so
     # a path drawn to reach t never reads the interval starting at t.

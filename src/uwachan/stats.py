@@ -305,8 +305,9 @@ def acf_plan(cfg: ScenarioConfig, t: float, f: float, lags, phase_draws: int = 1
     lost = (times[1:] == t) & (lags_t != 0)
     if lost.any():
         raise ValueError(f"lag {float(lags_t[lost][0])!r} s is lost in the anchor: t + lag == t at t={float(t)!r} s")
-    if np.any(times < 0):
-        raise ValueError("correlation would evaluate the channel before t=0; reduce the lags")
+    if np.any(times < 0):  # the anchor itself was checked
+        lag = float(lags_t[times[1:] < 0][0])
+        raise ValueError(f"lag {lag!r} s reaches t={float(t) + lag!r} s, before t=0; reduce the lags")
     geo.evolve(cfg.geometry, cfg.intentional, times)  # name the first instant the platforms cannot reach
     if phase_draws < 1:
         raise ValueError(f"phase_draws must be >= 1, got {phase_draws}")

@@ -6,12 +6,15 @@ prints one line per command: the first 16 hex digits of the sha256 of its
 CSV, then those of its sidecar with the ``version`` field removed (a release
 changes it on purpose), then those of its plot companion with the CSV's
 temporary path on its ``# data:`` line replaced by a fixed placeholder, then
-the command. A last line digests ``validate``: its stdout and its exit code.
-Run it on two checkouts and diff the two listings:
+the command. A command that fails prints its exit code and the digest of
+its JSON error in their place, so a diff shows which messages changed. A
+command's ``--scenario KEY`` names a document of ``SCENARIOS``, written to
+the command's temporary directory. A last line digests ``validate``: its
+stdout and its exit code. Run it on two checkouts and diff the two listings:
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
-pytest does not collect this file. The fourteen commands and ``validate``
+pytest does not collect this file. The eighteen commands and ``validate``
 take about a second.
 """
 import contextlib
@@ -40,7 +43,18 @@ COMMANDS = [
     "delay-stats --preset table1 --realizations 7",
     "pdp --preset fig3 --mode ray --realization 3 --t 12.5",
     "pdp --preset table1",
+    # errors: each prints its exit code and a digest of its message
+    "simulate --preset fig3 --scenario drift-1e15",
+    "simulate --preset fig3 --scenario offset-1e300",
+    "acf --preset fig3 --lag-max -0.1",
+    "acf --preset fig3 --realizations 2 --lag-count 1000000000000000",
 ]
+
+# Documents merged over a command's --preset, by the key its --scenario names.
+SCENARIOS = {
+    "drift-1e15": {"drift": {"change_freq": 1e15}, "signal": {"time_grid": [0.0, 1.0]}},
+    "offset-1e300": {"signal": {"freq_offsets": [1e300]}},
+}
 
 
 def _digest(data: bytes) -> str:
@@ -49,13 +63,20 @@ def _digest(data: bytes) -> str:
 
 def digests(command: str) -> str:
     """``"<csv digest>  <sidecar digest>  <plot digest>"`` of one command, or
-    its exit code if it failed."""
+    ``"exit <code>  <error digest>"`` if it failed."""
     with tempfile.TemporaryDirectory() as tmp:
         out, plot = os.path.join(tmp, "out.csv"), os.path.join(tmp, "plot.txt")
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main([*shlex.split(command), "--out", out, "--meta", "--plot-script", plot])
+        argv = shlex.split(command)
+        if "--scenario" in argv:
+            at = argv.index("--scenario") + 1
+            document, argv[at] = SCENARIOS[argv[at]], os.path.join(tmp, "scenario.json")
+            with open(argv[at], "w") as fh:
+                json.dump(document, fh)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, "--out", out, "--meta", "--plot-script", plot])
         if code != 0:
-            return f"exit {code}"
+            return f"exit {code}  {_digest(stderr.getvalue().encode())}"
         with open(out, "rb") as fh:
             csv = fh.read()
         with open(out + ".meta.json") as fh:

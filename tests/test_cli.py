@@ -935,6 +935,39 @@ def test_bad_anchor_is_one_line_error_naming_the_value(tmp_path, capsys, argv, n
     assert not out.exists()
 
 
+_USER_ERRORS = [
+    ("lag-count", ["acf", "--preset", "fig3", "--lag-count", "1"], None, "--lag-count must be >= 2"),
+    ("list-document", ["pdp"], [1], "scenario document must be a JSON object"),
+    ("scalar-section", ["pdp"], {"geometry": 5}, "section 'geometry' must be an object, got int"),
+    ("no-geometry", ["pdp"], {"master_seed": 1}, "scenario document is missing the 'geometry' section"),
+    (
+        "negative-realization",
+        ["pdp", "--preset", "fig3", "--mode", "ray", "--realization", "-1"],
+        None,
+        "realization index must be >= 0, got -1",
+    ),
+    (
+        "lag-before-zero",
+        ["acf", "--preset", "fig3", "--lag-max", "-0.1"],
+        None,
+        "lag -0.005 s reaches t=-0.005 s, before t=0; reduce the lags",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,document,message", [pytest.param(*case[1:], id=case[0]) for case in _USER_ERRORS])
+def test_a_user_error_is_its_one_line_message(tmp_path, tmp_path_factory, capsys, argv, document, message):
+    if document is not None:  # the scenario file is kept out of tmp_path, which must stay empty
+        path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+        path.write_text(json.dumps(document))
+        argv = [*argv, "--scenario", str(path)]
+    assert run([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": message}
+    assert not list(tmp_path.iterdir())
+
+
 def _interpreter(*args):
     """Run ``python args`` in a fresh interpreter that imports the package under
     test, even where it is not installed."""
@@ -1021,10 +1054,17 @@ def test_a_lag_lost_in_the_anchor_is_one_line_error_naming_it(tmp_path, capsys):
     [
         (["pdp", "--preset", "fig3", "--f", "1e300"], "power"),  # the absorption overflows to nan
         (["acf", "--preset", "fig3", "--realizations", "2", "--f", "1e300", "--meta"], "abs"),
+        (["simulate"], "re"),  # at the scenario file's 1e300 Hz offset
+        (["simulate", "--taps"], "re"),
     ],
-    ids=["pdp", "acf"],
+    ids=["pdp", "acf", "simulate", "simulate-taps"],
 )
-def test_a_non_finite_result_is_one_line_error_naming_its_column(tmp_path, capsys, argv, column):
+def test_a_non_finite_result_is_one_line_error_naming_its_column(tmp_path, tmp_path_factory, capsys, argv, column):
+    if argv[0] == "simulate":  # the scenario file is kept out of tmp_path, which must stay empty
+        path = tmp_path_factory.mktemp("scenario") / "offset.json"
+        document = merge_documents(presets.preset_document("fig3"), {"signal": {"freq_offsets": [1e300]}})
+        path.write_text(json.dumps(document))
+        argv = [*argv, "--scenario", str(path)]
     out = tmp_path / "x.csv"
     with np.errstate(over="ignore", invalid="ignore"):
         assert run([*argv, "--out", str(out)]) == 2
@@ -1070,20 +1110,13 @@ def test_a_non_finite_sidecar_field_is_one_line_error_naming_it(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    "argv,document",
-    [
-        (["acf", "--preset", "fig3", "--realizations", "2", "--lag-count", "1000000000000000"], None),
-        (["simulate"], {"drift": {"change_freq": 1e15}, "signal": {"time_grid": [0.0, 1.0]}}),  # the drift draw
-    ],
-    ids=["lag-axis", "drift"],
+    "argv",
+    [["acf", "--preset", "fig3", "--realizations", "2", "--lag-count", "1000000000000000"]],
+    ids=["lag-axis"],
 )
-def test_an_impossible_allocation_is_one_line_error(tmp_path, capsys, argv, document):
-    # Each array would take petabytes, so numpy's request is refused at once
+def test_an_impossible_allocation_is_one_line_error(tmp_path, capsys, argv):
+    # The lag axis would take petabytes, so numpy's request is refused at once
     # and nothing is allocated.
-    if document is not None:
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(merge_documents(presets.preset_document("fig3"), document)))
-        argv = [*argv, "--scenario", str(path)]
     out = tmp_path / "x.csv"
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -1092,28 +1125,44 @@ def test_an_impossible_allocation_is_one_line_error(tmp_path, capsys, argv, docu
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["acf", "--realizations", "1", "--lag-count", "2"],
-        ["simulate", "--realizations", "1"],
-        ["acf", "--realizations", "2", "--lag-count", "2", "--jobs", "2"],
-    ],
-    ids=["acf", "simulate", "acf-jobs2"],
+# 1e299 velocity intervals to reach 0.1 s: more than any numpy array can
+# hold, so numpy refuses the shape before it allocates anything
+_PAST_ANY_ARRAY = (
+    {"drift": {"change_freq": 1e300}},
+    r"drift\.change_freq=1e\+300 Hz needs 100000\d*\.\.\.\d+ velocity intervals to reach t=0\.1 s, "
+    r"more than a numpy array can hold",
 )
-def test_a_drift_path_too_long_to_draw_names_its_field(tmp_path, capsys, monkeypatch, argv):
-    # 1e299 velocity intervals to reach 0.1 s: more than any numpy array can
-    # hold, so numpy refuses the shape before it allocates anything
+# 1e15 intervals to reach 1 s: a (1e15, 2) draw of 14.2 PiB, which numpy
+# refuses at once, so nothing is allocated
+_PAST_MEMORY = (
+    {"drift": {"change_freq": 1e15}, "signal": {"time_grid": [0.0, 1.0]}},
+    re.escape(
+        "drift.change_freq=1000000000000000.0 Hz needs 1000000000000000 velocity intervals "
+        "to reach t=1.0 s, a path that cannot be allocated"
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "argv,document,message",
+    [
+        pytest.param(["acf", "--realizations", "1", "--lag-count", "2"], *_PAST_ANY_ARRAY, id="acf"),
+        pytest.param(["simulate", "--realizations", "1"], *_PAST_ANY_ARRAY, id="simulate"),
+        pytest.param(
+            ["acf", "--realizations", "2", "--lag-count", "2", "--jobs", "2"], *_PAST_ANY_ARRAY, id="acf-jobs2"
+        ),
+        pytest.param(["simulate"], *_PAST_MEMORY, id="allocation"),
+    ],
+)
+def test_a_drift_path_too_long_to_draw_names_its_field(tmp_path, capsys, monkeypatch, argv, document, message):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(merge_documents(presets.preset_document("fig3"), {"drift": {"change_freq": 1e300}})))
+    path.write_text(json.dumps(merge_documents(presets.preset_document("fig3"), document)))
     monkeypatch.setattr(stats, "_RUN_ELEMENTS", 1)  # a run per realization: with --jobs 2 each is forked
     out = tmp_path / "x.csv"
     assert run([*argv, "--preset", "fig3", "--scenario", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    error = json.loads(err)["error"]
-    assert error.startswith("drift.change_freq=1e+300 Hz needs 100000")
-    assert "..." in error and error.endswith("velocity intervals to reach t=0.1 s, more than a numpy array can hold")
+    assert re.fullmatch(message, json.loads(err)["error"])
     assert not out.exists()
 
 

@@ -614,15 +614,15 @@ def test_ray_mode_equals_cluster_mode_at_the_cluster_limit(name):
     # sub-path runs along its specular reflection at every instant, because
     # its points follow the specular points as the platforms move. So each
     # realization's ray moments are the cluster moments, at t = 0 and along
-    # fig4-time's closing range (2,000 m to 1,100 m by 60 s) and fig3's
-    # rising receiver.
+    # fig4-time's closing range (2,000 m to 200 m by 120 s, over which the
+    # moments turn) and fig3's rising receiver.
     limit = {
         "clusters": {"angle_spread_surface": 0.0, "angle_spread_bottom": 0.0},
         "drift": {"v_min": 0.0, "v_max": 0.0},
         "surface": {"amplitude": 0.0},
     }
     cfg = overlay(preset_scenario(name), limit)
-    anchors = {"table1": (0.0,), "fig4-time": (0.0, 10.0, 60.0), "fig3": (0.0, 10.0)}[name]
+    anchors = {"table1": (0.0,), "fig4-time": (0.0, 10.0, 30.0, 60.0, 90.0, 120.0), "fig3": (0.0, 10.0)}[name]
     for t in anchors:
         ray = ensemble_delay_stats(overlay(cfg, {"realizations": 5}), t)
         cluster = delay_stats(pdp(cfg, t, 0.0))
