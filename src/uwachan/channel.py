@@ -64,7 +64,6 @@ class CtfFrame:
 
     times: np.ndarray  # (T,)
     freq_offsets: np.ndarray  # (F,) baseband offsets, Hz
-    carrier_freq: float
     values: np.ndarray  # (T, F) complex
     realization: int
 
@@ -266,7 +265,6 @@ def evaluate_ctf(real: ChannelRealization, times=None) -> CtfFrame:
     return CtfFrame(
         times=table.times,
         freq_offsets=freqs,
-        carrier_freq=cfg.signal.carrier_freq,
         values=values,
         realization=real.index,
     )

@@ -236,17 +236,17 @@ def _pdp_block(profile: stats.PdpResult) -> tuple:
     return _block("pdp", profile.delays, profile.powers, profile.labels)
 
 
-def _delay_stat_block(moments: stats.DelayStats, realizations: int) -> tuple:
-    """One row per moment, each labelled with the scenario's ``realizations``
-    (also for a cluster profile, which is evaluated once)."""
+def _delay_stat_block(moments: stats.DelayStats) -> tuple:
+    """One row per moment, each labelled with the number of profiles averaged:
+    one for a cluster profile."""
     metrics, means, stds = zip(*moments.summary())
-    return _block("delay-stats", list(metrics), means, stds, [str(realizations)] * len(metrics))
+    return _block("delay-stats", list(metrics), means, stds, [str(moments.n)] * len(metrics))
 
 
-# A preset curve's rows, by statistic: (result, the scenario's realizations) -> block.
+# A preset curve's rows, by statistic: result -> block.
 _BLOCKS = {
-    "acf": lambda result, _: _acf_block(result.lags_t, result.expectation),
-    "pdp": lambda result, _: _pdp_block(result),
+    "acf": lambda result: _acf_block(result.lags_t, result.expectation),
+    "pdp": _pdp_block,
     "delay-stats": _delay_stat_block,
 }
 
@@ -289,13 +289,13 @@ def _cmd_delay_stats(args, cfg):
         moments = stats.ensemble_delay_stats(cfg, args.t, args.f, jobs=args.jobs)
     else:  # the scenario's one cluster profile
         moments = stats.delay_stats(stats.pdp(cfg, args.t, args.f))
-    written = _write_csv(args.out, _COLUMNS["delay-stats"], [_delay_stat_block(moments, cfg.realizations)])
+    written = _write_csv(args.out, _COLUMNS["delay-stats"], [_delay_stat_block(moments)])
     return written, {"t": args.t, "f": args.f, "mode": args.mode}, moments.resamples  # none for a cluster profile
 
 
 def _cmd_validate() -> int:
     tol = presets.TABLE1_TARGETS["tolerance"]
-    checks = presets.table1_check(presets.evaluate("table1", "table1"))
+    checks = presets.table1_check(presets.evaluate_curves("table1")["table1"])
     for metric, value, target, passed in checks:
         print(
             f"{metric}: {value * 1e3:.4f} ms vs reference {target * 1e3:.3f} ms "
@@ -307,7 +307,7 @@ def _cmd_validate() -> int:
 def _cmd_preset(args, cfg):
     statistic = presets.EXPERIMENTS[args.preset][0]
     results = presets.evaluate_curves(args.preset, cfg=cfg, jobs=args.jobs)
-    header, blocks = _COLUMNS[statistic], [_BLOCKS[statistic](r, cfg.realizations) for r in results.values()]
+    header, blocks = _COLUMNS[statistic], [_BLOCKS[statistic](r) for r in results.values()]
     if len(results) > 1:  # a curve column tells the curves apart
         header = ["curve", *header]
         blocks = [(_repeated(_texts([label]), len(b[0])), *b) for label, b in zip(results, blocks)]
@@ -445,9 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a named experiment end to end",
         description=(
             "Run a named experiment end to end. fig5 and table1 are deterministic "
-            "cluster-mode results: fig5 ignores --seed, --realizations and --jobs, and "
-            "table1 ignores --seed and --jobs (--realizations only sets its "
-            "'realizations' column)."
+            "cluster-mode results: both ignore --seed, --realizations and --jobs."
         ),
     )
     p.add_argument("preset", metavar="name", help=f"one of: {', '.join(PRESET_NAMES)}")

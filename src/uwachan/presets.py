@@ -12,7 +12,6 @@ __all__ = [
     "PRESET_NAMES",
     "preset_document",
     "preset_scenario",
-    "evaluate",
     "evaluate_curves",
     "table1_check",
     "FIG3_LAGS",
@@ -122,16 +121,16 @@ _PRESETS = {
 }
 
 
-def _known(name, known, what: str):
-    """``name`` itself when it is one of ``known``; otherwise a ValueError listing them."""
-    if name not in known:
-        raise ValueError(f"unknown {what} {name!r}; known {what}s: {', '.join(known)}")
+def _known(name: str) -> str:
+    """``name`` itself when it names a preset; otherwise a ValueError listing them."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}; known presets: {', '.join(PRESET_NAMES)}")
     return name
 
 
 def preset_document(name: str) -> dict:
     """The scenario document of one named experiment, merged anew at each call."""
-    _known(name, PRESET_NAMES, "preset")
+    _known(name)
     return scenario.merge_documents(*_PRESETS[name])
 
 
@@ -140,8 +139,8 @@ def preset_scenario(name: str) -> scenario.ScenarioConfig:
     return scenario.scenario_from_dict(preset_document(name))
 
 
-def evaluate_curves(name: str, labels=None, cfg: scenario.ScenarioConfig | None = None, jobs: int = 1) -> dict:
-    """``{label: result}`` for the curves of an experiment (default: every curve, in order).
+def evaluate_curves(name: str, cfg: scenario.ScenarioConfig | None = None, jobs: int = 1) -> dict:
+    """``{label: result}`` for every curve of an experiment, in order.
 
     Each curve's changes are overlaid on ``cfg`` (default: the preset's),
     whose ``realizations`` sets the ensemble size. ACF curves run as one
@@ -149,20 +148,14 @@ def evaluate_curves(name: str, labels=None, cfg: scenario.ScenarioConfig | None 
     The PDP and delay-stats experiments are deterministic cluster profiles
     and run in this process.
     """
-    statistic, lags, curves = EXPERIMENTS[_known(name, PRESET_NAMES, "preset")]
+    statistic, lags, curves = EXPERIMENTS[_known(name)]
     base = preset_scenario(name) if cfg is None else cfg
-    chosen = curves if labels is None else {_known(label, curves, f"{name} curve"): curves[label] for label in labels}
-    anchors = {label: (t, scenario.overlay(base, changes)) for label, (t, changes) in chosen.items()}
+    anchors = {label: (t, scenario.overlay(base, changes)) for label, (t, changes) in curves.items()}
     if statistic == "acf":
         plans = [stats.acf_plan(c, t, 0.0, lags) for t, c in anchors.values()]
         return dict(zip(anchors, stats.correlate(plans, jobs)))
     profiles = {label: stats.pdp(c, t, 0.0) for label, (t, c) in anchors.items()}
     return profiles if statistic == "pdp" else {label: stats.delay_stats(p) for label, p in profiles.items()}
-
-
-def evaluate(name: str, label: str, cfg: scenario.ScenarioConfig | None = None, jobs: int = 1):
-    """One curve of an experiment: :func:`evaluate_curves` for ``label`` alone."""
-    return evaluate_curves(name, (label,), cfg, jobs)[label]
 
 
 def table1_check(moments: stats.DelayStats) -> list[tuple[str, float, float, bool]]:

@@ -349,35 +349,30 @@ def pdp(source: ChannelRealization | ScenarioConfig, t: float, f: float) -> PdpR
 
     A realization gives the ray profile: every diffuse ray is an impulse. A
     scenario gives the cluster profile: each sub-path reduced to its specular
-    reflection, the deterministic per-cluster mean. The direct impulse is
-    present only when the Rice factor is positive.
+    reflection, the deterministic per-cluster mean. Either way the direct
+    impulse is present only when the Rice factor is positive.
     """
     check_anchor(t, f)
     if isinstance(source, ChannelRealization):
         taps = tap_list(source, [t], [f])
         delays_arr, powers_arr, labels = taps.delays[0], taps.powers[0, 0], taps.labels
     else:
+        # Component 0 is the direct path, then one per sub-path's specular
+        # reflection; the direct path is dropped at K = 0, as tap_list drops its tap.
         cfg = source
         f_abs = cfg.signal.carrier_freq + f
-        c = cfg.geometry.sound_speed
-        delays: list[float] = []
-        powers: list[float] = []
-        labels = []
         state = geo.evolve(cfg.geometry, cfg.intentional, t)
-        if cfg.power.rice_k > 0:
-            d_los = geo.los_distance(state)
-            a = prop.path_gain(d_los, f_abs)
-            delays.append(d_los / c)
-            powers.append(class_weight(cfg, PathKind.LOS) * a * a)
-            labels.append("los")
-        for path in geo.enumerate_paths(cfg.clusters):
-            cluster = geo.macro_ray(state, cfg.geometry.water_depth, path)
-            a = specular_gain(cfg, path, cluster.distance, cluster.incidence, f_abs)
-            delays.append(cluster.distance / c)
-            powers.append(class_weight(cfg, path.kind) * a * a)
-            labels.append(path.label)
-        delays_arr = np.asarray(delays)
-        powers_arr = np.asarray(powers)
+        paths = geo.enumerate_paths(cfg.clusters)
+        clusters = [geo.macro_ray(state, cfg.geometry.water_depth, path) for path in paths]
+        d_los = geo.los_distance(state)
+        gains = [prop.path_gain(d_los, f_abs)] + [
+            specular_gain(cfg, path, cl.distance, cl.incidence, f_abs) for path, cl in zip(paths, clusters)
+        ]
+        kinds = [PathKind.LOS, *(path.kind for path in paths)]
+        keep = slice(0 if cfg.power.rice_k > 0 else 1, None)
+        delays_arr = np.array([d_los, *(cl.distance for cl in clusters)][keep]) / cfg.geometry.sound_speed
+        powers_arr = np.array([class_weight(cfg, kind) * a * a for kind, a in zip(kinds, gains)][keep])
+        labels = ["los", *(path.label for path in paths)][keep]
 
     first = float(delays_arr.min())
     order = np.argsort(delays_arr, kind="stable")

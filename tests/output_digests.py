@@ -14,7 +14,7 @@ stdout and its exit code. Run it on two checkouts and diff the two listings:
 
     PYTHONPATH=src python tests/output_digests.py > digests.txt
 
-pytest does not collect this file. The eighteen commands and ``validate``
+pytest does not collect this file. The twenty-two commands and ``validate``
 take about a second.
 """
 import contextlib
@@ -41,13 +41,17 @@ COMMANDS = [
     "delay-stats --preset table1 --mode ray --realizations 20 --jobs 2",
     "delay-stats --preset fig3",
     "delay-stats --preset table1 --realizations 7",
+    "delay-stats --preset fig4-freq --t 60",
     "pdp --preset fig3 --mode ray --realization 3 --t 12.5",
     "pdp --preset table1",
+    "pdp --preset fig4-time --t 10",
+    "pdp --preset fig3 --t 5 --f 500",
     # errors: each prints its exit code and a digest of its message
     "simulate --preset fig3 --scenario drift-1e15",
     "simulate --preset fig3 --scenario offset-1e300",
     "acf --preset fig3 --lag-max -0.1",
     "acf --preset fig3 --realizations 2 --lag-count 1000000000000000",
+    "pdp --preset fig4-time --t 200",
 ]
 
 # Documents merged over a command's --preset, by the key its --scenario names.

@@ -16,7 +16,7 @@ from conftest import unit_losses
 import uwachan as uc
 from uwachan import cli
 from uwachan.channel import build_realization, evaluate_ctf
-from uwachan.presets import EXPERIMENTS, TABLE1_TARGETS, evaluate, preset_scenario, table1_check
+from uwachan.presets import EXPERIMENTS, TABLE1_TARGETS, evaluate_curves, preset_scenario, table1_check
 from uwachan.propagation import bottom_reflection, thorp_attenuation
 from uwachan.scenario import BottomConfig, overlay
 
@@ -51,7 +51,7 @@ def fig4_curves():
 
 
 def test_criterion_1_measurement_delay_moments():
-    ens = evaluate("table1", "table1", overlay(preset_scenario("table1"), {"realizations": REALIZATIONS}))
+    ens = evaluate_curves("table1", overlay(preset_scenario("table1"), {"realizations": REALIZATIONS}))["table1"]
     checks = table1_check(ens)
     report(
         "criterion 1 (measurement delay moments within 5%)",
@@ -148,8 +148,7 @@ def test_expectation_acf_matches_its_quadrature_reference(fig4_curves):
 def test_criterion_4_first_arrival_dominates_profiles():
     ok = True
     details = []
-    for label in EXPERIMENTS["fig5"][2]:
-        profile = evaluate("fig5", label)
+    for label, profile in evaluate_curves("fig5").items():
         strongest = int(np.argmax(profile.powers))
         ok = ok and strongest == 0 and profile.delays[0] == 0.0
         details.append(f"{label} -> impulse {strongest}")

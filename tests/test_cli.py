@@ -179,6 +179,16 @@ def test_preset_table1_writes_ensemble_moments(tmp_path):
     assert rms == pytest.approx(2.399e-3, rel=0.05)
 
 
+@pytest.mark.parametrize("name", ["fig5", "table1"])
+def test_cluster_presets_ignore_seed_realizations_and_jobs(tmp_path, name):
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert run(["preset", name, "--out", str(plain)]) == 0
+    assert run(["preset", name, "--seed", "99", "--realizations", "7", "--jobs", "2", "--out", str(flagged)]) == 0
+    assert plain.read_bytes() == flagged.read_bytes()
+    if name == "table1":  # one profile is averaged, whatever the scenario's realizations
+        assert [row.split(",")[-1] for row in plain.read_text().splitlines()[1:]] == ["1", "1"]
+
+
 def test_a_preset_of_two_delay_stats_curves_writes_a_curve_column(tmp_path, monkeypatch):
     # table1 has one curve and so no curve column; a second curve adds one
     monkeypatch.setitem(EXPERIMENTS, "table1", ("delay-stats", None, {"t0": (0.0, {}), "t1": (1.0, {})}))

@@ -20,6 +20,9 @@ from uwachan.scenario import (
     SignalConfig,
     SurfaceMotionConfig,
     IntentionalMotion,
+    ScenarioError,
+    normalize_angle,
+    scenario_from_dict,
     validate,
 )
 from uwachan.stats import (
@@ -38,9 +41,18 @@ from uwachan.channel import (
     subpath_gains,
     tap_list,
 )
-from uwachan.presets import EXPERIMENTS, evaluate, evaluate_curves, preset_scenario
-from uwachan.geometry import PathKind, enumerate_paths, evolve, los_distance, macro_ray
-from uwachan.propagation import path_gain
+from uwachan.presets import EXPERIMENTS, evaluate_curves, preset_scenario
+from uwachan.geometry import (
+    GeometryError,
+    GeometryState,
+    PathIndex,
+    PathKind,
+    enumerate_paths,
+    evolve,
+    los_distance,
+    macro_ray,
+)
+from uwachan.propagation import absorption_loss, path_gain
 from uwachan.scenario import TAU, overlay, stream_for
 
 
@@ -238,19 +250,10 @@ def test_one_pass_equals_per_curve_acf(name, jobs):
         assert got.resamples == alone.resamples
 
 
-@pytest.mark.parametrize(
-    "name, label, message",
-    [
-        ("nope", "x", "unknown preset 'nope'; known presets: fig3, fig4-time, fig4-freq, fig5, table1"),
-        ("fig3", "nope", "unknown fig3 curve 'nope'; known fig3 curves: k5_a1, k0_a1, k5_a2, k0_a2"),
-    ],
-)
-def test_an_unknown_experiment_or_curve_names_the_known_ones(name, label, message):
+def test_an_unknown_experiment_names_the_known_ones():
     # Raised before any curve is evaluated, as preset_scenario does for a name.
-    for call in (
-        lambda: evaluate_curves(name, ("k5_a1", label), cfg=preset_scenario("fig3")),
-        lambda: evaluate(name, label),
-    ):
+    message = "unknown preset 'nope'; known presets: fig3, fig4-time, fig4-freq, fig5, table1"
+    for call in (lambda: evaluate_curves("nope", cfg=preset_scenario("fig3")), lambda: evaluate_curves("nope")):
         with pytest.raises(ValueError) as excinfo:
             call()
         assert str(excinfo.value) == message
@@ -637,6 +640,30 @@ def test_unvalidated_empty_ensemble_is_rejected():
         acf(empty, 0.0, 0.0, [0.0, 0.01])
     with pytest.raises(ValueError, match="at least one realization, got 0"):
         ensemble_delay_stats(empty)
+
+
+_LIBRARY_ERRORS = [
+    (lambda: acf(scenario(), 0.0, 0.0, [0.0, math.nan]), ValueError, "lags must be finite, got nan"),
+    (lambda: acf(scenario(), 0.0, 0.0, [0.0, 0.01], phase_draws=0), ValueError, "phase_draws must be >= 1, got 0"),
+    (lambda: absorption_loss(-1.0, 17.0), ValueError, "distance must be >= 0 m, got -1.0"),
+    (lambda: normalize_angle(math.inf), ScenarioError, "angle must be finite, got inf"),
+    (lambda: scenario_from_dict([]), ScenarioError, "scenario document must be a JSON object"),
+    (
+        lambda: macro_ray(GeometryState(*np.array([100.0, -300.0, 50.0])), 100.0, PathIndex(PathKind.UA, 0, 1)),
+        GeometryError,
+        "non-positive unfolded vertical extent for ua_b1_s0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", _LIBRARY_ERRORS, ids=["lags", "phase-draws", "distance", "angle", "document", "extent"]
+)
+def test_library_errors_have_their_type_and_message(call, error, message):
+    with pytest.raises(error) as excinfo:
+        call()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
 
 
 def test_quadrature_nodes_follow_the_ray_sampler():
